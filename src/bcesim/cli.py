@@ -15,9 +15,9 @@ from .experiments import (
     CSV_HEADER,
     SCENARIOS,
     run_plain,
+    run_plain_traced,
     run_scenario,
     run_sweep,
-    trace_csv,
 )
 
 
@@ -65,20 +65,20 @@ def main(argv=None):
 
         if args.scenario and args.sweep:
             raise ConfigError("--scenario and --sweep are mutually exclusive")
+        if args.trace is not None and (args.scenario or args.sweep):
+            raise ConfigError("--trace applies to plain runs only")
         if args.scenario:
             csv_text = run_scenario(args.scenario, base=cfg)
         elif args.sweep:
             key, values = _parse_sweep(args.sweep)
             rows, _ = run_sweep(cfg, key, values)
             csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+        elif args.trace is not None:
+            csv_text, trace_text = run_plain_traced(cfg)
+            with open(args.trace, "w") as fh:
+                fh.write(trace_text)
         else:
             csv_text = run_plain(cfg)
-
-        if args.trace is not None:
-            if args.scenario or args.sweep:
-                raise ConfigError("--trace applies to plain runs only")
-            with open(args.trace, "w") as fh:
-                fh.write(trace_csv(cfg))
     except (ConfigError, OSError) as exc:
         print(f"simulate: error: {exc}", file=sys.stderr)
         return 2

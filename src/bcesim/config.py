@@ -2,16 +2,23 @@
 
 Missing keys take the `paper-default` calibration preset; unknown keys and
 out-of-range values are rejected with a diagnostic naming the line and key.
-Delay-valued keys use `fixed:<v>` or `exp:<mean>`.
+Delay-valued keys use `fixed:<v>` or `exp:<mean>`.  Non-finite numbers and
+repeated keys are rejected too.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .core import ConfigError
 from .dists import Delay
 from .pipeline import BlockchainParams, ServiceTimes
 from .workload import SourceConfig
+
+
+# Fields that only change what is measured on a sample path, never the path
+# itself: one simulation serves every value of them.
+MEASUREMENT_FIELDS = frozenset({"target_aoi", "warmup"})
 
 
 @dataclass
@@ -49,6 +56,11 @@ class SimConfig:
         def fail(key, msg):
             raise ConfigError(f"config key '{key}': {msg}")
 
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            number = value.value if isinstance(value, Delay) else value
+            if isinstance(number, float) and not math.isfinite(number):
+                fail(field.name, f"must be finite, got {value}")
         if not self.total_rate > 0:
             fail("total_rate", f"must be > 0, got {self.total_rate}")
         if self.generation_mode not in ("periodic", "exponential"):
@@ -132,9 +144,12 @@ def _parse_str(allowed):
 
 def _parse_float(raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(raw):
@@ -177,6 +192,7 @@ SWEEPABLE = {k: p for k, p in _PARSERS.items() if k != "generation_mode"}
 def parse_config(text):
     """Parse the key = value config format into a validated SimConfig."""
     overrides = {}
+    first_line = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -187,6 +203,11 @@ def parse_config(text):
         key = key.strip()
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: duplicate key '{key}' (first set on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         try:
             overrides[key] = _PARSERS[key](raw_value.strip())
         except ConfigError as exc:

@@ -22,11 +22,9 @@ class EventKind(enum.IntEnum):
     GENERATION = 0
     TRANSMIT_COMPLETE = 1
     ENDORSE_COMPLETE = 2
-    ORDERING_SUBMIT = 3
-    TIMEOUT_FIRE = 4
-    BLOCK_READY = 5
-    VALIDATION_COMPLETE = 6
-    COMMIT = 7
+    TIMEOUT_FIRE = 3
+    BLOCK_READY = 4
+    VALIDATION_COMPLETE = 5
 
 
 class EventQueue:

@@ -44,6 +44,8 @@ class Delay:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"bad numeric value in distribution {text!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"distribution value must be finite, got {text!r}")
         if kind == "fixed" and value < 0:
             raise ConfigError(f"fixed delay must be >= 0, got {value}")
         if kind == "exp" and value <= 0:

@@ -3,14 +3,16 @@
 Each scenario sweeps one parameter of a preset configuration and writes one
 aggregated row per swept value.  Replication k derives its streams from
 master_seed + k, so re-running any scenario with the same config and seed
-reproduces the output byte for byte.
+reproduces the output byte for byte.  A sweep over a measurement field
+(target_aoi, warmup) simulates each replication once and measures that one
+sample path under every swept value.
 """
 
 import io
 from dataclasses import dataclass
 
 from .core import ConfigError
-from .config import SWEEPABLE, SimConfig, paper_default
+from .config import MEASUREMENT_FIELDS, SWEEPABLE, paper_default
 from .dists import Delay
 from .metrics import average_aoi, violation_probability
 from .simulation import run_once
@@ -47,21 +49,25 @@ class RunSummary:
 
 
 def summarize(cfg, result):
-    """Reduce one RunResult to the observables reported per replication."""
+    """Reduce one RunResult to the observables reported per replication.
+
+    `cfg` may differ from the config of the run in its measurement fields.
+    """
     bd = result.breakdown
+    path, blocks_in_window = result.window(cfg.warmup)
     violation = None
-    if cfg.target_aoi is not None and result.path.resets:
-        violation = violation_probability(result.path, cfg.target_aoi)
+    if cfg.target_aoi is not None and path.resets:
+        violation = violation_probability(path, cfg.target_aoi)
     frac = bd.n_mvcc_invalid / result.n_generated if result.n_generated else 0.0
     return RunSummary(
-        avg_aoi=average_aoi(result.path),
+        avg_aoi=average_aoi(path),
         violation_prob=violation,
         comm_lat=bd.comm_mean,
         endorse_lat=bd.endorse_mean,
         order_lat=bd.order_mean,
         validate_lat=bd.validate_mean,
         mvcc_invalid_frac=frac,
-        block_rate=result.blocks_in_window / (cfg.horizon - cfg.warmup),
+        block_rate=blocks_in_window / (cfg.horizon - cfg.warmup),
         n_generated=result.n_generated,
         n_delivered=result.n_delivered,
         n_valid=bd.n_valid,
@@ -80,6 +86,24 @@ def run_replications(cfg):
     """All replications of one config, in replication order."""
     cfg.validate()
     return [run_replication(cfg, k) for k in range(cfg.replications)]
+
+
+def _replicate(cfg, measures, trace=None):
+    """Simulate each replication of cfg once and summarize it under every
+    config in `measures`, which differ from cfg in measurement fields only.
+
+    Returns one summary list per measure, in replication order.  Each result
+    is released before the next replication runs; if `trace` is a text
+    stream, every replication's per-transaction trace is written to it.
+    """
+    per_measure = [[] for _ in measures]
+    for k in range(cfg.replications):
+        result = run_once(cfg, cfg.master_seed + k)
+        for summaries, measure in zip(per_measure, measures):
+            summaries.append(summarize(measure, result))
+        if trace is not None:
+            _write_trace(trace, k, result)
+    return per_measure
 
 
 def _mean_std(values):
@@ -104,7 +128,7 @@ def aggregate_row(param, value, summaries):
     aoi_mean, aoi_std = _mean_std([s.avg_aoi for s in summaries])
     cells = [
         param,
-        value if isinstance(value, str) else format(value, "g"),
+        format(value, "g") if isinstance(value, (int, float)) else str(value),
         str(len(summaries)),
         _fmt(aoi_mean),
         _fmt(aoi_std),
@@ -124,10 +148,14 @@ def run_sweep(base, param, values):
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter '{param}'")
     configs = [base.replace(**{param: value}) for value in values]  # validate first
+    if param in MEASUREMENT_FIELDS:
+        # every value measures the same sample paths
+        per_value = _replicate(configs[0], configs) if configs else []
+    else:
+        per_value = (run_replications(cfg) for cfg in configs)
     rows = []
     all_summaries = []
-    for value, cfg in zip(values, configs):
-        summaries = run_replications(cfg)
+    for value, summaries in zip(values, per_value):
         rows.append(aggregate_row(param, value, summaries))
         all_summaries.append(summaries)
     return rows, all_summaries
@@ -190,26 +218,38 @@ def run_scenario(name, base=None):
     return CSV_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
+def _plain_csv(summaries):
+    return CSV_HEADER + "\n" + aggregate_row("none", "NA", summaries) + "\n"
+
+
 def run_plain(cfg):
     """No sweep: a single aggregated row for the config as given."""
-    summaries = run_replications(cfg)
-    row = aggregate_row("none", "NA", summaries)
-    return CSV_HEADER + "\n" + row + "\n"
+    return _plain_csv(run_replications(cfg))
+
+
+def _write_trace(out, k, result):
+    for tx in result.transactions:
+        out.write(
+            f"{k},{tx.id},{tx.key},{tx.channel},{_fmt(tx.gen_time)},"
+            f"{_fmt(tx.arrive_time)},{_fmt(tx.endorse_done)},"
+            f"{tx.captured_version},{_fmt(tx.order_done)},"
+            f"{_fmt(tx.commit_time)},{tx.validity}\n"
+        )
+    for pid, key, channel, gen_time in result.lost:
+        out.write(f"{k},{pid},{key},{channel},{_fmt(gen_time)},NA,NA,NA,NA,NA,lost\n")
 
 
 def trace_csv(cfg):
     """Per-transaction debug trace over all replications of a config."""
     out = io.StringIO()
     out.write(TRACE_HEADER + "\n")
-    for k in range(cfg.replications):
-        result = run_once(cfg, cfg.master_seed + k)
-        for tx in result.transactions:
-            out.write(
-                f"{k},{tx.id},{tx.key},{tx.channel},{_fmt(tx.gen_time)},"
-                f"{_fmt(tx.arrive_time)},{_fmt(tx.endorse_done)},"
-                f"{tx.captured_version},{_fmt(tx.order_done)},"
-                f"{_fmt(tx.commit_time)},{tx.validity}\n"
-            )
-        for pid, key, channel, gen_time in result.lost:
-            out.write(f"{k},{pid},{key},{channel},{_fmt(gen_time)},NA,NA,NA,NA,NA,lost\n")
+    _replicate(cfg, [], out)
     return out.getvalue()
+
+
+def run_plain_traced(cfg):
+    """(run_plain(cfg), trace_csv(cfg)), simulating each replication once."""
+    out = io.StringIO()
+    out.write(TRACE_HEADER + "\n")
+    [summaries] = _replicate(cfg, [cfg], out)
+    return _plain_csv(summaries), out.getvalue()

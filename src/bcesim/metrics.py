@@ -117,7 +117,6 @@ class LatencyBreakdown:
     endorse_mean: float | None
     order_mean: float | None
     validate_mean: float | None
-    total_mean: float | None
     n_generated: int
     n_valid: int
     n_mvcc_invalid: int
@@ -128,7 +127,7 @@ class LatencyBreakdown:
 def latency_breakdown(transactions, n_lost, n_generated, target_key):
     """Aggregate a finished transaction trace into a LatencyBreakdown."""
     n_valid = n_mvcc = n_vscc = 0
-    sums = [0.0, 0.0, 0.0, 0.0, 0.0]
+    sums = [0.0, 0.0, 0.0, 0.0]
     n_target = 0
     for tx in transactions:
         if tx.validity == VALID:
@@ -143,14 +142,12 @@ def latency_breakdown(transactions, n_lost, n_generated, target_key):
             sums[1] += tx.endorse_done - tx.arrive_time
             sums[2] += tx.order_done - tx.endorse_done
             sums[3] += tx.commit_time - tx.order_done
-            sums[4] += tx.commit_time - tx.gen_time
-    means = [s / n_target for s in sums] if n_target else [None] * 5
+    means = [s / n_target for s in sums] if n_target else [None] * 4
     return LatencyBreakdown(
         comm_mean=means[0],
         endorse_mean=means[1],
         order_mean=means[2],
         validate_mean=means[3],
-        total_mean=means[4],
         n_generated=n_generated,
         n_valid=n_valid,
         n_mvcc_invalid=n_mvcc,

@@ -4,9 +4,11 @@ Generation stops at the horizon; the remaining events then drain so every
 proposal resolves to exactly one outcome (valid, mvcc_invalid, vscc_invalid,
 or lost) and the outcome counts partition the generated count.  Age resets
 are only recorded up to the horizon, and statistics are taken on the path
-restricted to [warmup, horizon].
+restricted to [warmup, horizon].  The warmup never changes the run itself, so
+a result keeps the whole path and can be re-windowed for any other warmup.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import EventKind, EventQueue, make_stream
@@ -42,6 +44,20 @@ class RunResult:
     blocks_committed: int  # total over the whole run
     blocks_in_window: int  # committed inside [warmup, horizon]
     ledgers: list  # final LedgerState per channel
+    full_path: AoISamplePath  # every reset up to the horizon
+    block_times: list  # ascending commit times of the blocks committed by the horizon
+
+    def window(self, warmup):
+        """(path, blocks_in_window) as a run of the same model with this warmup reports them."""
+        if warmup == self.path.start:
+            return self.path, self.blocks_in_window
+        path = self.full_path.restricted(warmup, self.path.end)
+        return path, _count_from(self.block_times, warmup)
+
+
+def _count_from(times, start):
+    """Number of entries of an ascending list that are >= start."""
+    return len(times) - bisect_left(times, start)
 
 
 class Simulator:
@@ -81,7 +97,7 @@ class Simulator:
         self.n_generated = 0
         self.n_delivered = 0
         self.blocks_committed = 0
-        self.blocks_in_window = 0
+        self.block_times = []
         self._next_id = 1
         self._raw_path = AoISamplePath(0.0, cfg.horizon)
         self._ordering_delay = ordering_delay(self.params, self.svc)
@@ -160,14 +176,12 @@ class Simulator:
             arrive = t
             if src.comm_latency.value != 0.0:
                 arrive += src.comm_latency.sample(self.rng_comm)
-            prop.delivered_time = arrive
             self.n_delivered += 1
             tx = Transaction(prop.id, prop.key, prop.channel, prop.gen_time, arrive)
             self.transactions.append(tx)
             delay = endorse_delay(self.params, self.svc, self.rng_endorse)
             self.queue.schedule(arrive + delay, _ENDORSE_COMPLETE, tx)
         else:
-            prop.lost = True
             self.lost.append((prop.id, prop.key, prop.channel, prop.gen_time))
 
     # -- pipeline events ---------------------------------------------------
@@ -214,9 +228,8 @@ class Simulator:
             for tx in committed:
                 if tx.key == TARGET_KEY:
                     self._raw_path.record_commit(t, tx.gen_time)
+            self.block_times.append(t)
         self.blocks_committed += 1
-        if self.cfg.warmup <= t <= self.cfg.horizon:
-            self.blocks_in_window += 1
         ch.validator_busy = False
         if ch.validation_queue:
             self._start_validation(ch, ch.validation_queue.popleft(), t)
@@ -224,7 +237,8 @@ class Simulator:
     # -- results -----------------------------------------------------------
 
     def result(self):
-        path = self._raw_path.restricted(self.cfg.warmup, self.cfg.horizon)
+        warmup = self.cfg.warmup
+        path = self._raw_path.restricted(warmup, self.cfg.horizon)
         breakdown = latency_breakdown(
             self.transactions, len(self.lost), self.n_generated, TARGET_KEY
         )
@@ -236,8 +250,10 @@ class Simulator:
             n_generated=self.n_generated,
             n_delivered=self.n_delivered,
             blocks_committed=self.blocks_committed,
-            blocks_in_window=self.blocks_in_window,
+            blocks_in_window=_count_from(self.block_times, warmup),
             ledgers=[ch.ledger for ch in self.channels],
+            full_path=self._raw_path,
+            block_times=self.block_times,
         )
 
 

@@ -27,15 +27,13 @@ class SourceConfig:
 
 
 class Proposal:
-    __slots__ = ("id", "key", "channel", "gen_time", "delivered_time", "lost")
+    __slots__ = ("id", "key", "channel", "gen_time")
 
     def __init__(self, pid, key, channel, gen_time):
         self.id = pid
         self.key = key
         self.channel = channel
         self.gen_time = gen_time
-        self.delivered_time = None
-        self.lost = False
 
 
 def next_generation_time(cfg, now, rng):

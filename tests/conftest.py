@@ -1,5 +1,6 @@
 import pytest
 
+import bcesim.experiments
 from bcesim.config import paper_default
 
 
@@ -18,6 +19,19 @@ def parse_csv(text):
                 row[name] = float(cell)
         rows.append(row)
     return rows
+
+
+def count_runs(monkeypatch):
+    """Record the seed of every simulation made through bcesim.experiments from now on."""
+    calls = []
+    real = bcesim.experiments.run_once
+
+    def counting(cfg, seed, *args, **kwargs):
+        calls.append(seed)
+        return real(cfg, seed, *args, **kwargs)
+
+    monkeypatch.setattr(bcesim.experiments, "run_once", counting)
+    return calls
 
 
 @pytest.fixture

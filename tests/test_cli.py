@@ -1,5 +1,10 @@
+import pytest
+
+import bcesim.experiments
 from bcesim.cli import main
-from conftest import parse_csv
+from bcesim.config import parse_config
+from bcesim.experiments import run_plain, trace_csv
+from conftest import count_runs, parse_csv
 
 QUICK = "horizon = 120\nwarmup = 20\nreplications = 2\n"
 
@@ -36,7 +41,7 @@ def test_sweep_option(tmp_path):
 
 def test_trace_output(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(QUICK + "replications = 1\n")
+    cfg.write_text(QUICK.replace("replications = 2", "replications = 1"))
     out = tmp_path / "out.csv"
     trace = tmp_path / "trace.csv"
     assert main(
@@ -63,3 +68,47 @@ def test_bad_sweep_value_diagnosed(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUICK)
     assert main(["--config", str(cfg), "--sweep", "stp=0.5,2.0"]) == 2
+
+
+def test_trace_run_simulates_each_replication_once(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(QUICK + "stp = 0.8\n")
+    cfg = parse_config(cfg_path.read_text())
+    out = tmp_path / "out.csv"
+    trace = tmp_path / "trace.csv"
+    calls = count_runs(monkeypatch)
+    assert main(["--config", str(cfg_path), "--out", str(out), "--trace", str(trace)]) == 0
+    assert len(calls) == cfg.replications
+    assert out.read_text() == run_plain(cfg)
+    assert trace.read_text() == trace_csv(cfg)
+
+
+@pytest.mark.parametrize("extra", [["--scenario", "fig6"], ["--sweep", "block_size=1,2"]])
+def test_trace_with_scenario_or_sweep_rejected_before_simulating(
+    tmp_path, monkeypatch, capsys, extra
+):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before rejecting --trace")
+
+    monkeypatch.setattr(bcesim.experiments, "run_once", no_simulation)
+    trace = tmp_path / "trace.csv"
+    assert main(extra + ["--reps", "1", "--trace", str(trace)]) == 2
+    assert "--trace" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize(
+    "key, values",
+    [("endorse_time", "exp:0.01,exp:0.02"), ("comm_latency", "fixed:0,exp:0.05")],
+)
+def test_delay_valued_sweep_prints_config_syntax(tmp_path, key, values):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUICK)
+    out = tmp_path / "sweep.csv"
+    assert main(
+        ["--config", str(cfg), "--reps", "1", "--sweep", f"{key}={values}", "--out", str(out)]
+    ) == 0
+    lines = out.read_text().strip().split("\n")[1:]
+    assert [line.split(",")[:3] for line in lines] == [
+        [key, value, "1"] for value in values.split(",")
+    ]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from bcesim.config import SimConfig, parse_config, paper_default
@@ -72,3 +74,34 @@ def test_replace_validates():
 
 def test_defaults_are_valid():
     SimConfig().validate()
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("horizon = inf", "horizon"),
+        ("timeout = inf", "timeout"),
+        ("transmit_time = nan", "transmit_time"),
+        ("ordering_base = nan", "ordering_base"),
+        ("target_aoi = -inf", "target_aoi"),
+        ("endorse_time = exp:nan", "endorse_time"),
+        ("comm_latency = fixed:inf", "comm_latency"),
+    ],
+)
+def test_non_finite_values_rejected_with_line_and_key(line, key):
+    with pytest.raises(ConfigError, match=f"line 2: key '{key}'.*finite"):
+        parse_config("block_size = 5\n" + line)
+
+
+def test_duplicate_key_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: duplicate key 'horizon'.*line 1"):
+        parse_config("horizon = 100\nwarmup = 10\nhorizon = 200\n")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("horizon", math.inf), ("stp", math.nan), ("comm_latency", Delay("exp", math.inf))],
+)
+def test_replace_rejects_non_finite_values(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}'.*finite"):
+        paper_default().replace(**{key: value})

@@ -9,7 +9,9 @@ def test_parse_fixed_and_exp():
     assert Delay.parse("exp:0.02") == Delay("exp", 0.02)
 
 
-@pytest.mark.parametrize("text", ["0.05", "normal:1", "fixed:", "exp:-1", "fixed:-0.1"])
+@pytest.mark.parametrize(
+    "text", ["0.05", "normal:1", "fixed:", "exp:-1", "fixed:-0.1", "exp:nan", "fixed:inf"]
+)
 def test_parse_rejects_bad_syntax(text):
     with pytest.raises(ConfigError):
         Delay.parse(text)

@@ -4,6 +4,7 @@ from bcesim.config import paper_default
 from bcesim.core import ConfigError
 from bcesim.experiments import (
     CSV_HEADER,
+    aggregate_row,
     run_plain,
     run_replication,
     run_replications,
@@ -11,7 +12,7 @@ from bcesim.experiments import (
     run_sweep,
     trace_csv,
 )
-from conftest import parse_csv
+from conftest import count_runs, parse_csv
 
 
 def test_csv_header_is_stable():
@@ -111,3 +112,32 @@ def test_trace_csv_covers_every_proposal(quick_cfg):
     outcomes = [line.split(",")[-1] for line in data]
     assert set(outcomes) <= {"valid", "mvcc_invalid", "vscc_invalid", "lost"}
     assert outcomes.count("lost") == len(result.lost)
+
+
+MEASUREMENT_SWEEPS = [
+    ("target_aoi", [0.0, 0.5, 2.0, 40.0]),
+    ("warmup", [0.0, 20.0, 55.5, 199.0]),
+]
+
+
+@pytest.mark.parametrize("param, values", MEASUREMENT_SWEEPS)
+def test_measurement_sweep_matches_separate_runs(quick_cfg, param, values):
+    base = quick_cfg.replace(generation_mode="exponential", stp=0.8, target_aoi=1.0)
+    rows, summaries = run_sweep(base, param, values)
+    expected = [run_replications(base.replace(**{param: v})) for v in values]
+    assert summaries == expected
+    assert rows == [aggregate_row(param, v, s) for v, s in zip(values, expected)]
+
+
+@pytest.mark.parametrize("param, values", MEASUREMENT_SWEEPS)
+def test_measurement_sweep_simulates_each_replication_once(quick_cfg, monkeypatch, param, values):
+    cfg = quick_cfg.replace(replications=3)
+    calls = count_runs(monkeypatch)
+    run_sweep(cfg, param, values)
+    assert calls == [cfg.master_seed + k for k in range(3)]
+
+
+def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
+    calls = count_runs(monkeypatch)
+    run_sweep(quick_cfg, "block_size", [2, 5, 7])
+    assert len(calls) == 3 * quick_cfg.replications

@@ -66,6 +66,17 @@ def test_warmup_only_affects_the_measured_window():
     assert warmed.path.resets == [r for r in full.path.resets if r[0] >= 50.0]
 
 
+def test_result_rewindows_like_a_run_with_that_warmup():
+    cfg = paper_default().replace(horizon=300.0, warmup=0.0, block_size=3)
+    base = run_once(cfg, 31)
+    for warmup in (0.0, 0.05, 50.0, 299.5):
+        run = run_once(cfg.replace(warmup=warmup), 31)
+        path, blocks = base.window(warmup)
+        assert (path.start, path.end, path.resets) == (run.path.start, run.path.end, run.path.resets)
+        assert blocks == run.blocks_in_window
+        assert run.window(warmup) == (run.path, run.blocks_in_window)
+
+
 def test_multi_channel_trace_equals_single_channel_sub_workload():
     cfg = paper_default().replace(
         horizon=300.0,
