@@ -17,10 +17,6 @@ class LedgerState:
         entry = self._entries.get(key)
         return entry[0] if entry is not None else 0
 
-    def last_gen_time(self, key):
-        entry = self._entries.get(key)
-        return entry[1] if entry is not None else None
-
     def apply_update(self, key, gen_time):
         """Commit one update; caller must have passed MVCC for this key."""
         entry = self._entries.get(key)

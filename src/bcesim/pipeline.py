@@ -9,7 +9,6 @@ then the MVCC version comparison against the channel ledger, where earlier
 commits within the same block already count (first writer wins).
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .dists import Delay
@@ -66,18 +65,12 @@ class Transaction:
 
 
 class Block:
-    __slots__ = ("seq", "txs", "cut_time", "channel")
+    __slots__ = ("txs", "cut_time", "channel")
 
-    def __init__(self, seq, txs, cut_time, channel):
-        self.seq = seq
+    def __init__(self, txs, cut_time, channel):
         self.txs = txs
         self.cut_time = cut_time
         self.channel = channel
-
-
-def endorse_delay(params, svc, rng):
-    """Endorsement latency: max of n_endorsers independent per-peer draws."""
-    return svc.endorse_per_peer.sample_max(rng, params.n_endorsers)
 
 
 def ordering_delay(params, svc):
@@ -122,55 +115,3 @@ def commit_block(block, ledger, completion):
             ledger.apply_update(tx.key, tx.gen_time)
             committed.append(tx)
     return committed
-
-
-class ChannelState:
-    """Per-channel pipeline state: pending ordering batch and the serial validator."""
-
-    __slots__ = (
-        "channel",
-        "ledger",
-        "params",
-        "batch",
-        "batch_id",
-        "block_seq",
-        "validation_queue",
-        "validator_busy",
-    )
-
-    def __init__(self, channel, params, ledger):
-        self.channel = channel
-        self.params = params
-        self.ledger = ledger
-        self.batch = []
-        self.batch_id = 0  # bumped at every cut; stale timeouts carry an old id
-        self.block_seq = 0
-        self.validation_queue = deque()
-        self.validator_busy = False
-
-    def submit(self, tx, now):
-        """Append an endorsed transaction to the pending batch.
-
-        Returns (block, deadline): block is set when the batch reached the
-        block size and was cut at `now`; deadline is set when this was the
-        first transaction of a fresh batch, arming the timeout.
-        """
-        self.batch.append(tx)
-        if len(self.batch) >= self.params.block_size:
-            return self._cut(now), None
-        if len(self.batch) == 1:
-            return None, now + self.params.timeout
-        return None, None
-
-    def fire_timeout(self, batch_id, now):
-        """Cut the armed batch, unless it was already cut (stale deadline)."""
-        if batch_id != self.batch_id or not self.batch:
-            return None
-        return self._cut(now)
-
-    def _cut(self, now):
-        block = Block(self.block_seq, self.batch, now, self.channel)
-        self.block_seq += 1
-        self.batch = []
-        self.batch_id += 1
-        return block

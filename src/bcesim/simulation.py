@@ -6,31 +6,46 @@ or lost) and the outcome counts partition the generated count.  Age resets
 are only recorded up to the horizon, and statistics are taken on the path
 restricted to [warmup, horizon].  The warmup never changes the run itself, so
 a result keeps the whole path and can be re-windowed for any other warmup.
+
+Events are tuples ``(time, seq, kind, payload)`` dispatched in (time, seq)
+order by a single loop.  ``seq`` comes from one counter, taken at the moment
+an event is scheduled, so same-instant events fire in the order they were
+scheduled.  At most one generation and one transmission are ever pending;
+each waits in its own slot outside the heap, and the slots and the heap
+share the seq counter, so the order is the same as if all were on one heap.
 """
 
+import itertools
+import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
-from .core import EventKind, EventQueue, make_stream
+from .core import SimulationError, make_stream
 from .ledger import LedgerState
 from .metrics import AoISamplePath, LatencyBreakdown, latency_breakdown
 from .pipeline import (
-    ChannelState,
+    Block,
     Transaction,
     commit_block,
-    endorse_delay,
     ordering_delay,
     validate_block,
     validation_duration,
 )
 from .workload import TARGET_KEY, Proposal, TransmitterQueue, assign_key, next_generation_time
 
-_GENERATION = int(EventKind.GENERATION)
-_TRANSMIT_COMPLETE = int(EventKind.TRANSMIT_COMPLETE)
-_ENDORSE_COMPLETE = int(EventKind.ENDORSE_COMPLETE)
-_TIMEOUT_FIRE = int(EventKind.TIMEOUT_FIRE)
-_BLOCK_READY = int(EventKind.BLOCK_READY)
-_VALIDATION_COMPLETE = int(EventKind.VALIDATION_COMPLETE)
+(
+    _GENERATION,
+    _TRANSMIT_COMPLETE,
+    _ENDORSE_COMPLETE,
+    _TIMEOUT_FIRE,
+    _BLOCK_READY,
+    _VALIDATION_COMPLETE,
+) = range(6)
+
+# An empty slot; it sorts after every event.
+_IDLE = (math.inf, math.inf, None, None)
 
 
 @dataclass
@@ -60,7 +75,7 @@ def _count_from(times, start):
     return len(times) - bisect_left(times, start)
 
 
-class Simulator:
+def run_once(cfg, seed, arrivals=None):
     """Single-threaded, deterministic run of one configuration and seed.
 
     `arrivals` bypasses the workload entirely: a list of
@@ -68,195 +83,166 @@ class Simulator:
     the endorsing phase of channel 0's pipeline (used by tests to drive the
     pipeline with a known sub-workload).
     """
+    cfg.validate()
+    src = cfg.source()
+    params = cfg.chain()
+    svc = cfg.services()
+    horizon = cfg.horizon
 
-    def __init__(self, cfg, seed, arrivals=None):
-        cfg.validate()
-        self.cfg = cfg
-        self.src = cfg.source()
-        self.params = cfg.chain()
-        self.svc = cfg.services()
-        self.queue = EventQueue()
-        self.arrivals = arrivals
+    rng_gen = make_stream(seed, "generation")
+    rng_key = make_stream(seed, "key-assign")
+    rng_loss = make_stream(seed, "channel-loss")
+    rng_comm = make_stream(seed, "comm-latency")
+    rng_endorse = make_stream(seed, "endorse")
+    rng_vscc = make_stream(seed, "vscc")
+    rng_split = make_stream(seed, "channel-split")
 
-        self.rng_gen = make_stream(seed, "generation")
-        self.rng_key = make_stream(seed, "key-assign")
-        self.rng_loss = make_stream(seed, "channel-loss")
-        self.rng_comm = make_stream(seed, "comm-latency")
-        self.rng_endorse = make_stream(seed, "endorse")
-        self.rng_vscc = make_stream(seed, "vscc")
-        self.rng_split = make_stream(seed, "channel-split")
+    n_channels = params.n_channels
+    ledgers = [LedgerState(c) for c in range(n_channels)]
+    batches = [[] for _ in range(n_channels)]  # pending ordering batch per channel
+    validating = [deque() for _ in range(n_channels)]  # blocks at the validator; head in service
+    txq = TransmitterQueue(src.discipline)
+    transactions = []
+    lost = []
+    block_times = []
+    raw_path = AoISamplePath(0.0, horizon)
 
-        self.channels = [
-            ChannelState(i, self.params, LedgerState(i))
-            for i in range(self.params.n_channels)
-        ]
-        self.txq = TransmitterQueue(self.src.discipline)
-        self.channel_busy = False
-        self.transactions = []
-        self.lost = []
-        self.n_generated = 0
-        self.n_delivered = 0
-        self.blocks_committed = 0
-        self.block_times = []
-        self._next_id = 1
-        self._raw_path = AoISamplePath(0.0, cfg.horizon)
-        self._ordering_delay = ordering_delay(self.params, self.svc)
+    stp = src.stp
+    transmit_time = src.transmit_time
+    comm = src.comm_latency
+    endorse_max = svc.endorse_per_peer.sample_max
+    n_endorsers = params.n_endorsers
+    block_size = params.block_size
+    timeout = params.timeout
+    order_time = ordering_delay(params, svc)
+    vscc_fail_prob = cfg.vscc_fail_prob
 
-    def run(self):
-        queue = self.queue
-        if self.arrivals is None:
-            first = next_generation_time(self.src, 0.0, self.rng_gen)
-            if first <= self.cfg.horizon:
-                queue.schedule(first, _GENERATION)
-        else:
-            for arrive, delay, key, gen_time in self.arrivals:
-                tx = Transaction(self._next_id, key, 0, gen_time, arrive)
-                self._next_id += 1
-                self.n_generated += 1
-                self.n_delivered += 1
-                self.transactions.append(tx)
-                queue.schedule(arrive + delay, _ENDORSE_COMPLETE, tx)
+    heap = []  # endorse, timeout, block-ready and validation-complete events
+    next_seq = itertools.count().__next__
 
-        while True:
-            ev = queue.next_event()
-            if ev is None:
-                break
-            t, _, kind, payload = ev
+    gen = tc = _IDLE  # the pending generation and transmit-complete events
+    n_generated = 0
+    if arrivals is None:
+        first = next_generation_time(src, 0.0, rng_gen)
+        if first <= horizon:
+            gen = (first, next_seq(), _GENERATION, None)
+    else:
+        for arrive, delay, key, gen_time in arrivals:
+            n_generated += 1
+            tx = Transaction(n_generated, key, 0, gen_time, arrive)
+            transactions.append(tx)
+            heappush(heap, (arrive + delay, next_seq(), _ENDORSE_COMPLETE, tx))
+
+    now = 0.0
+    blocks_committed = 0
+    while True:
+        ev = gen if gen < tc else tc
+        if heap and heap[0] < ev:
+            ev = heappop(heap)
+        elif ev is _IDLE:
+            break
+        t, _, kind, x = ev
+        if t < now:
+            raise SimulationError(f"event at t={t} behind clock t={now}")
+        now = t
+
+        if kind == _ENDORSE_COMPLETE:
+            c = x.channel
+            x.endorse_done = t
+            x.captured_version = ledgers[c].read_version(x.key)
+            batch = batches[c]
+            batch.append(x)
+            if len(batch) < block_size:
+                if len(batch) == 1:
+                    heappush(heap, (t + timeout, next_seq(), _TIMEOUT_FIRE, batch))
+                continue
+        elif kind <= _TRANSMIT_COMPLETE:
+            # A proposal is generated, or its transmission ends.  With zero
+            # transmit time a generated proposal's transmission ends at once.
             if kind == _GENERATION:
-                self._on_generation(t)
-            elif kind == _ENDORSE_COMPLETE:
-                self._on_endorse_complete(t, payload)
-            elif kind == _TRANSMIT_COMPLETE:
-                self._on_transmit_complete(t, payload)
-            elif kind == _TIMEOUT_FIRE:
-                self._on_timeout(t, payload)
-            elif kind == _BLOCK_READY:
-                self._on_block_ready(t, payload)
-            elif kind == _VALIDATION_COMPLETE:
-                self._on_validation_complete(t, payload)
-        return self.result()
-
-    # -- workload events ---------------------------------------------------
-
-    def _on_generation(self, t):
-        pid = self._next_id
-        self._next_id += 1
-        self.n_generated += 1
-        key = assign_key(self.src, self.rng_key, pid)
-        if key == TARGET_KEY or self.params.n_channels == 1:
-            channel = 0
-        else:
-            channel = self.rng_split.randrange(self.params.n_channels)
-        prop = Proposal(pid, key, channel, t)
-        if self.src.transmit_time == 0.0 and not self.channel_busy and not len(self.txq):
-            # zero occupancy: the channel never queues, resolve in place
-            self._resolve_transmission(prop, t)
-        else:
-            self.txq.push(prop)
-            if not self.channel_busy:
-                self._start_transmission(t)
-        nxt = next_generation_time(self.src, t, self.rng_gen)
-        if nxt <= self.cfg.horizon:
-            self.queue.schedule(nxt, _GENERATION)
-
-    def _start_transmission(self, t):
-        prop = self.txq.pop()
-        self.channel_busy = True
-        self.queue.schedule(t + self.src.transmit_time, _TRANSMIT_COMPLETE, prop)
-
-    def _on_transmit_complete(self, t, prop):
-        self.channel_busy = False
-        self._resolve_transmission(prop, t)
-        if len(self.txq):
-            self._start_transmission(t)
-
-    def _resolve_transmission(self, prop, t):
-        src = self.src
-        if src.stp >= 1.0 or self.rng_loss.random() < src.stp:
-            arrive = t
-            if src.comm_latency.value != 0.0:
-                arrive += src.comm_latency.sample(self.rng_comm)
-            self.n_delivered += 1
-            tx = Transaction(prop.id, prop.key, prop.channel, prop.gen_time, arrive)
-            self.transactions.append(tx)
-            delay = endorse_delay(self.params, self.svc, self.rng_endorse)
-            self.queue.schedule(arrive + delay, _ENDORSE_COMPLETE, tx)
-        else:
-            self.lost.append((prop.id, prop.key, prop.channel, prop.gen_time))
-
-    # -- pipeline events ---------------------------------------------------
-
-    def _on_endorse_complete(self, t, tx):
-        ch = self.channels[tx.channel]
-        tx.endorse_done = t
-        tx.captured_version = ch.ledger.read_version(tx.key)
-        block, deadline = ch.submit(tx, t)
-        if block is not None:
-            self._dispatch_block(block)
-        elif deadline is not None:
-            self.queue.schedule(deadline, _TIMEOUT_FIRE, (ch, ch.batch_id))
-
-    def _on_timeout(self, t, payload):
-        ch, batch_id = payload
-        block = ch.fire_timeout(batch_id, t)
-        if block is not None:
-            self._dispatch_block(block)
-
-    def _dispatch_block(self, block):
-        ready = block.cut_time + self._ordering_delay
-        for tx in block.txs:
+                n_generated += 1
+                pid, gen_time = n_generated, t
+                key = assign_key(src, rng_key, pid)
+                if key == TARGET_KEY or n_channels == 1:
+                    c = 0
+                else:
+                    c = rng_split.randrange(n_channels)
+                transmitted = transmit_time == 0.0
+                if not transmitted:
+                    prop = Proposal(pid, key, c, t)
+                    if tc is _IDLE:
+                        tc = (t + transmit_time, next_seq(), _TRANSMIT_COMPLETE, prop)
+                    else:
+                        txq.push(prop)
+            else:
+                pid, key, c, gen_time = x.id, x.key, x.channel, x.gen_time
+                transmitted = True
+            if transmitted:
+                if stp >= 1.0 or rng_loss.random() < stp:
+                    arrive = t
+                    if comm.value != 0.0:
+                        arrive += comm.sample(rng_comm)
+                    tx = Transaction(pid, key, c, gen_time, arrive)
+                    transactions.append(tx)
+                    done = arrive + endorse_max(rng_endorse, n_endorsers)
+                    heappush(heap, (done, next_seq(), _ENDORSE_COMPLETE, tx))
+                else:
+                    lost.append((pid, key, c, gen_time))
+            if kind == _GENERATION:
+                nxt = next_generation_time(src, t, rng_gen)
+                gen = (nxt, next_seq(), _GENERATION, None) if nxt <= horizon else _IDLE
+            elif txq:
+                tc = (t + transmit_time, next_seq(), _TRANSMIT_COMPLETE, txq.pop())
+            else:
+                tc = _IDLE
+            continue
+        elif kind == _VALIDATION_COMPLETE:
+            c = x.channel
+            validate_block(x, ledgers[c], vscc_fail_prob, rng_vscc)
+            committed = commit_block(x, ledgers[c], t)
+            if t <= horizon:
+                for tx in committed:
+                    if tx.key == TARGET_KEY:
+                        raw_path.record_commit(t, tx.gen_time)
+                block_times.append(t)
+            blocks_committed += 1
+            queue = validating[c]
+            queue.popleft()
+            if queue:
+                block = queue[0]
+                done = t + validation_duration(svc, len(block.txs))
+                heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, block))
+            continue
+        elif kind == _BLOCK_READY:
+            queue = validating[x.channel]
+            queue.append(x)
+            if len(queue) == 1:  # the validator was idle
+                done = t + validation_duration(svc, len(x.txs))
+                heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, x))
+            continue
+        else:  # _TIMEOUT_FIRE: x is the batch that armed it
+            batch = x
+            c = batch[0].channel
+            if batch is not batches[c]:
+                continue  # stale: that batch was already cut by size
+        # cut channel c's batch at t and hand the block to ordering
+        batches[c] = []
+        ready = t + order_time
+        for tx in batch:
             tx.order_done = ready
-        self.queue.schedule(ready, _BLOCK_READY, block)
+        heappush(heap, (ready, next_seq(), _BLOCK_READY, Block(batch, t, c)))
 
-    def _on_block_ready(self, t, block):
-        ch = self.channels[block.channel]
-        if ch.validator_busy:
-            ch.validation_queue.append(block)
-        else:
-            self._start_validation(ch, block, t)
-
-    def _start_validation(self, ch, block, t):
-        ch.validator_busy = True
-        duration = validation_duration(self.svc, len(block.txs))
-        self.queue.schedule(t + duration, _VALIDATION_COMPLETE, block)
-
-    def _on_validation_complete(self, t, block):
-        ch = self.channels[block.channel]
-        validate_block(block, ch.ledger, self.cfg.vscc_fail_prob, self.rng_vscc)
-        committed = commit_block(block, ch.ledger, t)
-        if t <= self.cfg.horizon:
-            for tx in committed:
-                if tx.key == TARGET_KEY:
-                    self._raw_path.record_commit(t, tx.gen_time)
-            self.block_times.append(t)
-        self.blocks_committed += 1
-        ch.validator_busy = False
-        if ch.validation_queue:
-            self._start_validation(ch, ch.validation_queue.popleft(), t)
-
-    # -- results -----------------------------------------------------------
-
-    def result(self):
-        warmup = self.cfg.warmup
-        path = self._raw_path.restricted(warmup, self.cfg.horizon)
-        breakdown = latency_breakdown(
-            self.transactions, len(self.lost), self.n_generated, TARGET_KEY
-        )
-        return RunResult(
-            path=path,
-            breakdown=breakdown,
-            transactions=self.transactions,
-            lost=self.lost,
-            n_generated=self.n_generated,
-            n_delivered=self.n_delivered,
-            blocks_committed=self.blocks_committed,
-            blocks_in_window=_count_from(self.block_times, warmup),
-            ledgers=[ch.ledger for ch in self.channels],
-            full_path=self._raw_path,
-            block_times=self.block_times,
-        )
-
-
-def run_once(cfg, seed, arrivals=None):
-    """Convenience wrapper: build, run, and return the RunResult."""
-    return Simulator(cfg, seed, arrivals=arrivals).run()
+    warmup = cfg.warmup
+    return RunResult(
+        path=raw_path.restricted(warmup, horizon),
+        breakdown=latency_breakdown(transactions, len(lost), n_generated, TARGET_KEY),
+        transactions=transactions,
+        lost=lost,
+        n_generated=n_generated,
+        n_delivered=len(transactions),
+        blocks_committed=blocks_committed,
+        blocks_in_window=_count_from(block_times, warmup),
+        ledgers=ledgers,
+        full_path=raw_path,
+        block_times=block_times,
+    )

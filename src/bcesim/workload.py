@@ -7,6 +7,7 @@ so the delivered rate thins to total_rate * stp).
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .dists import Delay
 
@@ -54,28 +55,26 @@ class TransmitterQueue:
     """Proposals waiting for the shared channel.
 
     FCFS pops the oldest generation time, LCFS the newest; ties break by
-    insertion order.  Pop is a linear scan so the discipline holds for any
-    queue state, not just ordered insertion.
+    insertion order (FCFS the first pushed, LCFS the last).  Each discipline
+    keeps a heap keyed so that its next proposal is the minimum, so the
+    discipline holds for any queue state and push and pop are O(log n).
     """
 
-    __slots__ = ("discipline", "_items", "_seq")
+    __slots__ = ("discipline", "_heap", "_seq", "_sign")
 
     def __init__(self, discipline):
         self.discipline = discipline
-        self._items = []  # (gen_time, insertion seq, proposal)
+        self._heap = []  # (sign * gen_time, sign * insertion seq, proposal)
         self._seq = 0
+        self._sign = 1 if discipline == "fcfs" else -1
 
     def push(self, proposal):
-        self._items.append((proposal.gen_time, self._seq, proposal))
+        sign = self._sign
+        heappush(self._heap, (sign * proposal.gen_time, sign * self._seq, proposal))
         self._seq += 1
 
     def pop(self):
-        items = self._items
-        if self.discipline == "fcfs":
-            i = min(range(len(items)), key=lambda j: (items[j][0], items[j][1]))
-        else:
-            i = max(range(len(items)), key=lambda j: (items[j][0], items[j][1]))
-        return items.pop(i)[2]
+        return heappop(self._heap)[2]
 
     def __len__(self):
-        return len(self._items)
+        return len(self._heap)

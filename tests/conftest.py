@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 import bcesim.experiments
 from bcesim.config import paper_default
+
+
+# For tests whose examples are whole simulations: a fixed example sequence, so
+# a failure reproduces on rerun, and no per-example deadline, so a slow
+# machine cannot make them flaky.
+settings.register_profile("simulation", derandomize=True, deadline=None)
 
 
 def parse_csv(text):

@@ -1,0 +1,323 @@
+"""Reference event-heap engine that `bcesim.simulation.run_once` must match.
+
+Every event goes through one min-heap ordered by (time, seq), where seq is
+assigned in scheduling order, each phase has its own handler method, and the
+transmitter queue pops by a linear scan.  It draws every RNG stream in the
+same order as `run_once`, so both produce identical runs; the equivalence
+test in `test_simulation.py` holds them to that, field by field.
+"""
+
+import enum
+import heapq
+from collections import deque
+
+from bcesim.core import SimulationError, make_stream
+from bcesim.ledger import LedgerState
+from bcesim.metrics import AoISamplePath, latency_breakdown
+from bcesim.pipeline import (
+    Block,
+    Transaction,
+    commit_block,
+    ordering_delay,
+    validate_block,
+    validation_duration,
+)
+from bcesim.simulation import RunResult, _count_from
+from bcesim.workload import TARGET_KEY, Proposal, assign_key, next_generation_time
+
+
+class EventKind(enum.IntEnum):
+    GENERATION = 0
+    TRANSMIT_COMPLETE = 1
+    ENDORSE_COMPLETE = 2
+    TIMEOUT_FIRE = 3
+    BLOCK_READY = 4
+    VALIDATION_COMPLETE = 5
+
+
+class EventQueue:
+    """Min-heap of events ordered by (time, seq) with the virtual clock.
+
+    The clock advances only in next_event(), to the time of the event being
+    dispatched, so it never decreases.
+    """
+
+    __slots__ = ("_heap", "_seq", "clock")
+
+    def __init__(self):
+        self._heap = []
+        self._seq = 0
+        self.clock = 0.0
+
+    def schedule(self, time, kind, payload=None):
+        """Insert an event; returns its seq number (the event id)."""
+        if time < self.clock:
+            raise SimulationError(
+                f"scheduled event at t={time} behind clock t={self.clock}"
+            )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, int(kind), payload))
+        return seq
+
+    def next_event(self):
+        """Pop the minimum (time, seq) event and advance the clock; None when empty."""
+        if not self._heap:
+            return None
+        ev = heapq.heappop(self._heap)
+        self.clock = ev[0]
+        return ev
+
+    def __len__(self):
+        return len(self._heap)
+
+
+class ScanQueue:
+    """Transmitter queue whose pop scans every waiting proposal.
+
+    FCFS pops the smallest (gen_time, insertion seq), LCFS the largest.
+    """
+
+    def __init__(self, discipline):
+        self.discipline = discipline
+        self._items = []  # (gen_time, insertion seq, proposal)
+        self._seq = 0
+
+    def push(self, proposal):
+        self._items.append((proposal.gen_time, self._seq, proposal))
+        self._seq += 1
+
+    def pop(self):
+        items = self._items
+        pick = min if self.discipline == "fcfs" else max
+        i = pick(range(len(items)), key=lambda j: (items[j][0], items[j][1]))
+        return items.pop(i)[2]
+
+    def __len__(self):
+        return len(self._items)
+
+
+class ChannelState:
+    """Per-channel pipeline state: pending ordering batch and the serial validator."""
+
+    def __init__(self, channel, params, ledger):
+        self.channel = channel
+        self.params = params
+        self.ledger = ledger
+        self.batch = []
+        self.batch_id = 0  # bumped at every cut; stale timeouts carry an old id
+        self.validation_queue = deque()
+        self.validator_busy = False
+
+    def submit(self, tx, now):
+        """Append an endorsed transaction; returns (cut block or None, new deadline or None)."""
+        self.batch.append(tx)
+        if len(self.batch) >= self.params.block_size:
+            return self._cut(now), None
+        if len(self.batch) == 1:
+            return None, now + self.params.timeout
+        return None, None
+
+    def fire_timeout(self, batch_id, now):
+        """Cut the armed batch, unless it was already cut (stale deadline)."""
+        if batch_id != self.batch_id or not self.batch:
+            return None
+        return self._cut(now)
+
+    def _cut(self, now):
+        block = Block(self.batch, now, self.channel)
+        self.batch = []
+        self.batch_id += 1
+        return block
+
+
+class Simulator:
+    """One run of a configuration and seed; `arrivals` as in `run_once`."""
+
+    def __init__(self, cfg, seed, arrivals=None):
+        cfg.validate()
+        self.cfg = cfg
+        self.src = cfg.source()
+        self.params = cfg.chain()
+        self.svc = cfg.services()
+        self.queue = EventQueue()
+        self.arrivals = arrivals
+
+        self.rng_gen = make_stream(seed, "generation")
+        self.rng_key = make_stream(seed, "key-assign")
+        self.rng_loss = make_stream(seed, "channel-loss")
+        self.rng_comm = make_stream(seed, "comm-latency")
+        self.rng_endorse = make_stream(seed, "endorse")
+        self.rng_vscc = make_stream(seed, "vscc")
+        self.rng_split = make_stream(seed, "channel-split")
+
+        self.channels = [
+            ChannelState(i, self.params, LedgerState(i))
+            for i in range(self.params.n_channels)
+        ]
+        self.txq = ScanQueue(self.src.discipline)
+        self.channel_busy = False
+        self.transactions = []
+        self.lost = []
+        self.n_generated = 0
+        self.n_delivered = 0
+        self.blocks_committed = 0
+        self.block_times = []
+        self._next_id = 1
+        self._raw_path = AoISamplePath(0.0, cfg.horizon)
+        self._ordering_delay = ordering_delay(self.params, self.svc)
+
+    def run(self):
+        queue = self.queue
+        if self.arrivals is None:
+            first = next_generation_time(self.src, 0.0, self.rng_gen)
+            if first <= self.cfg.horizon:
+                queue.schedule(first, EventKind.GENERATION)
+        else:
+            for arrive, delay, key, gen_time in self.arrivals:
+                tx = Transaction(self._next_id, key, 0, gen_time, arrive)
+                self._next_id += 1
+                self.n_generated += 1
+                self.n_delivered += 1
+                self.transactions.append(tx)
+                queue.schedule(arrive + delay, EventKind.ENDORSE_COMPLETE, tx)
+
+        handlers = {
+            EventKind.GENERATION: self._on_generation,
+            EventKind.ENDORSE_COMPLETE: self._on_endorse_complete,
+            EventKind.TRANSMIT_COMPLETE: self._on_transmit_complete,
+            EventKind.TIMEOUT_FIRE: self._on_timeout,
+            EventKind.BLOCK_READY: self._on_block_ready,
+            EventKind.VALIDATION_COMPLETE: self._on_validation_complete,
+        }
+        while True:
+            ev = queue.next_event()
+            if ev is None:
+                break
+            t, _, kind, payload = ev
+            handlers[kind](t, payload)
+        return self.result()
+
+    # -- workload events ---------------------------------------------------
+
+    def _on_generation(self, t, _):
+        pid = self._next_id
+        self._next_id += 1
+        self.n_generated += 1
+        key = assign_key(self.src, self.rng_key, pid)
+        if key == TARGET_KEY or self.params.n_channels == 1:
+            channel = 0
+        else:
+            channel = self.rng_split.randrange(self.params.n_channels)
+        prop = Proposal(pid, key, channel, t)
+        if self.src.transmit_time == 0.0 and not self.channel_busy and not len(self.txq):
+            # zero occupancy: the channel never queues, resolve in place
+            self._resolve_transmission(prop, t)
+        else:
+            self.txq.push(prop)
+            if not self.channel_busy:
+                self._start_transmission(t)
+        nxt = next_generation_time(self.src, t, self.rng_gen)
+        if nxt <= self.cfg.horizon:
+            self.queue.schedule(nxt, EventKind.GENERATION)
+
+    def _start_transmission(self, t):
+        prop = self.txq.pop()
+        self.channel_busy = True
+        self.queue.schedule(t + self.src.transmit_time, EventKind.TRANSMIT_COMPLETE, prop)
+
+    def _on_transmit_complete(self, t, prop):
+        self.channel_busy = False
+        self._resolve_transmission(prop, t)
+        if len(self.txq):
+            self._start_transmission(t)
+
+    def _resolve_transmission(self, prop, t):
+        src = self.src
+        if src.stp >= 1.0 or self.rng_loss.random() < src.stp:
+            arrive = t
+            if src.comm_latency.value != 0.0:
+                arrive += src.comm_latency.sample(self.rng_comm)
+            self.n_delivered += 1
+            tx = Transaction(prop.id, prop.key, prop.channel, prop.gen_time, arrive)
+            self.transactions.append(tx)
+            delay = self.svc.endorse_per_peer.sample_max(
+                self.rng_endorse, self.params.n_endorsers
+            )
+            self.queue.schedule(arrive + delay, EventKind.ENDORSE_COMPLETE, tx)
+        else:
+            self.lost.append((prop.id, prop.key, prop.channel, prop.gen_time))
+
+    # -- pipeline events ---------------------------------------------------
+
+    def _on_endorse_complete(self, t, tx):
+        ch = self.channels[tx.channel]
+        tx.endorse_done = t
+        tx.captured_version = ch.ledger.read_version(tx.key)
+        block, deadline = ch.submit(tx, t)
+        if block is not None:
+            self._dispatch_block(block)
+        elif deadline is not None:
+            self.queue.schedule(deadline, EventKind.TIMEOUT_FIRE, (ch, ch.batch_id))
+
+    def _on_timeout(self, t, payload):
+        ch, batch_id = payload
+        block = ch.fire_timeout(batch_id, t)
+        if block is not None:
+            self._dispatch_block(block)
+
+    def _dispatch_block(self, block):
+        ready = block.cut_time + self._ordering_delay
+        for tx in block.txs:
+            tx.order_done = ready
+        self.queue.schedule(ready, EventKind.BLOCK_READY, block)
+
+    def _on_block_ready(self, t, block):
+        ch = self.channels[block.channel]
+        if ch.validator_busy:
+            ch.validation_queue.append(block)
+        else:
+            self._start_validation(ch, block, t)
+
+    def _start_validation(self, ch, block, t):
+        ch.validator_busy = True
+        duration = validation_duration(self.svc, len(block.txs))
+        self.queue.schedule(t + duration, EventKind.VALIDATION_COMPLETE, block)
+
+    def _on_validation_complete(self, t, block):
+        ch = self.channels[block.channel]
+        validate_block(block, ch.ledger, self.cfg.vscc_fail_prob, self.rng_vscc)
+        committed = commit_block(block, ch.ledger, t)
+        if t <= self.cfg.horizon:
+            for tx in committed:
+                if tx.key == TARGET_KEY:
+                    self._raw_path.record_commit(t, tx.gen_time)
+            self.block_times.append(t)
+        self.blocks_committed += 1
+        ch.validator_busy = False
+        if ch.validation_queue:
+            self._start_validation(ch, ch.validation_queue.popleft(), t)
+
+    # -- results -----------------------------------------------------------
+
+    def result(self):
+        warmup = self.cfg.warmup
+        return RunResult(
+            path=self._raw_path.restricted(warmup, self.cfg.horizon),
+            breakdown=latency_breakdown(
+                self.transactions, len(self.lost), self.n_generated, TARGET_KEY
+            ),
+            transactions=self.transactions,
+            lost=self.lost,
+            n_generated=self.n_generated,
+            n_delivered=self.n_delivered,
+            blocks_committed=self.blocks_committed,
+            blocks_in_window=_count_from(self.block_times, warmup),
+            ledgers=[ch.ledger for ch in self.channels],
+            full_path=self._raw_path,
+            block_times=self.block_times,
+        )
+
+
+def run_oracle(cfg, seed, arrivals=None):
+    return Simulator(cfg, seed, arrivals=arrivals).run()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +106,11 @@ def test_duplicate_key_names_both_lines():
 def test_replace_rejects_non_finite_values(key, value):
     with pytest.raises(ConfigError, match=f"'{key}'.*finite"):
         paper_default().replace(**{key: value})
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [example] = [block for block in readme.split("```")[1::2] if "total_rate =" in block]
+    assert parse_config(example) == paper_default()
+    enabled = parse_config(example.replace("# target_aoi", "target_aoi"))
+    assert enabled.target_aoi == 5.0

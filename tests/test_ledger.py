@@ -20,14 +20,6 @@ def test_sequential_applies_count_up():
     assert ledger.read_version("k") == 5
 
 
-def test_last_gen_time_tracks_committed_update():
-    ledger = LedgerState()
-    ledger.apply_update("k", 1.25)
-    ledger.apply_update("k", 3.5)
-    assert ledger.last_gen_time("k") == 3.5
-    assert ledger.last_gen_time("other") is None
-
-
 @given(
     st.lists(
         st.tuples(st.sampled_from(["a", "b", "c"]), st.floats(0, 100)),

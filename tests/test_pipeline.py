@@ -102,7 +102,7 @@ def test_mvcc_valid_update_bumps_version():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    validate_block(Block(0, [tx], 1.0, 0), ledger, 0.0, None)
+    validate_block(Block([tx], 1.0, 0), ledger, 0.0, None)
     assert tx.validity == VALID
 
 
@@ -112,7 +112,7 @@ def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    validate_block(Block(0, [tx], 1.0, 0), ledger, 0.0, None)
+    validate_block(Block([tx], 1.0, 0), ledger, 0.0, None)
     assert tx.validity == MVCC_INVALID
     assert ledger.read_version("k") == 6
 
@@ -126,7 +126,7 @@ def test_first_wins_within_a_block():
         tx = Transaction(i + 1, "k", 0, 0.0, 0.0)
         tx.captured_version = 5
         txs.append(tx)
-    validate_block(Block(0, txs, 1.0, 0), ledger, 0.0, None)
+    validate_block(Block(txs, 1.0, 0), ledger, 0.0, None)
     assert [t.validity for t in txs] == [VALID, MVCC_INVALID]
 
 

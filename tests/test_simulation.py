@@ -1,8 +1,13 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from bcesim.config import paper_default
+from bcesim.core import SimulationError
 from bcesim.dists import Delay
 from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
+from des_oracle import run_oracle
 
 
 def _trace(result):
@@ -11,6 +16,102 @@ def _trace(result):
          tx.commit_time, tx.validity)
         for tx in result.transactions
     ]
+
+
+def _everything(engine, cfg, seed, arrivals):
+    """Every observable of a run, or the error it stopped with, for exact comparison."""
+    try:
+        result = engine(cfg, seed, arrivals)
+    except SimulationError as exc:  # e.g. a commit at its own generation instant
+        return str(exc)
+    return (
+        [
+            (tx.id, tx.key, tx.channel, tx.gen_time, tx.arrive_time, tx.endorse_done,
+             tx.captured_version, tx.order_done, tx.commit_time, tx.validity)
+            for tx in result.transactions
+        ],
+        result.lost,
+        (result.path.start, result.path.end, result.path.resets),
+        result.full_path.resets,
+        result.breakdown,
+        result.n_generated,
+        result.n_delivered,
+        result.blocks_committed,
+        result.blocks_in_window,
+        result.block_times,
+        [ledger.entries() for ledger in result.ledgers],
+    )
+
+
+# Multiples of 1/8 add up exactly in binary floating point, so with periodic
+# generation at 1, 2, 4 or 8 per second events of different phases land on
+# the very same instant and the order of same-instant events decides the run.
+_EXACT = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
+_ARRIVALS = st.lists(
+    st.tuples(
+        st.integers(0, 40).map(lambda k: k * 0.125),  # arrive time
+        _EXACT,  # endorse delay
+        st.sampled_from([TARGET_KEY, 1, 2]),
+        st.sampled_from([0.125, 0.5]),  # age at arrival
+    ).map(lambda a: (a[0], a[1], a[2], a[0] - a[3])),
+    max_size=30,
+)
+
+
+@st.composite
+def _models(draw):
+    if draw(st.booleans()):
+        # a coarse grid of fixed delays: ties between every pair of phases
+        exact = st.sampled_from([0.0, 0.5, 1.0])
+        delays = exact.map(lambda v: Delay("fixed", v))
+        rates = [1.0, 2.0, 4.0]
+        timeouts = [0.5, 1.0]
+    else:
+        exact = _EXACT
+        delays = st.one_of(
+            exact.map(lambda v: Delay("fixed", v)),
+            st.sampled_from([0.05, 0.3]).map(lambda mean: Delay("exp", mean)),
+        )
+        rates = [1.0, 2.0, 4.0, 8.0, 5.0]
+        timeouts = [0.125, 0.25, 0.5, 1.0]
+    cfg = paper_default().replace(
+        horizon=60.0,
+        warmup=draw(st.sampled_from([0.0, 4.0])),
+        total_rate=draw(st.sampled_from(rates)),
+        generation_mode=draw(st.sampled_from(["periodic", "periodic", "exponential"])),
+        target_ratio=draw(st.sampled_from([0.3, 0.7, 1.0])),
+        discipline=draw(st.sampled_from(["fcfs", "lcfs"])),
+        stp=draw(st.sampled_from([1.0, 0.5])),
+        comm_latency=draw(delays),
+        transmit_time=draw(exact),
+        block_size=draw(st.integers(1, 4)),
+        timeout=draw(st.sampled_from(timeouts)),
+        n_endorsers=draw(st.integers(1, 3)),
+        n_kafka=draw(st.sampled_from([4, 5])),
+        n_channels=draw(st.integers(1, 2)),
+        endorse_time=draw(delays),
+        ordering_base=draw(exact),
+        ordering_per_kafka=draw(exact),
+        validate_block_overhead=draw(exact),
+        validate_per_tx=draw(exact),
+        vscc_fail_prob=draw(st.sampled_from([0.0, 0.3])),
+    )
+    arrivals = draw(st.one_of(st.none(), _ARRIVALS))
+    return cfg, arrivals
+
+
+@settings(settings.get_profile("simulation"), max_examples=200)
+@given(_models(), st.integers(0, 1000))
+def test_run_matches_event_heap_oracle(model, seed):
+    cfg, arrivals = model
+    assert _everything(run_once, cfg, seed, arrivals) == _everything(
+        run_oracle, cfg, seed, arrivals
+    )
+
+
+def test_injected_arrival_behind_the_clock_raises(quick_cfg):
+    with pytest.raises(SimulationError, match="behind"):
+        run_once(quick_cfg, 1, arrivals=[(-1.0, 0.5, TARGET_KEY, -2.0)])
 
 
 def test_identical_seed_gives_bit_identical_traces(quick_cfg):

@@ -120,3 +120,9 @@ def test_lcfs_pops_maximum_gen_time(gen_times):
     q = _queue_with("lcfs", gen_times)
     popped = [q.pop().gen_time for _ in range(len(gen_times))]
     assert popped == sorted(gen_times, reverse=True)
+
+
+@pytest.mark.parametrize("discipline, order", [("fcfs", [1, 2, 3, 4]), ("lcfs", [4, 3, 2, 1])])
+def test_equal_gen_times_pop_by_insertion_order(discipline, order):
+    q = _queue_with(discipline, [5.0, 5.0, 5.0, 5.0])
+    assert [q.pop().id for _ in range(4)] == order
