@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import ConfigError
 from .dists import Delay
-from .pipeline import BlockchainParams, ServiceTimes
+from .pipeline import BlockchainParams, ServiceTimes, ordering_delay
 from .workload import SourceConfig
 
 
@@ -89,6 +89,16 @@ class SimConfig:
                 fail(key, f"must be >= 0, got {getattr(self, key)}")
         if not 0.0 <= self.vscc_fail_prob <= 1.0:
             fail("vscc_fail_prob", f"must be in [0, 1], got {self.vscc_fail_prob}")
+        if (self.transmit_time == 0 and self.comm_latency.value == 0
+                and self.endorse_time.value == 0
+                and ordering_delay(self.chain(), self.services()) == 0
+                and self.validate_block_overhead == 0 and self.validate_per_tx == 0):
+            raise ConfigError(
+                "config keys 'transmit_time', 'comm_latency', 'endorse_time', "
+                "'ordering_base'/'ordering_per_kafka', 'validate_block_overhead' and "
+                "'validate_per_tx' give a zero-latency pipeline: a proposal would "
+                "commit at its own generation instant; make at least one delay > 0"
+            )
         if not self.warmup >= 0:
             fail("warmup", f"must be >= 0, got {self.warmup}")
         if not self.horizon > self.warmup:

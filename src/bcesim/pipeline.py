@@ -82,36 +82,23 @@ def validation_duration(svc, n_txs):
     return svc.validate_block_overhead + svc.validate_per_tx * n_txs
 
 
-def validate_block(block, ledger, vscc_fail_prob, rng):
-    """Mark each transaction valid / mvcc_invalid / vscc_invalid, in block order.
+def commit_block(block, ledger, completion, vscc_fail_prob, rng):
+    """Decide and apply each transaction in block order; stamp commit times.
 
-    A transaction passes MVCC iff its captured version equals the current
-    ledger version plus the commits earlier transactions of this same block
-    will apply.  Never touches the ledger.
-    """
-    pending = {}
-    for tx in block.txs:
-        if vscc_fail_prob > 0.0 and rng.random() < vscc_fail_prob:
-            tx.validity = VSCC_INVALID
-            continue
-        current = ledger.read_version(tx.key) + pending.get(tx.key, 0)
-        if tx.captured_version == current:
-            tx.validity = VALID
-            pending[tx.key] = pending.get(tx.key, 0) + 1
-        else:
-            tx.validity = MVCC_INVALID
-
-
-def commit_block(block, ledger, completion):
-    """Apply every valid update and stamp commit times on all transactions.
-
-    Returns the committed (valid) transactions; the caller reports the ones
-    touching the tracked key.  Invalid transactions leave the ledger untouched.
+    VSCC is drawn first; a transaction that passes it is valid iff its
+    captured version equals the ledger's current version, which already
+    counts the commits of this block's earlier transactions.  Valid updates
+    are applied at once and returned; invalid ones leave the ledger untouched.
     """
     committed = []
     for tx in block.txs:
         tx.commit_time = completion
-        if tx.validity == VALID:
+        if vscc_fail_prob > 0.0 and rng.random() < vscc_fail_prob:
+            tx.validity = VSCC_INVALID
+        elif tx.captured_version == ledger.read_version(tx.key):
+            tx.validity = VALID
             ledger.apply_update(tx.key, tx.gen_time)
             committed.append(tx)
+        else:
+            tx.validity = MVCC_INVALID
     return committed

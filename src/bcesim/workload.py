@@ -37,20 +37,6 @@ class Proposal:
         self.gen_time = gen_time
 
 
-def next_generation_time(cfg, now, rng):
-    """Time of the next proposal: exact period in periodic mode, Exp draw otherwise."""
-    if cfg.generation_mode == "periodic":
-        return now + 1.0 / cfg.total_rate
-    return now + rng.expovariate(cfg.total_rate)
-
-
-def assign_key(cfg, rng, fresh_key):
-    """Target key with probability target_ratio, else the given unique background key."""
-    if rng.random() < cfg.target_ratio:
-        return TARGET_KEY
-    return fresh_key
-
-
 class TransmitterQueue:
     """Proposals waiting for the shared channel.
 

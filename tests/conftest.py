@@ -10,6 +10,12 @@ from bcesim.config import paper_default
 # machine cannot make them flaky.
 settings.register_profile("simulation", derandomize=True, deadline=None)
 
+# Config text: paper defaults with every delay between generation and commit zero.
+ZERO_LATENCY = (
+    "transmit_time = 0\ncomm_latency = fixed:0\nendorse_time = fixed:0\nordering_base = 0\n"
+    "validate_block_overhead = 0\nvalidate_per_tx = 0\n"
+)
+
 
 def parse_csv(text):
     """CSV text -> list of dicts; numeric cells become floats, NA stays 'NA'."""

@@ -2,9 +2,11 @@
 
 Every event goes through one min-heap ordered by (time, seq), where seq is
 assigned in scheduling order, each phase has its own handler method, and the
-transmitter queue pops by a linear scan.  It draws every RNG stream in the
-same order as `run_once`, so both produce identical runs; the equivalence
-test in `test_simulation.py` holds them to that, field by field.
+transmitter queue pops by a linear scan.  Keys and generation times are drawn
+by helper functions, and a block is validated in one pass and committed in a
+second.  It draws every RNG stream in the same order as `run_once`, so both
+produce identical runs; the equivalence test in `test_simulation.py` holds
+them to that, field by field.
 """
 
 import enum
@@ -15,15 +17,64 @@ from bcesim.core import SimulationError, make_stream
 from bcesim.ledger import LedgerState
 from bcesim.metrics import AoISamplePath, latency_breakdown
 from bcesim.pipeline import (
+    MVCC_INVALID,
+    VALID,
+    VSCC_INVALID,
     Block,
     Transaction,
-    commit_block,
     ordering_delay,
-    validate_block,
     validation_duration,
 )
 from bcesim.simulation import RunResult, _count_from
-from bcesim.workload import TARGET_KEY, Proposal, assign_key, next_generation_time
+from bcesim.workload import TARGET_KEY, Proposal
+
+
+def next_generation_time(cfg, now, rng):
+    """Time of the next proposal: exact period in periodic mode, Exp draw otherwise."""
+    if cfg.generation_mode == "periodic":
+        return now + 1.0 / cfg.total_rate
+    return now + rng.expovariate(cfg.total_rate)
+
+
+def assign_key(cfg, rng, fresh_key):
+    """Target key with probability target_ratio, else the given unique background key."""
+    if rng.random() < cfg.target_ratio:
+        return TARGET_KEY
+    return fresh_key
+
+
+def validate_block(block, ledger, vscc_fail_prob, rng):
+    """Mark each transaction valid / mvcc_invalid / vscc_invalid, in block order.
+
+    A transaction passes MVCC iff its captured version equals the current
+    ledger version plus the commits earlier transactions of this same block
+    will apply.  Never touches the ledger.
+    """
+    pending = {}
+    for tx in block.txs:
+        if vscc_fail_prob > 0.0 and rng.random() < vscc_fail_prob:
+            tx.validity = VSCC_INVALID
+            continue
+        current = ledger.read_version(tx.key) + pending.get(tx.key, 0)
+        if tx.captured_version == current:
+            tx.validity = VALID
+            pending[tx.key] = pending.get(tx.key, 0) + 1
+        else:
+            tx.validity = MVCC_INVALID
+
+
+def commit_block(block, ledger, completion):
+    """Apply every valid update and stamp commit times on all transactions.
+
+    Returns the committed (valid) transactions.
+    """
+    committed = []
+    for tx in block.txs:
+        tx.commit_time = completion
+        if tx.validity == VALID:
+            ledger.apply_update(tx.key, tx.gen_time)
+            committed.append(tx)
+    return committed
 
 
 class EventKind(enum.IntEnum):

@@ -4,7 +4,7 @@ import bcesim.experiments
 from bcesim.cli import main
 from bcesim.config import parse_config
 from bcesim.experiments import run_plain, trace_csv
-from conftest import count_runs, parse_csv
+from conftest import ZERO_LATENCY, count_runs, parse_csv
 
 QUICK = "horizon = 120\nwarmup = 20\nreplications = 2\n"
 
@@ -54,9 +54,10 @@ def test_trace_output(tmp_path):
 
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("stp = 1.3\n")
-    assert main(["--config", str(cfg)]) == 2
-    assert "stp" in capsys.readouterr().err
+    for text, key in [("stp = 1.3\n", "stp"), (ZERO_LATENCY, "transmit_time")]:
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_missing_config_file_is_diagnosed(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from bcesim.config import SimConfig, parse_config, paper_default
 from bcesim.core import ConfigError
 from bcesim.dists import Delay
+from conftest import ZERO_LATENCY
 
 
 def test_empty_file_gives_the_default_preset():
@@ -66,6 +67,21 @@ def test_bad_value_diagnostic_names_key():
 def test_invalid_configs_rejected(line):
     with pytest.raises(ConfigError):
         parse_config(line)
+
+
+def test_zero_latency_pipeline_rejected():
+    with pytest.raises(ConfigError, match="'transmit_time'.*'comm_latency'.*'endorse_time'"
+                       ".*'ordering_base'.*'validate_block_overhead'.*'validate_per_tx'"):
+        parse_config(ZERO_LATENCY)
+    # ordering_per_kafka adds nothing at the 4-node minimum
+    with pytest.raises(ConfigError, match="zero-latency"):
+        parse_config(ZERO_LATENCY + "ordering_per_kafka = 0.5\n")
+    for one_delay in ("n_kafka = 5", "transmit_time = 0.01", "comm_latency = exp:0.1",
+                      "endorse_time = fixed:0.1", "validate_per_tx = 0.01"):
+        key = one_delay.split(" = ")[0]
+        text = "\n".join(line for line in ZERO_LATENCY.splitlines()
+                         if not line.startswith(key + " "))
+        parse_config(text + "\n" + one_delay)
 
 
 def test_replace_validates():

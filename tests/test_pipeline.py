@@ -12,7 +12,7 @@ from bcesim.pipeline import (
     VSCC_INVALID,
     Block,
     Transaction,
-    validate_block,
+    commit_block,
 )
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
@@ -102,8 +102,9 @@ def test_mvcc_valid_update_bumps_version():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    validate_block(Block([tx], 1.0, 0), ledger, 0.0, None)
+    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == [tx]
     assert tx.validity == VALID
+    assert ledger.read_version("k") == 6
 
 
 def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
@@ -112,7 +113,7 @@ def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    validate_block(Block([tx], 1.0, 0), ledger, 0.0, None)
+    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == []
     assert tx.validity == MVCC_INVALID
     assert ledger.read_version("k") == 6
 
@@ -126,8 +127,9 @@ def test_first_wins_within_a_block():
         tx = Transaction(i + 1, "k", 0, 0.0, 0.0)
         tx.captured_version = 5
         txs.append(tx)
-    validate_block(Block(txs, 1.0, 0), ledger, 0.0, None)
+    assert commit_block(Block(txs, 1.0, 0), ledger, 1.0, 0.0, None) == txs[:1]
     assert [t.validity for t in txs] == [VALID, MVCC_INVALID]
+    assert ledger.read_version("k") == 6
 
 
 def test_cross_block_staleness_detected_end_to_end():

@@ -1,8 +1,10 @@
+import gc
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from bcesim.config import paper_default
-from bcesim.core import SimulationError
+from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
 from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
@@ -74,7 +76,7 @@ def _models(draw):
         )
         rates = [1.0, 2.0, 4.0, 8.0, 5.0]
         timeouts = [0.125, 0.25, 0.5, 1.0]
-    cfg = paper_default().replace(
+    model = dict(
         horizon=60.0,
         warmup=draw(st.sampled_from([0.0, 4.0])),
         total_rate=draw(st.sampled_from(rates)),
@@ -96,6 +98,10 @@ def _models(draw):
         validate_per_tx=draw(exact),
         vscc_fail_prob=draw(st.sampled_from([0.0, 0.3])),
     )
+    try:
+        cfg = paper_default().replace(**model)
+    except ConfigError:  # a zero-latency pipeline, rejected before any run
+        reject()
     arrivals = draw(st.one_of(st.none(), _ARRIVALS))
     return cfg, arrivals
 
@@ -112,6 +118,35 @@ def test_run_matches_event_heap_oracle(model, seed):
 def test_injected_arrival_behind_the_clock_raises(quick_cfg):
     with pytest.raises(SimulationError, match="behind"):
         run_once(quick_cfg, 1, arrivals=[(-1.0, 0.5, TARGET_KEY, -2.0)])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_gc_state(quick_cfg, enabled):
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        run_once(quick_cfg, 1)
+        assert gc.isenabled() == enabled
+        with pytest.raises(SimulationError, match="behind"):
+            run_once(quick_cfg, 1, arrivals=[(-1.0, 0.5, TARGET_KEY, -2.0)])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_run_leaves_no_cyclic_garbage(quick_cfg):
+    configs = [
+        quick_cfg.replace(discipline="lcfs", transmit_time=0.05),
+        quick_cfg.replace(stp=0.6, comm_latency=Delay("exp", 0.05)),
+        quick_cfg.replace(n_channels=2, vscc_fail_prob=0.2, target_ratio=0.5),
+        quick_cfg.replace(block_size=1),
+    ]
+    gc.collect()
+    for cfg in configs:
+        result = run_once(cfg, 3)
+        assert result.transactions
+        del result
+        assert gc.collect() == 0
 
 
 def test_identical_seed_gives_bit_identical_traces(quick_cfg):

@@ -1,63 +1,53 @@
+import statistics
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bcesim.config import paper_default
-from bcesim.core import make_stream
 from bcesim.dists import Delay
 from bcesim.simulation import run_once
-from bcesim.workload import (
-    TARGET_KEY,
-    Proposal,
-    SourceConfig,
-    TransmitterQueue,
-    assign_key,
-    next_generation_time,
-)
+from bcesim.workload import TARGET_KEY, Proposal, TransmitterQueue
 
 
-def _source(**overrides):
-    base = dict(
-        total_rate=10.0,
-        generation_mode="periodic",
-        target_ratio=0.3,
-        discipline="fcfs",
-        stp=1.0,
-        comm_latency=Delay("fixed", 0.0),
-        transmit_time=0.0,
-    )
-    base.update(overrides)
-    return SourceConfig(**base)
+def _proposals(n, seed, **overrides):
+    """(id, key, channel, gen_time) of every proposal of a run of about n proposals.
+
+    With stp 0 every proposal is lost at once, so the run is only the workload.
+    """
+    cfg = paper_default().replace(warmup=0.0, stp=0.0, **overrides)
+    cfg = cfg.replace(horizon=n / cfg.total_rate)
+    result = run_once(cfg, seed)
+    assert len(result.lost) == result.n_generated > 0
+    return result.lost
 
 
 def test_periodic_generation_is_exact():
-    rng = make_stream(1, "g")
-    assert next_generation_time(_source(total_rate=10.0), 0.0, rng) == 0.1
-    assert next_generation_time(_source(total_rate=1.0), 5.0, rng) == 6.0
+    for rate in (10.0, 1.0, 3.0):
+        gens = [gen for *_, gen in _proposals(50, 1, total_rate=rate)]
+        period = 1.0 / rate
+        assert gens[0] == period
+        assert all(b == a + period for a, b in zip(gens, gens[1:]))
 
 
 def test_exponential_generation_mean_gap():
-    cfg = _source(total_rate=20.0, generation_mode="exponential")
-    rng = make_stream(2, "g")
-    n = 10**6
-    total = sum(next_generation_time(cfg, 0.0, rng) for _ in range(n))
-    assert total / n == pytest.approx(0.05, rel=0.01)
+    proposals = _proposals(2 * 10**5, 2, total_rate=20.0, generation_mode="exponential")
+    gens = [0.0] + [gen for *_, gen in proposals]
+    gaps = [b - a for a, b in zip(gens, gens[1:])]
+    assert statistics.fmean(gaps) == pytest.approx(0.05, rel=0.01)
+    assert statistics.pstdev(gaps) == pytest.approx(0.05, rel=0.02)  # exponential, not periodic
 
 
 def test_assign_key_extremes():
-    rng = make_stream(3, "k")
-    always = _source(target_ratio=1.0)
-    never = _source(target_ratio=0.0)
-    for i in range(200):
-        assert assign_key(always, rng, i + 1) == TARGET_KEY
-        assert assign_key(never, rng, i + 1) == i + 1
+    always = _proposals(200, 3, target_ratio=1.0)
+    never = _proposals(200, 3, target_ratio=0.0)
+    assert all(key == TARGET_KEY for _, key, _, _ in always)
+    assert all(key == pid for pid, key, _, _ in never)
 
 
 def test_assign_key_frequency():
-    rng = make_stream(4, "k")
-    cfg = _source(target_ratio=0.3)
-    n = 10**6
-    hits = sum(1 for i in range(n) if assign_key(cfg, rng, i + 1) == TARGET_KEY)
-    assert abs(hits / n - 0.3) < 0.005
+    proposals = _proposals(2 * 10**5, 4, target_ratio=0.3)
+    hits = sum(1 for _, key, _, _ in proposals if key == TARGET_KEY)
+    assert abs(hits / len(proposals) - 0.3) < 0.005
 
 
 def test_background_keys_unique():
