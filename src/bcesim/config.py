@@ -9,11 +9,11 @@ repeated keys are rejected too.
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Literal, get_args, get_origin
 
 from .core import ConfigError
 from .dists import Delay
-from .pipeline import BlockchainParams, ServiceTimes, ordering_delay
-from .workload import SourceConfig
+from .pipeline import ordering_delay
 
 
 # Fields that only change what is measured on a sample path, never the path
@@ -23,14 +23,19 @@ MEASUREMENT_FIELDS = frozenset({"target_aoi", "warmup"})
 
 @dataclass
 class SimConfig:
+    """Every config key, with its type and its paper-default value.
+
+    A key's type decides how its value is parsed; `_BOUNDS` holds its range.
+    """
+
     # workload / channel
     total_rate: float = 10.0
-    generation_mode: str = "periodic"
+    generation_mode: Literal["periodic", "exponential"] = "periodic"
     target_ratio: float = 0.3
-    discipline: str = "fcfs"
+    discipline: Literal["fcfs", "lcfs"] = "fcfs"
     stp: float = 1.0
     comm_latency: Delay = Delay("fixed", 0.0)
-    transmit_time: float = 0.0
+    transmit_time: float = 0.0  # channel occupancy per proposal
     # blockchain parameters
     block_size: int = 10
     timeout: float = 2.0
@@ -39,9 +44,9 @@ class SimConfig:
     n_channels: int = 1
     # calibrated service times (tuned once so the qualitative shapes hold;
     # absolute values are calibration, not measurement)
-    endorse_time: Delay = Delay("exp", 0.02)
+    endorse_time: Delay = Delay("exp", 0.02)  # per endorsing peer
     ordering_base: float = 0.05
-    ordering_per_kafka: float = 0.06
+    ordering_per_kafka: float = 0.06  # per node beyond the 4-node minimum
     validate_block_overhead: float = 0.125
     validate_per_tx: float = 0.04
     vscc_fail_prob: float = 0.0
@@ -61,37 +66,20 @@ class SimConfig:
             number = value.value if isinstance(value, Delay) else value
             if isinstance(number, float) and not math.isfinite(number):
                 fail(field.name, f"must be finite, got {value}")
-        if not self.total_rate > 0:
-            fail("total_rate", f"must be > 0, got {self.total_rate}")
-        if self.generation_mode not in ("periodic", "exponential"):
-            fail("generation_mode", f"unknown mode {self.generation_mode!r}")
-        if not 0.0 <= self.target_ratio <= 1.0:
-            fail("target_ratio", f"must be in [0, 1], got {self.target_ratio}")
-        if self.discipline not in ("fcfs", "lcfs"):
-            fail("discipline", f"unknown discipline {self.discipline!r}")
-        if not 0.0 <= self.stp <= 1.0:
-            fail("stp", f"must be in [0, 1], got {self.stp}")
-        if self.transmit_time < 0:
-            fail("transmit_time", f"must be >= 0, got {self.transmit_time}")
-        if self.block_size < 1:
-            fail("block_size", f"must be >= 1, got {self.block_size}")
-        if not self.timeout > 0:
-            fail("timeout", f"must be > 0, got {self.timeout}")
-        if self.n_endorsers < 1:
-            fail("n_endorsers", f"must be >= 1, got {self.n_endorsers}")
-        if self.n_kafka < 4:
-            fail("n_kafka", f"must be >= 4 (the minimum cluster), got {self.n_kafka}")
-        if self.n_channels < 1:
-            fail("n_channels", f"must be >= 1, got {self.n_channels}")
-        for key in ("ordering_base", "ordering_per_kafka", "validate_block_overhead",
-                    "validate_per_tx"):
-            if getattr(self, key) < 0:
-                fail(key, f"must be >= 0, got {getattr(self, key)}")
-        if not 0.0 <= self.vscc_fail_prob <= 1.0:
-            fail("vscc_fail_prob", f"must be in [0, 1], got {self.vscc_fail_prob}")
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                fail(key, f"expected one of {sorted(choices)}, got {getattr(self, key)!r}")
+        for key, (low_end, low, high) in _BOUNDS.items():
+            value = getattr(self, key)
+            if value is None:  # target_aoi unset
+                continue
+            above = value > low if low_end == "(" else value >= low
+            if not above or (high is not None and value > high):
+                allowed = (f"in {low_end}{low}, {high}]" if high is not None
+                           else f"{'>' if low_end == '(' else '>='} {low}")
+                fail(key, f"must be {allowed}, got {value}")
         if (self.transmit_time == 0 and self.comm_latency.value == 0
-                and self.endorse_time.value == 0
-                and ordering_delay(self.chain(), self.services()) == 0
+                and self.endorse_time.value == 0 and ordering_delay(self) == 0
                 and self.validate_block_overhead == 0 and self.validate_per_tx == 0):
             raise ConfigError(
                 "config keys 'transmit_time', 'comm_latency', 'endorse_time', "
@@ -99,51 +87,46 @@ class SimConfig:
                 "'validate_per_tx' give a zero-latency pipeline: a proposal would "
                 "commit at its own generation instant; make at least one delay > 0"
             )
-        if not self.warmup >= 0:
-            fail("warmup", f"must be >= 0, got {self.warmup}")
         if not self.horizon > self.warmup:
             fail("horizon", f"must exceed warmup {self.warmup}, got {self.horizon}")
-        if self.replications < 1:
-            fail("replications", f"must be >= 1, got {self.replications}")
-        if self.target_aoi is not None and self.target_aoi < 0:
-            fail("target_aoi", f"must be >= 0, got {self.target_aoi}")
         return self
-
-    def source(self):
-        return SourceConfig(
-            total_rate=self.total_rate,
-            generation_mode=self.generation_mode,
-            target_ratio=self.target_ratio,
-            discipline=self.discipline,
-            stp=self.stp,
-            comm_latency=self.comm_latency,
-            transmit_time=self.transmit_time,
-        )
-
-    def chain(self):
-        return BlockchainParams(
-            block_size=self.block_size,
-            timeout=self.timeout,
-            n_endorsers=self.n_endorsers,
-            n_kafka=self.n_kafka,
-            n_channels=self.n_channels,
-        )
-
-    def services(self):
-        return ServiceTimes(
-            endorse_per_peer=self.endorse_time,
-            ordering_base=self.ordering_base,
-            ordering_per_kafka=self.ordering_per_kafka,
-            validate_block_overhead=self.validate_block_overhead,
-            validate_per_tx=self.validate_per_tx,
-        )
 
     def replace(self, **overrides):
         cfg = dataclasses.replace(self, **overrides)
         return cfg.validate()
 
 
-def _parse_str(allowed):
+# The range of each bounded key: (low end, low, high).  The low end is "[" if
+# `low` itself is allowed and "(" if not; `high`, if given, is allowed.
+_BOUNDS = {
+    "total_rate": ("(", 0, None),
+    "target_ratio": ("[", 0, 1),
+    "stp": ("[", 0, 1),
+    "transmit_time": ("[", 0, None),
+    "block_size": ("[", 1, None),
+    "timeout": ("(", 0, None),
+    "n_endorsers": ("[", 1, None),
+    "n_kafka": ("[", 4, None),  # the minimum Kafka cluster
+    "n_channels": ("[", 1, None),
+    "ordering_base": ("[", 0, None),
+    "ordering_per_kafka": ("[", 0, None),
+    "validate_block_overhead": ("[", 0, None),
+    "validate_per_tx": ("[", 0, None),
+    "vscc_fail_prob": ("[", 0, 1),
+    "warmup": ("[", 0, None),
+    "replications": ("[", 1, None),
+    "target_aoi": ("[", 0, None),
+}
+
+# The allowed values of each Literal-typed key.
+_CHOICES = {
+    field.name: get_args(field.type)
+    for field in dataclasses.fields(SimConfig)
+    if get_origin(field.type) is Literal
+}
+
+
+def _parse_choice(allowed):
     def convert(raw):
         value = raw.strip().lower()
         if value not in allowed:
@@ -169,31 +152,15 @@ def _parse_int(raw):
         raise ConfigError(f"not an integer: {raw!r}") from None
 
 
-_PARSERS = {
-    "total_rate": _parse_float,
-    "generation_mode": _parse_str({"periodic", "exponential"}),
-    "target_ratio": _parse_float,
-    "discipline": _parse_str({"fcfs", "lcfs"}),
-    "stp": _parse_float,
-    "comm_latency": Delay.parse,
-    "transmit_time": _parse_float,
-    "block_size": _parse_int,
-    "timeout": _parse_float,
-    "n_endorsers": _parse_int,
-    "n_kafka": _parse_int,
-    "n_channels": _parse_int,
-    "endorse_time": Delay.parse,
-    "ordering_base": _parse_float,
-    "ordering_per_kafka": _parse_float,
-    "validate_block_overhead": _parse_float,
-    "validate_per_tx": _parse_float,
-    "vscc_fail_prob": _parse_float,
-    "horizon": _parse_float,
-    "warmup": _parse_float,
-    "master_seed": _parse_int,
-    "replications": _parse_int,
-    "target_aoi": _parse_float,
-}
+def _parser(field):
+    """The value parser of a key, from its field type."""
+    if field.name in _CHOICES:
+        return _parse_choice(_CHOICES[field.name])
+    return {float: _parse_float, float | None: _parse_float, int: _parse_int,
+            Delay: Delay.parse}[field.type]
+
+
+_PARSERS = {field.name: _parser(field) for field in dataclasses.fields(SimConfig)}
 
 # Keys a sweep may vary, with the value parser used on CLI sweep lists.
 SWEEPABLE = {k: p for k, p in _PARSERS.items() if k != "generation_mode"}

@@ -22,6 +22,11 @@ CSV_HEADER = (
     "order_lat,validate_lat,mvcc_invalid_frac,block_rate,violation_prob"
 )
 
+# The columns after avg_aoi_std: each is the mean of the RunSummary attribute
+# of the same name.
+_COLUMNS = CSV_HEADER.split(",")
+_MEAN_COLUMNS = _COLUMNS[_COLUMNS.index("avg_aoi_std") + 1:]
+
 TRACE_HEADER = (
     "rep,id,key,channel,gen_time,arrive_time,endorse_done,captured_version,"
     "order_done,commit_time,validity"
@@ -30,7 +35,10 @@ TRACE_HEADER = (
 
 @dataclass
 class RunSummary:
-    """Per-replication observables, the unit aggregated into a ResultRow."""
+    """Per-replication observables, the unit aggregated into a CSV row.
+
+    An attribute that feeds a CSV column has that column's name.
+    """
 
     avg_aoi: float | None
     violation_prob: float | None
@@ -40,12 +48,7 @@ class RunSummary:
     validate_lat: float | None
     mvcc_invalid_frac: float
     block_rate: float
-    n_generated: int
     n_delivered: int
-    n_valid: int
-    n_mvcc_invalid: int
-    n_vscc_invalid: int
-    n_lost: int
 
 
 def summarize(cfg, result):
@@ -62,18 +65,13 @@ def summarize(cfg, result):
     return RunSummary(
         avg_aoi=average_aoi(path),
         violation_prob=violation,
-        comm_lat=bd.comm_mean,
-        endorse_lat=bd.endorse_mean,
-        order_lat=bd.order_mean,
-        validate_lat=bd.validate_mean,
+        comm_lat=bd.comm_lat,
+        endorse_lat=bd.endorse_lat,
+        order_lat=bd.order_lat,
+        validate_lat=bd.validate_lat,
         mvcc_invalid_frac=frac,
         block_rate=blocks_in_window / (cfg.horizon - cfg.warmup),
-        n_generated=result.n_generated,
         n_delivered=result.n_delivered,
-        n_valid=bd.n_valid,
-        n_mvcc_invalid=bd.n_mvcc_invalid,
-        n_vscc_invalid=bd.n_vscc_invalid,
-        n_lost=bd.n_lost,
     )
 
 
@@ -132,14 +130,9 @@ def aggregate_row(param, value, summaries):
         str(len(summaries)),
         _fmt(aoi_mean),
         _fmt(aoi_std),
-        _fmt(_mean_std([s.comm_lat for s in summaries])[0]),
-        _fmt(_mean_std([s.endorse_lat for s in summaries])[0]),
-        _fmt(_mean_std([s.order_lat for s in summaries])[0]),
-        _fmt(_mean_std([s.validate_lat for s in summaries])[0]),
-        _fmt(_mean_std([s.mvcc_invalid_frac for s in summaries])[0]),
-        _fmt(_mean_std([s.block_rate for s in summaries])[0]),
-        _fmt(_mean_std([s.violation_prob for s in summaries])[0]),
     ]
+    for column in _MEAN_COLUMNS:
+        cells.append(_fmt(_mean_std([getattr(s, column) for s in summaries])[0]))
     return ",".join(cells)
 
 

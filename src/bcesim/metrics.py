@@ -75,32 +75,42 @@ def _segments(path):
         yield t_u, seg_end, t_u - t_g
 
 
-def average_aoi(path):
-    """Time-average age over [first reset, end]; None for an empty path."""
+def _measured_time(path):
+    """Length of [first reset, end], or None where no time average exists:
+    the path has no reset, or that window has zero length."""
     if not path.resets:
         return None
-    t0 = path.resets[0][0]
-    if not path.end > t0:
-        raise SimulationError(f"horizon {path.end} not beyond first reset {t0}")
+    duration = path.end - path.resets[0][0]
+    if duration < 0:
+        raise SimulationError(f"horizon {path.end} before first reset {path.resets[0][0]}")
+    return duration if duration > 0 else None
+
+
+def average_aoi(path):
+    """Time-average age over [first reset, end]; None when there is no such window."""
+    duration = _measured_time(path)
+    if duration is None:
+        return None
     area = 0.0
     for seg_start, seg_end, age in _segments(path):
         length = seg_end - seg_start
         area += (age + (age + length)) * 0.5 * length
-    return area / (path.end - t0)
+    return area / duration
 
 
 def violation_probability(path, target):
     """Fraction of measurement time with age above the target threshold."""
     if target < 0:
         raise ConfigError(f"target AoI must be >= 0, got {target}")
-    if not path.resets:
+    duration = _measured_time(path)
+    if duration is None:
         return None
     above = 0.0
     for seg_start, seg_end, age in _segments(path):
         length = seg_end - seg_start
         # slope 1: time above target within the piece
         above += min(length, max(0.0, age + length - target))
-    return above / (path.end - path.resets[0][0])
+    return above / duration
 
 
 def aoi_ccdf(path, grid):
@@ -113,10 +123,10 @@ class LatencyBreakdown:
     """Per-phase latency means of committed target-key transactions, plus
     outcome counts over all generated proposals."""
 
-    comm_mean: float | None
-    endorse_mean: float | None
-    order_mean: float | None
-    validate_mean: float | None
+    comm_lat: float | None
+    endorse_lat: float | None
+    order_lat: float | None
+    validate_lat: float | None
     n_generated: int
     n_valid: int
     n_mvcc_invalid: int
@@ -144,10 +154,10 @@ def latency_breakdown(transactions, n_lost, n_generated, target_key):
             sums[3] += tx.commit_time - tx.order_done
     means = [s / n_target for s in sums] if n_target else [None] * 4
     return LatencyBreakdown(
-        comm_mean=means[0],
-        endorse_mean=means[1],
-        order_mean=means[2],
-        validate_mean=means[3],
+        comm_lat=means[0],
+        endorse_lat=means[1],
+        order_lat=means[2],
+        validate_lat=means[3],
         n_generated=n_generated,
         n_valid=n_valid,
         n_mvcc_invalid=n_mvcc,

@@ -9,32 +9,10 @@ then the MVCC version comparison against the channel ledger, where earlier
 commits within the same block already count (first writer wins).
 """
 
-from dataclasses import dataclass
-
-from .dists import Delay
-
 PENDING = "pending"
 VALID = "valid"
 MVCC_INVALID = "mvcc_invalid"
 VSCC_INVALID = "vscc_invalid"
-
-
-@dataclass(frozen=True)
-class BlockchainParams:
-    block_size: int  # max transactions per block
-    timeout: float  # block-generation timeout, seconds
-    n_endorsers: int
-    n_kafka: int  # >= 4, the minimum cluster size
-    n_channels: int
-
-
-@dataclass(frozen=True)
-class ServiceTimes:
-    endorse_per_peer: Delay
-    ordering_base: float
-    ordering_per_kafka: float  # per node beyond the 4-node minimum
-    validate_block_overhead: float
-    validate_per_tx: float
 
 
 class Transaction:
@@ -73,13 +51,13 @@ class Block:
         self.channel = channel
 
 
-def ordering_delay(params, svc):
+def ordering_delay(cfg):
     """Service time to turn a cut block into a deliverable one."""
-    return svc.ordering_base + svc.ordering_per_kafka * (params.n_kafka - 4)
+    return cfg.ordering_base + cfg.ordering_per_kafka * (cfg.n_kafka - 4)
 
 
-def validation_duration(svc, n_txs):
-    return svc.validate_block_overhead + svc.validate_per_tx * n_txs
+def validation_duration(cfg, n_txs):
+    return cfg.validate_block_overhead + cfg.validate_per_tx * n_txs
 
 
 def commit_block(block, ledger, completion, vscc_fail_prob, rng):

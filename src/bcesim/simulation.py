@@ -96,9 +96,6 @@ def run_once(cfg, seed, arrivals=None):
 def _simulate(cfg, seed, arrivals):
     """The run itself; `run_once` calls it with the cyclic collector paused."""
     cfg.validate()
-    src = cfg.source()
-    params = cfg.chain()
-    svc = cfg.services()
     horizon = cfg.horizon
 
     rng_gen = make_stream(seed, "generation")
@@ -109,30 +106,30 @@ def _simulate(cfg, seed, arrivals):
     rng_vscc = make_stream(seed, "vscc")
     rng_split = make_stream(seed, "channel-split")
 
-    n_channels = params.n_channels
+    n_channels = cfg.n_channels
     ledgers = [LedgerState(c) for c in range(n_channels)]
     batches = [[] for _ in range(n_channels)]  # pending ordering batch per channel
     validating = [deque() for _ in range(n_channels)]  # blocks at the validator; head in service
-    txq = TransmitterQueue(src.discipline)
+    txq = TransmitterQueue(cfg.discipline)
     transactions = []
     lost = []
     block_times = []
     raw_path = AoISamplePath(0.0, horizon)
 
     key_random = rng_key.random
-    target_ratio = src.target_ratio
-    exponential = src.generation_mode == "exponential"
+    target_ratio = cfg.target_ratio
+    exponential = cfg.generation_mode == "exponential"
     expovariate = rng_gen.expovariate
-    rate = src.total_rate
+    rate = cfg.total_rate
     period = 1.0 / rate
-    stp = src.stp
-    transmit_time = src.transmit_time
-    comm = src.comm_latency
-    endorse_max = svc.endorse_per_peer.sample_max
-    n_endorsers = params.n_endorsers
-    block_size = params.block_size
-    timeout = params.timeout
-    order_time = ordering_delay(params, svc)
+    stp = cfg.stp
+    transmit_time = cfg.transmit_time
+    comm = cfg.comm_latency
+    endorse_max = cfg.endorse_time.sample_max
+    n_endorsers = cfg.n_endorsers
+    block_size = cfg.block_size
+    timeout = cfg.timeout
+    order_time = ordering_delay(cfg)
     vscc_fail_prob = cfg.vscc_fail_prob
 
     heap = []  # endorse, timeout, block-ready and validation-complete events
@@ -227,14 +224,14 @@ def _simulate(cfg, seed, arrivals):
             queue.popleft()
             if queue:
                 block = queue[0]
-                done = t + validation_duration(svc, len(block.txs))
+                done = t + validation_duration(cfg, len(block.txs))
                 heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, block))
             continue
         elif kind == _BLOCK_READY:
             queue = validating[x.channel]
             queue.append(x)
             if len(queue) == 1:  # the validator was idle
-                done = t + validation_duration(svc, len(x.txs))
+                done = t + validation_duration(cfg, len(x.txs))
                 heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, x))
             continue
         else:  # _TIMEOUT_FIRE: x is the batch that armed it

@@ -6,25 +6,11 @@ probability ``stp`` and is otherwise dropped permanently (no retransmission,
 so the delivered rate thins to total_rate * stp).
 """
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-
-from .dists import Delay
 
 # The tracked ledger key. Background proposals use their own unique ids as
 # keys so MVCC conflicts can only involve the target.
 TARGET_KEY = 0
-
-
-@dataclass(frozen=True)
-class SourceConfig:
-    total_rate: float  # packets/second, > 0
-    generation_mode: str  # "periodic" | "exponential"
-    target_ratio: float  # fraction of packets addressing the target key
-    discipline: str  # "fcfs" | "lcfs"
-    stp: float  # successful transmission probability
-    comm_latency: Delay  # propagation delay after a successful transmission
-    transmit_time: float  # channel occupancy per packet, seconds
 
 
 class Proposal:

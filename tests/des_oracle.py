@@ -151,9 +151,9 @@ class ScanQueue:
 class ChannelState:
     """Per-channel pipeline state: pending ordering batch and the serial validator."""
 
-    def __init__(self, channel, params, ledger):
+    def __init__(self, channel, cfg, ledger):
         self.channel = channel
-        self.params = params
+        self.cfg = cfg
         self.ledger = ledger
         self.batch = []
         self.batch_id = 0  # bumped at every cut; stale timeouts carry an old id
@@ -163,10 +163,10 @@ class ChannelState:
     def submit(self, tx, now):
         """Append an endorsed transaction; returns (cut block or None, new deadline or None)."""
         self.batch.append(tx)
-        if len(self.batch) >= self.params.block_size:
+        if len(self.batch) >= self.cfg.block_size:
             return self._cut(now), None
         if len(self.batch) == 1:
-            return None, now + self.params.timeout
+            return None, now + self.cfg.timeout
         return None, None
 
     def fire_timeout(self, batch_id, now):
@@ -188,9 +188,6 @@ class Simulator:
     def __init__(self, cfg, seed, arrivals=None):
         cfg.validate()
         self.cfg = cfg
-        self.src = cfg.source()
-        self.params = cfg.chain()
-        self.svc = cfg.services()
         self.queue = EventQueue()
         self.arrivals = arrivals
 
@@ -203,10 +200,10 @@ class Simulator:
         self.rng_split = make_stream(seed, "channel-split")
 
         self.channels = [
-            ChannelState(i, self.params, LedgerState(i))
-            for i in range(self.params.n_channels)
+            ChannelState(i, cfg, LedgerState(i))
+            for i in range(cfg.n_channels)
         ]
-        self.txq = ScanQueue(self.src.discipline)
+        self.txq = ScanQueue(cfg.discipline)
         self.channel_busy = False
         self.transactions = []
         self.lost = []
@@ -216,12 +213,12 @@ class Simulator:
         self.block_times = []
         self._next_id = 1
         self._raw_path = AoISamplePath(0.0, cfg.horizon)
-        self._ordering_delay = ordering_delay(self.params, self.svc)
+        self._ordering_delay = ordering_delay(cfg)
 
     def run(self):
         queue = self.queue
         if self.arrivals is None:
-            first = next_generation_time(self.src, 0.0, self.rng_gen)
+            first = next_generation_time(self.cfg, 0.0, self.rng_gen)
             if first <= self.cfg.horizon:
                 queue.schedule(first, EventKind.GENERATION)
         else:
@@ -255,27 +252,27 @@ class Simulator:
         pid = self._next_id
         self._next_id += 1
         self.n_generated += 1
-        key = assign_key(self.src, self.rng_key, pid)
-        if key == TARGET_KEY or self.params.n_channels == 1:
+        key = assign_key(self.cfg, self.rng_key, pid)
+        if key == TARGET_KEY or self.cfg.n_channels == 1:
             channel = 0
         else:
-            channel = self.rng_split.randrange(self.params.n_channels)
+            channel = self.rng_split.randrange(self.cfg.n_channels)
         prop = Proposal(pid, key, channel, t)
-        if self.src.transmit_time == 0.0 and not self.channel_busy and not len(self.txq):
+        if self.cfg.transmit_time == 0.0 and not self.channel_busy and not len(self.txq):
             # zero occupancy: the channel never queues, resolve in place
             self._resolve_transmission(prop, t)
         else:
             self.txq.push(prop)
             if not self.channel_busy:
                 self._start_transmission(t)
-        nxt = next_generation_time(self.src, t, self.rng_gen)
+        nxt = next_generation_time(self.cfg, t, self.rng_gen)
         if nxt <= self.cfg.horizon:
             self.queue.schedule(nxt, EventKind.GENERATION)
 
     def _start_transmission(self, t):
         prop = self.txq.pop()
         self.channel_busy = True
-        self.queue.schedule(t + self.src.transmit_time, EventKind.TRANSMIT_COMPLETE, prop)
+        self.queue.schedule(t + self.cfg.transmit_time, EventKind.TRANSMIT_COMPLETE, prop)
 
     def _on_transmit_complete(self, t, prop):
         self.channel_busy = False
@@ -284,17 +281,15 @@ class Simulator:
             self._start_transmission(t)
 
     def _resolve_transmission(self, prop, t):
-        src = self.src
-        if src.stp >= 1.0 or self.rng_loss.random() < src.stp:
+        cfg = self.cfg
+        if cfg.stp >= 1.0 or self.rng_loss.random() < cfg.stp:
             arrive = t
-            if src.comm_latency.value != 0.0:
-                arrive += src.comm_latency.sample(self.rng_comm)
+            if cfg.comm_latency.value != 0.0:
+                arrive += cfg.comm_latency.sample(self.rng_comm)
             self.n_delivered += 1
             tx = Transaction(prop.id, prop.key, prop.channel, prop.gen_time, arrive)
             self.transactions.append(tx)
-            delay = self.svc.endorse_per_peer.sample_max(
-                self.rng_endorse, self.params.n_endorsers
-            )
+            delay = cfg.endorse_time.sample_max(self.rng_endorse, cfg.n_endorsers)
             self.queue.schedule(arrive + delay, EventKind.ENDORSE_COMPLETE, tx)
         else:
             self.lost.append((prop.id, prop.key, prop.channel, prop.gen_time))
@@ -332,7 +327,7 @@ class Simulator:
 
     def _start_validation(self, ch, block, t):
         ch.validator_busy = True
-        duration = validation_duration(self.svc, len(block.txs))
+        duration = validation_duration(self.cfg, len(block.txs))
         self.queue.schedule(t + duration, EventKind.VALIDATION_COMPLETE, block)
 
     def _on_validation_complete(self, t, block):

@@ -60,6 +60,21 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_zero_length_measurement_window_reports_na(tmp_path, capsys):
+    # Proposals commit at k/2 + 0.125, so the one reset inside
+    # [warmup, horizon] falls on the horizon itself.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "target_ratio = 1\nendorse_time = fixed:0\nordering_base = 0\n"
+        "validate_block_overhead = 0\nvalidate_per_tx = 0\nblock_size = 1\n"
+        "total_rate = 2\ntransmit_time = 0.125\nhorizon = 10.125\nwarmup = 10.1\n"
+        "replications = 1\n"
+    )
+    assert main(["--config", str(cfg)]) == 0
+    [row] = parse_csv(capsys.readouterr().out)
+    assert row["avg_aoi_mean"] == "NA"
+
+
 def test_missing_config_file_is_diagnosed(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "absent.cfg")]) == 2
     assert "error" in capsys.readouterr().err

@@ -62,11 +62,37 @@ def test_bad_value_diagnostic_names_key():
         "replications = 0",
         "target_aoi = -1",
         "discipline = random",
+        "transmit_time = -0.01",
+        "n_endorsers = 0",
+        "ordering_base = -0.01",
+        "ordering_per_kafka = -0.01",
+        "validate_block_overhead = -0.01",
+        "validate_per_tx = -0.01",
+        "vscc_fail_prob = 1.01",
+        "warmup = -1",
+        "generation_mode = bursty",
     ],
 )
 def test_invalid_configs_rejected(line):
     with pytest.raises(ConfigError):
         parse_config(line)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "target_ratio = 0",
+        "target_ratio = 1",
+        "stp = 0",
+        "vscc_fail_prob = 1",
+        "n_kafka = 4",
+        "warmup = 0",
+        "target_aoi = 0",
+    ],
+)
+def test_closed_range_ends_accepted(line):
+    key, value = line.split(" = ")
+    assert getattr(parse_config(line), key) == float(value)
 
 
 def test_zero_latency_pipeline_rejected():
@@ -87,6 +113,8 @@ def test_zero_latency_pipeline_rejected():
 def test_replace_validates():
     with pytest.raises(ConfigError):
         paper_default().replace(stp=-0.1)
+    with pytest.raises(ConfigError, match="'discipline'.*'random'"):
+        paper_default().replace(discipline="random")
 
 
 def test_defaults_are_valid():

@@ -1,6 +1,5 @@
 import pytest
 
-from bcesim.config import paper_default
 from bcesim.core import ConfigError
 from bcesim.experiments import (
     CSV_HEADER,

@@ -48,6 +48,15 @@ def test_empty_path_has_no_average():
     assert average_aoi(AoISamplePath(0.0, 10.0)) is None
 
 
+def test_zero_length_window_has_no_average():
+    path = path_from([(10.0, 9.0)], end=10.0)  # the one reset falls on the end
+    assert average_aoi(path) is None
+    assert violation_probability(path, 0.5) is None
+    path.end = 9.5
+    with pytest.raises(SimulationError):
+        average_aoi(path)
+
+
 def test_violation_hand_interval():
     path = path_from([(2.0, 1.0), (5.0, 4.5)], end=6.0)
     assert violation_probability(path, 3.0) == pytest.approx(0.25)

@@ -175,7 +175,6 @@ def test_block_size_bound_and_timeout_wait():
 def test_validation_station_serializes_blocks():
     cfg = paper_default().replace(horizon=300.0, warmup=0.0, block_size=3)
     result = run_once(cfg, 4)
-    svc = cfg.services()
     blocks = {}
     for tx in result.transactions:
         if tx.commit_time is not None:
@@ -189,7 +188,7 @@ def test_validation_station_serializes_blocks():
         for commit, txs in seq:
             ready = txs[0].order_done
             assert ready >= prev_ready - 1e-9  # commit order follows cut order
-            duration = svc.validate_block_overhead + svc.validate_per_tx * len(txs)
+            duration = cfg.validate_block_overhead + cfg.validate_per_tx * len(txs)
             start = commit - duration
             assert start >= prev_commit - 1e-9  # service intervals never overlap
             prev_commit = commit
