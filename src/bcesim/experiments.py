@@ -5,9 +5,11 @@ aggregated row per swept value.  Replication k derives its streams from
 master_seed + k, so re-running any scenario with the same config and seed
 reproduces the output byte for byte.  A sweep over a measurement field
 (target_aoi, warmup) simulates each replication once and measures that one
-sample path under every swept value.
+sample path under every swept value.  Only a run that writes a trace keeps
+its per-transaction record; every other run keeps what the CSV needs.
 """
 
+import gc
 import io
 from dataclasses import dataclass
 
@@ -77,30 +79,42 @@ def summarize(cfg, result):
 
 def run_replication(cfg, k):
     """Run replication k of a config (seed master_seed + k)."""
-    return summarize(cfg, run_once(cfg, cfg.master_seed + k))
+    [[summary]] = _replicate(cfg, [cfg], reps=[k])
+    return summary
 
 
 def run_replications(cfg):
     """All replications of one config, in replication order."""
     cfg.validate()
-    return [run_replication(cfg, k) for k in range(cfg.replications)]
+    [summaries] = _replicate(cfg, [cfg])
+    return summaries
 
 
-def _replicate(cfg, measures, trace=None):
-    """Simulate each replication of cfg once and summarize it under every
-    config in `measures`, which differ from cfg in measurement fields only.
+def _replicate(cfg, measures, trace=None, reps=None):
+    """Simulate each replication of cfg once (or only those numbered in
+    `reps`) and summarize it under every config in `measures`, which differ
+    from cfg in measurement fields only.
 
-    Returns one summary list per measure, in replication order.  Each result
-    is released before the next replication runs; if `trace` is a text
-    stream, every replication's per-transaction trace is written to it.
+    Returns one summary list per measure, in replication order.  If `trace`
+    is a text stream, each run keeps its per-transaction record and writes
+    it there; otherwise each run is lean.  The cyclic collector stays paused
+    over the loop: each result is summarized, traced and dropped before the
+    next run starts, so the collector never walks a result's objects.
     """
     per_measure = [[] for _ in measures]
-    for k in range(cfg.replications):
-        result = run_once(cfg, cfg.master_seed + k)
-        for summaries, measure in zip(per_measure, measures):
-            summaries.append(summarize(measure, result))
-        if trace is not None:
-            _write_trace(trace, k, result)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for k in range(cfg.replications) if reps is None else reps:
+            result = run_once(cfg, cfg.master_seed + k, record=trace is not None)
+            for summaries, measure in zip(per_measure, measures):
+                summaries.append(summarize(measure, result))
+            if trace is not None:
+                _write_trace(trace, k, result)
+            del result
+    finally:
+        if collecting:
+            gc.enable()
     return per_measure
 
 
@@ -121,12 +135,21 @@ def _fmt(x):
     return format(x, ".10g")
 
 
+def _fmt_value(value):
+    """A swept value in config syntax, with every digit it needs: shortest
+    under "g" if that reads back as the same float, in full otherwise."""
+    if isinstance(value, float):
+        short = format(value, "g")
+        return short if float(short) == value else repr(value)
+    return str(value)
+
+
 def aggregate_row(param, value, summaries):
     """One CSV data row: means over replications, stddev for the average AoI."""
     aoi_mean, aoi_std = _mean_std([s.avg_aoi for s in summaries])
     cells = [
         param,
-        format(value, "g") if isinstance(value, (int, float)) else str(value),
+        _fmt_value(value),
         str(len(summaries)),
         _fmt(aoi_mean),
         _fmt(aoi_std),

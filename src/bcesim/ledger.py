@@ -3,27 +3,31 @@
 Only version numbers and generation timestamps are stored; the values
 themselves never influence timing, so they are not modeled.  Absent keys
 read as version 0 and every successful commit increments by exactly 1.
+Versions and timestamps sit in two plain dicts: ints and floats are not
+containers, so a ledger of any size gives the cyclic collector nothing to
+count or walk.
 """
 
 
 class LedgerState:
-    __slots__ = ("channel", "_entries")
+    __slots__ = ("channel", "_versions", "_gen_times")
 
     def __init__(self, channel=0):
         self.channel = channel
-        self._entries = {}  # key -> (version, last_gen_time)
+        self._versions = {}  # key -> version
+        self._gen_times = {}  # key -> generation time of the last committed update
 
     def read_version(self, key):
-        entry = self._entries.get(key)
-        return entry[0] if entry is not None else 0
+        return self._versions.get(key, 0)
 
     def apply_update(self, key, gen_time):
         """Commit one update; caller must have passed MVCC for this key."""
-        entry = self._entries.get(key)
-        version = (entry[0] if entry is not None else 0) + 1
-        self._entries[key] = (version, gen_time)
+        version = self._versions.get(key, 0) + 1
+        self._versions[key] = version
+        self._gen_times[key] = gen_time
         return version
 
     def entries(self):
-        """Snapshot of the full (version, last_gen_time) map."""
-        return dict(self._entries)
+        """Snapshot of the full key -> (version, last_gen_time) map."""
+        gen_times = self._gen_times
+        return {key: (version, gen_times[key]) for key, version in self._versions.items()}

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .core import ConfigError, SimulationError
-from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID
+from .pipeline import VALID
 
 
 class AoISamplePath:
@@ -134,33 +134,16 @@ class LatencyBreakdown:
     n_lost: int
 
 
-def latency_breakdown(transactions, n_lost, n_generated, target_key):
-    """Aggregate a finished transaction trace into a LatencyBreakdown."""
-    n_valid = n_mvcc = n_vscc = 0
+def latency_means(transactions, target_key):
+    """Mean (comm, endorse, order, validate) latency of the valid target-key
+    transactions, each summed in the given order; all None if there are none."""
     sums = [0.0, 0.0, 0.0, 0.0]
     n_target = 0
     for tx in transactions:
-        if tx.validity == VALID:
-            n_valid += 1
-        elif tx.validity == MVCC_INVALID:
-            n_mvcc += 1
-        elif tx.validity == VSCC_INVALID:
-            n_vscc += 1
         if tx.key == target_key and tx.validity == VALID:
             n_target += 1
             sums[0] += tx.arrive_time - tx.gen_time
             sums[1] += tx.endorse_done - tx.arrive_time
             sums[2] += tx.order_done - tx.endorse_done
             sums[3] += tx.commit_time - tx.order_done
-    means = [s / n_target for s in sums] if n_target else [None] * 4
-    return LatencyBreakdown(
-        comm_lat=means[0],
-        endorse_lat=means[1],
-        order_lat=means[2],
-        validate_lat=means[3],
-        n_generated=n_generated,
-        n_valid=n_valid,
-        n_mvcc_invalid=n_mvcc,
-        n_vscc_invalid=n_vscc,
-        n_lost=n_lost,
-    )
+    return [s / n_target for s in sums] if n_target else [None] * 4

@@ -60,23 +60,34 @@ def validation_duration(cfg, n_txs):
     return cfg.validate_block_overhead + cfg.validate_per_tx * n_txs
 
 
-def commit_block(block, ledger, completion, vscc_fail_prob, rng):
+def commit_block(block, ledger, completion, vscc_fail_prob, rng, versioned=None):
     """Decide and apply each transaction in block order; stamp commit times.
 
     VSCC is drawn first; a transaction that passes it is valid iff its
     captured version equals the ledger's current version, which already
     counts the commits of this block's earlier transactions.  Valid updates
-    are applied at once and returned; invalid ones leave the ledger untouched.
+    are applied at once; invalid ones leave the ledger untouched.  If
+    `versioned` is given, the ledger holds that key only: any other key is a
+    unique proposal id, never written before, so it is valid once it passes
+    VSCC and its update is not stored.
+
+    Returns (the valid transactions in block order, the number of MVCC
+    conflicts).
     """
     committed = []
+    conflicts = 0
     for tx in block.txs:
         tx.commit_time = completion
         if vscc_fail_prob > 0.0 and rng.random() < vscc_fail_prob:
             tx.validity = VSCC_INVALID
+        elif versioned is not None and tx.key != versioned:
+            tx.validity = VALID
+            committed.append(tx)
         elif tx.captured_version == ledger.read_version(tx.key):
             tx.validity = VALID
             ledger.apply_update(tx.key, tx.gen_time)
             committed.append(tx)
         else:
             tx.validity = MVCC_INVALID
-    return committed
+            conflicts += 1
+    return committed, conflicts

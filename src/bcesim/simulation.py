@@ -14,12 +14,26 @@ scheduled.  At most one generation and one transmission are ever pending;
 each waits in its own slot outside the heap, and the slots and the heap
 share the seq counter, so the order is the same as if all were on one heap.
 
+A run's caller says whether it needs the per-transaction record.  A full
+run keeps every delivered transaction, every lost proposal and each
+channel's ledger.  A lean run (``record=False``) keeps only what `summarize`
+reads: the AoI resets, the block commit times, the outcome counts and the
+target-key transactions, in delivery order, from which the latency means are
+summed in the same order as from the full record.  A background key is its
+proposal's unique id, never written before, so its MVCC check always passes:
+a lean run neither reads nor writes it in the ledger, and lets the
+transaction go when its block commits.  Outcomes are counted as blocks
+commit, in either mode.  A run with injected `arrivals`, whose keys may
+repeat, always keeps the full record.
+
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would
 only rescan the live objects, over and over, and find nothing.  `run_once`
 therefore pauses it for the duration of the run and restores the caller's
-setting afterwards.  `test_simulation.py::test_run_leaves_no_cyclic_garbage`
-guards the premise.
+setting when it returns.  `experiments._replicate` holds the pause longer:
+from before `run_once` until the result has been summarized (and traced) and
+dropped, so the collector never wakes to walk a result's objects.
+`test_simulation.py::test_run_leaves_no_cyclic_garbage` guards the premise.
 """
 
 import gc
@@ -32,7 +46,7 @@ from heapq import heappop, heappush
 
 from .core import SimulationError, make_stream
 from .ledger import LedgerState
-from .metrics import AoISamplePath, LatencyBreakdown, latency_breakdown
+from .metrics import AoISamplePath, LatencyBreakdown, latency_means
 from .pipeline import Block, Transaction, commit_block, ordering_delay, validation_duration
 from .workload import TARGET_KEY, Proposal, TransmitterQueue
 
@@ -53,13 +67,14 @@ _IDLE = (math.inf, math.inf, None, None)
 class RunResult:
     path: AoISamplePath  # restricted to [warmup, horizon]
     breakdown: LatencyBreakdown
-    transactions: list  # every delivered Transaction, in delivery order
-    lost: list  # (id, key, channel, gen_time) of dropped proposals
+    # `transactions`, `lost` and `ledgers` are None in a lean run.
+    transactions: list | None  # every delivered Transaction, in delivery order
+    lost: list | None  # (id, key, channel, gen_time) of dropped proposals
     n_generated: int
     n_delivered: int
     blocks_committed: int  # total over the whole run
     blocks_in_window: int  # committed inside [warmup, horizon]
-    ledgers: list  # final LedgerState per channel
+    ledgers: list | None  # final LedgerState per channel
     full_path: AoISamplePath  # every reset up to the horizon
     block_times: list  # ascending commit times of the blocks committed by the horizon
 
@@ -76,24 +91,26 @@ def _count_from(times, start):
     return len(times) - bisect_left(times, start)
 
 
-def run_once(cfg, seed, arrivals=None):
+def run_once(cfg, seed, arrivals=None, record=True):
     """Single-threaded, deterministic run of one configuration and seed.
 
     `arrivals` bypasses the workload entirely: a list of
     (arrive_time, endorse_delay, key, gen_time) tuples injected straight into
     the endorsing phase of channel 0's pipeline (used by tests to drive the
-    pipeline with a known sub-workload).
+    pipeline with a known sub-workload).  With `record` false the run is
+    lean: `transactions`, `lost` and `ledgers` are None (unless `arrivals`
+    is given), and every other field is as in a full run.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _simulate(cfg, seed, arrivals)
+        return _simulate(cfg, seed, arrivals, record or arrivals is not None)
     finally:
         if collecting:
             gc.enable()
 
 
-def _simulate(cfg, seed, arrivals):
+def _simulate(cfg, seed, arrivals, record):
     """The run itself; `run_once` calls it with the cyclic collector paused."""
     cfg.validate()
     horizon = cfg.horizon
@@ -111,8 +128,9 @@ def _simulate(cfg, seed, arrivals):
     batches = [[] for _ in range(n_channels)]  # pending ordering batch per channel
     validating = [deque() for _ in range(n_channels)]  # blocks at the validator; head in service
     txq = TransmitterQueue(cfg.discipline)
-    transactions = []
+    transactions = []  # every delivered transaction, or in a lean run the target-key ones
     lost = []
+    versioned = None if record else TARGET_KEY  # the keys the ledgers hold
     block_times = []
     raw_path = AoISamplePath(0.0, horizon)
 
@@ -150,6 +168,7 @@ def _simulate(cfg, seed, arrivals):
 
     now = 0.0
     blocks_committed = 0
+    n_lost = n_valid = n_mvcc_invalid = 0
     while True:
         ev = gen if gen < tc else tc
         if heap and heap[0] < ev:
@@ -164,7 +183,8 @@ def _simulate(cfg, seed, arrivals):
         if kind == _ENDORSE_COMPLETE:
             c = x.channel
             x.endorse_done = t
-            x.captured_version = ledgers[c].read_version(x.key)
+            if record or x.key == TARGET_KEY:
+                x.captured_version = ledgers[c].read_version(x.key)
             batch = batches[c]
             batch.append(x)
             if len(batch) < block_size:
@@ -198,11 +218,14 @@ def _simulate(cfg, seed, arrivals):
                     if comm.value != 0.0:
                         arrive += comm.sample(rng_comm)
                     tx = Transaction(pid, key, c, gen_time, arrive)
-                    transactions.append(tx)
+                    if record or key == TARGET_KEY:
+                        transactions.append(tx)
                     done = arrive + endorse_max(rng_endorse, n_endorsers)
                     heappush(heap, (done, next_seq(), _ENDORSE_COMPLETE, tx))
                 else:
-                    lost.append((pid, key, c, gen_time))
+                    n_lost += 1
+                    if record:
+                        lost.append((pid, key, c, gen_time))
             if kind == _GENERATION:
                 nxt = t + expovariate(rate) if exponential else t + period
                 gen = (nxt, next_seq(), _GENERATION, None) if nxt <= horizon else _IDLE
@@ -213,7 +236,11 @@ def _simulate(cfg, seed, arrivals):
             continue
         elif kind == _VALIDATION_COMPLETE:
             c = x.channel
-            committed = commit_block(x, ledgers[c], t, vscc_fail_prob, rng_vscc)
+            committed, conflicts = commit_block(
+                x, ledgers[c], t, vscc_fail_prob, rng_vscc, versioned
+            )
+            n_valid += len(committed)
+            n_mvcc_invalid += conflicts
             if t <= horizon:
                 for tx in committed:
                     if tx.key == TARGET_KEY:
@@ -247,16 +274,24 @@ def _simulate(cfg, seed, arrivals):
         heappush(heap, (ready, next_seq(), _BLOCK_READY, Block(batch, t, c)))
 
     warmup = cfg.warmup
+    n_delivered = n_generated - n_lost  # the drained run resolved every delivery
     return RunResult(
         path=raw_path.restricted(warmup, horizon),
-        breakdown=latency_breakdown(transactions, len(lost), n_generated, TARGET_KEY),
-        transactions=transactions,
-        lost=lost,
+        breakdown=LatencyBreakdown(
+            *latency_means(transactions, TARGET_KEY),
+            n_generated=n_generated,
+            n_valid=n_valid,
+            n_mvcc_invalid=n_mvcc_invalid,
+            n_vscc_invalid=n_delivered - n_valid - n_mvcc_invalid,
+            n_lost=n_lost,
+        ),
+        transactions=transactions if record else None,
+        lost=lost if record else None,
         n_generated=n_generated,
-        n_delivered=len(transactions),
+        n_delivered=n_delivered,
         blocks_committed=blocks_committed,
         blocks_in_window=_count_from(block_times, warmup),
-        ledgers=ledgers,
+        ledgers=ledgers if record else None,
         full_path=raw_path,
         block_times=block_times,
     )

@@ -3,8 +3,9 @@
 Every event goes through one min-heap ordered by (time, seq), where seq is
 assigned in scheduling order, each phase has its own handler method, and the
 transmitter queue pops by a linear scan.  Keys and generation times are drawn
-by helper functions, and a block is validated in one pass and committed in a
-second.  It draws every RNG stream in the same order as `run_once`, so both
+by helper functions, a block is validated in one pass and committed in a
+second, and the outcome counts and latency means are taken in a pass over
+the finished trace.  It draws every RNG stream in the same order as `run_once`, so both
 produce identical runs; the equivalence test in `test_simulation.py` holds
 them to that, field by field.
 """
@@ -15,7 +16,7 @@ from collections import deque
 
 from bcesim.core import SimulationError, make_stream
 from bcesim.ledger import LedgerState
-from bcesim.metrics import AoISamplePath, latency_breakdown
+from bcesim.metrics import AoISamplePath, LatencyBreakdown
 from bcesim.pipeline import (
     MVCC_INVALID,
     VALID,
@@ -61,6 +62,38 @@ def validate_block(block, ledger, vscc_fail_prob, rng):
             pending[tx.key] = pending.get(tx.key, 0) + 1
         else:
             tx.validity = MVCC_INVALID
+
+
+def latency_breakdown(transactions, n_lost, n_generated, target_key):
+    """Aggregate a finished transaction trace into a LatencyBreakdown."""
+    n_valid = n_mvcc = n_vscc = 0
+    sums = [0.0, 0.0, 0.0, 0.0]
+    n_target = 0
+    for tx in transactions:
+        if tx.validity == VALID:
+            n_valid += 1
+        elif tx.validity == MVCC_INVALID:
+            n_mvcc += 1
+        elif tx.validity == VSCC_INVALID:
+            n_vscc += 1
+        if tx.key == target_key and tx.validity == VALID:
+            n_target += 1
+            sums[0] += tx.arrive_time - tx.gen_time
+            sums[1] += tx.endorse_done - tx.arrive_time
+            sums[2] += tx.order_done - tx.endorse_done
+            sums[3] += tx.commit_time - tx.order_done
+    means = [s / n_target for s in sums] if n_target else [None] * 4
+    return LatencyBreakdown(
+        comm_lat=means[0],
+        endorse_lat=means[1],
+        order_lat=means[2],
+        validate_lat=means[3],
+        n_generated=n_generated,
+        n_valid=n_valid,
+        n_mvcc_invalid=n_mvcc,
+        n_vscc_invalid=n_vscc,
+        n_lost=n_lost,
+    )
 
 
 def commit_block(block, ledger, completion):

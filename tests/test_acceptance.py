@@ -11,14 +11,10 @@ import statistics
 
 import pytest
 
+import bcesim.experiments
 from aoi_oracle import grid_average_aoi, grid_violation_probability
 from bcesim.config import paper_default
-from bcesim.experiments import (
-    SCENARIO_SWEEPS,
-    run_replications,
-    run_scenario,
-    run_sweep,
-)
+from bcesim.experiments import SCENARIO_SWEEPS, run_scenario, run_sweep
 from bcesim.ledger import LedgerState
 from bcesim.metrics import aoi_ccdf, average_aoi, violation_probability
 from bcesim.pipeline import VALID
@@ -67,6 +63,24 @@ def fig5():
 @pytest.fixture(scope="session")
 def fig6():
     return _sweep("fig6")
+
+
+@pytest.fixture(scope="session")
+def nodes():
+    """One real run of the `nodes` scenario: (its CSV text, the replication
+    summaries of each of its five configs in row order)."""
+    summaries = []
+
+    def recording(*args):
+        rows, per_value = run_sweep(*args)
+        summaries.extend(per_value)
+        return rows, per_value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bcesim.experiments, "run_sweep", recording)
+        csv_text = run_scenario("nodes")
+    assert len(summaries) == 5
+    return csv_text, summaries
 
 
 def test_criterion_01_aoi_oracle_equivalence():
@@ -193,16 +207,12 @@ def test_criterion_07_violation_monotone(fig6):
     )
 
 
-def test_criterion_08_node_count_direction():
-    base = paper_default().replace(timeout=1.0)
-    endorser_aois = []
-    for n in (1, 2, 3):
-        reps = run_replications(base.replace(n_endorsers=n, n_kafka=4))
-        endorser_aois.append(statistics.mean(s.avg_aoi for s in reps))
-    kafka_aois = []
-    for n in (4, 5):
-        reps = run_replications(base.replace(n_endorsers=3, n_kafka=n))
-        kafka_aois.append(statistics.mean(s.avg_aoi for s in reps))
+def test_criterion_08_node_count_direction(nodes):
+    # the rows: n_endorsers 1, 2, 3 at n_kafka 4, then n_kafka 4, 5 at
+    # three endorsers, all at timeout 1
+    _, summaries = nodes
+    aois = [statistics.mean(s.avg_aoi for s in reps) for reps in summaries]
+    endorser_aois, kafka_aois = aois[:3], aois[3:]
     endorsers_ok = endorser_aois[0] <= endorser_aois[1] <= endorser_aois[2]
     kafka_ok = kafka_aois[0] <= kafka_aois[1]
     check(
@@ -244,8 +254,8 @@ def test_criterion_09_mvcc_ledger_exactness():
     check(9, "MVCC/ledger exactness", ok, "; ".join(details))
 
 
-def test_criterion_10_determinism_byte_identical():
-    first = run_scenario("nodes")
+def test_criterion_10_determinism_byte_identical(nodes):
+    first, _ = nodes
     second = run_scenario("nodes")
     check(
         10,

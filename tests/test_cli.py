@@ -39,6 +39,19 @@ def test_sweep_option(tmp_path):
     assert [r["value"] for r in rows] == [2, 4]
 
 
+@pytest.mark.parametrize(
+    "key, values",
+    [("master_seed", "12345678,12345679"), ("target_aoi", "0.1234567891,0.5")],
+)
+def test_swept_values_print_every_digit(tmp_path, key, values):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUICK)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(cfg), "--sweep", f"{key}={values}", "--out", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert [row.split(",")[1] for row in rows] == values.split(",")
+
+
 def test_trace_output(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUICK.replace("replications = 2", "replications = 1"))

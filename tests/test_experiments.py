@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from bcesim.core import ConfigError
@@ -5,6 +7,7 @@ from bcesim.experiments import (
     CSV_HEADER,
     aggregate_row,
     run_plain,
+    run_plain_traced,
     run_replication,
     run_replications,
     run_scenario,
@@ -52,6 +55,23 @@ def test_sweep_rows_carry_param_and_value(quick_cfg):
     assert [r["swept_param"] for r in rows] == ["block_size", "block_size"]
     assert [r["value"] for r in rows] == [2, 5]
     assert len(summaries) == 2 and len(summaries[0]) == 2
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        (12345678, "12345678"),
+        (5, "5"),
+        (1.0, "1"),
+        (0.05, "0.05"),
+        (1e-07, "1e-07"),
+        (0.1234567891, "0.1234567891"),
+        (1234567.5, "1234567.5"),
+    ],
+)
+def test_swept_value_cell_reads_back_as_the_value(quick_cfg, value, cell):
+    [summary] = run_replications(quick_cfg.replace(replications=1))
+    assert aggregate_row("x", value, [summary]).split(",")[1] == cell
 
 
 def test_unknown_sweep_parameter_rejected(quick_cfg):
@@ -140,3 +160,31 @@ def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, "block_size", [2, 5, 7])
     assert len(calls) == 3 * quick_cfg.replications
+
+
+def _collections_during(call):
+    """Generations of the collections the cyclic collector starts during call()."""
+    started = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(on_gc)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(on_gc)
+    return started
+
+
+@pytest.mark.parametrize("workload", ["replication", "target_aoi sweep", "plain traced"])
+def test_collector_never_wakes_during_replications(quick_cfg, workload):
+    call = {
+        "replication": lambda: run_replication(quick_cfg, 0),
+        "target_aoi sweep": lambda: run_sweep(quick_cfg, "target_aoi", [0.5, 1.0, 2.0]),
+        "plain traced": lambda: run_plain_traced(quick_cfg),
+    }[workload]
+    assert _collections_during(call) == []

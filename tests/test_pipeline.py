@@ -102,7 +102,7 @@ def test_mvcc_valid_update_bumps_version():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == [tx]
+    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == ([tx], 0)
     assert tx.validity == VALID
     assert ledger.read_version("k") == 6
 
@@ -113,7 +113,7 @@ def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == []
+    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == ([], 1)
     assert tx.validity == MVCC_INVALID
     assert ledger.read_version("k") == 6
 
@@ -127,9 +127,20 @@ def test_first_wins_within_a_block():
         tx = Transaction(i + 1, "k", 0, 0.0, 0.0)
         tx.captured_version = 5
         txs.append(tx)
-    assert commit_block(Block(txs, 1.0, 0), ledger, 1.0, 0.0, None) == txs[:1]
+    assert commit_block(Block(txs, 1.0, 0), ledger, 1.0, 0.0, None) == (txs[:1], 1)
     assert [t.validity for t in txs] == [VALID, MVCC_INVALID]
     assert ledger.read_version("k") == 6
+
+
+def test_only_the_versioned_key_touches_the_ledger():
+    ledger = LedgerState()
+    background = Transaction(7, 7, 0, 0.0, 0.0)  # never read at endorsement
+    target = Transaction(8, TARGET_KEY, 0, 0.0, 0.0)
+    target.captured_version = 0
+    block = Block([background, target], 1.0, 0)
+    assert commit_block(block, ledger, 1.0, 0.0, None, TARGET_KEY) == ([background, target], 0)
+    assert [t.validity for t in block.txs] == [VALID, VALID]
+    assert ledger.entries() == {TARGET_KEY: (1, 0.0)}
 
 
 def test_cross_block_staleness_detected_end_to_end():

@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -6,10 +7,11 @@ from hypothesis import given, reject, settings, strategies as st
 from bcesim.config import paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
+from bcesim.experiments import summarize
 from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
-from des_oracle import run_oracle
+from des_oracle import latency_breakdown, run_oracle
 
 
 def _trace(result):
@@ -112,6 +114,69 @@ def test_run_matches_event_heap_oracle(model, seed):
     cfg, arrivals = model
     assert _everything(run_once, cfg, seed, arrivals) == _everything(
         run_oracle, cfg, seed, arrivals
+    )
+
+
+def _assert_lean_summary_exact(cfg, seed, measure):
+    """A lean run summarizes exactly like the full record of the same run,
+    with its outcome counts and latency means taken from the transactions."""
+    try:
+        full = run_once(cfg, seed)
+    except SimulationError as exc:
+        with pytest.raises(SimulationError, match=re.escape(str(exc))):
+            run_once(cfg, seed, record=False)
+        return
+    lean = run_once(cfg, seed, record=False)
+    assert (lean.transactions, lean.lost, lean.ledgers) == (None, None, None)
+    full.breakdown = latency_breakdown(full.transactions, len(full.lost), full.n_generated,
+                                       TARGET_KEY)
+    full.n_delivered = len(full.transactions)
+    assert summarize(measure, lean) == summarize(measure, full)
+
+
+@settings(settings.get_profile("simulation"), max_examples=200)
+@given(
+    _models(),
+    st.integers(0, 1000),
+    st.sampled_from([0.0, 4.0, 17.25, 59.5]),
+    st.sampled_from([None, 0.0, 0.5, 2.0]),
+)
+def test_lean_run_summarizes_like_the_full_record(model, seed, warmup, target_aoi):
+    cfg, _ = model  # injected arrivals always give the full record
+    _assert_lean_summary_exact(cfg, seed, cfg.replace(warmup=warmup, target_aoi=target_aoi))
+
+
+@pytest.mark.parametrize("seed", [1022, 1023])
+def test_lean_latency_means_are_summed_in_delivery_order(seed):
+    # Two channels, losses and slow endorsements reorder commits against
+    # deliveries; at seed 1022, summing the means in commit order instead
+    # changes the last bits of a latency mean.
+    cfg = paper_default().replace(
+        total_rate=20.0,
+        generation_mode="exponential",
+        target_ratio=0.3,
+        stp=0.7,
+        transmit_time=0.01,
+        block_size=3,
+        timeout=2.0,
+        n_channels=2,
+        n_endorsers=3,
+        endorse_time=Delay("exp", 0.2),
+        comm_latency=Delay("exp", 0.05),
+        horizon=300.0,
+        warmup=20.0,
+    )
+    _assert_lean_summary_exact(cfg, seed, cfg)
+
+
+def test_injected_arrivals_always_keep_the_full_record(quick_cfg):
+    arrivals = [(1.0, 0.0, TARGET_KEY, 0.9), (1.5, 0.0, 1, 1.4), (1.6, 0.0, 1, 1.5)]
+    cfg = quick_cfg.replace(warmup=0.0)
+    lean = run_once(cfg, 1, arrivals=arrivals, record=False)
+    assert [tx.key for tx in lean.transactions] == [TARGET_KEY, 1, 1]
+    assert lean.ledgers[0].entries() == {TARGET_KEY: (1, 0.9), 1: (1, 1.4)}
+    assert _everything(lambda *_: lean, cfg, 1, arrivals) == _everything(
+        run_once, cfg, 1, arrivals
     )
 
 
