@@ -1,4 +1,4 @@
-"""Shared error types and the seeded RNG streams.
+"""Shared error types, the seeded RNG streams and the text of a number.
 
 The event loop itself lives in `bcesim.simulation.run_once`.
 """
@@ -22,3 +22,10 @@ def make_stream(master_seed, stream_id):
     never perturbs unrelated draws (common random numbers across sweeps).
     """
     return random.Random(f"{master_seed}/{stream_id}")
+
+
+def number_text(value):
+    """A float with every digit it needs: its shortest form under "g" if that
+    reads back as the same float, in full otherwise."""
+    short = format(value, "g")
+    return short if float(short) == value else repr(value)

@@ -7,7 +7,7 @@ exponential with a given mean.  Config syntax: ``fixed:<v>`` / ``exp:<mean>``.
 import math
 from dataclasses import dataclass
 
-from .core import ConfigError
+from .core import ConfigError, number_text
 
 
 @dataclass(frozen=True)
@@ -53,4 +53,4 @@ class Delay:
         return cls(kind, value)
 
     def __str__(self):
-        return f"{self.kind}:{self.value:g}"
+        return f"{self.kind}:{number_text(self.value)}"

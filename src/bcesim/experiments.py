@@ -5,16 +5,18 @@ aggregated row per swept value.  Replication k derives its streams from
 master_seed + k, so re-running any scenario with the same config and seed
 reproduces the output byte for byte.  A sweep over a measurement field
 (target_aoi, warmup) simulates each replication once and measures that one
-sample path under every swept value.  Only a run that writes a trace keeps
-its per-transaction record; every other run keeps what the CSV needs.
+sample path under every swept value.  A sweep over a back-only field
+(`config.BACK_FIELDS`) simulates each replication's front once and runs its
+back once per swept value.  Only a run that writes a trace keeps its
+per-transaction record; every other run keeps what the CSV needs.
 """
 
 import gc
 import io
 from dataclasses import dataclass
 
-from .core import ConfigError
-from .config import MEASUREMENT_FIELDS, SWEEPABLE, paper_default
+from .core import ConfigError, number_text
+from .config import BACK_FIELDS, MEASUREMENT_FIELDS, SWEEPABLE, paper_default
 from .dists import Delay
 from .metrics import average_aoi, violation_probability
 from .simulation import run_once
@@ -91,27 +93,46 @@ def run_replications(cfg):
 
 
 def _replicate(cfg, measures, trace=None, reps=None):
-    """Simulate each replication of cfg once (or only those numbered in
-    `reps`) and summarize it under every config in `measures`, which differ
-    from cfg in measurement fields only.
+    """Simulate each replication of cfg (or only those numbered in `reps`)
+    and summarize it under every config in `measures`, which differ from cfg
+    in measurement and back-only fields only.
 
+    A replication whose measures share one back config is one `run_once`;
+    otherwise it is one front and one back per distinct back config.
     Returns one summary list per measure, in replication order.  If `trace`
     is a text stream, each run keeps its per-transaction record and writes
     it there; otherwise each run is lean.  The cyclic collector stays paused
-    over the loop: each result is summarized, traced and dropped before the
-    next run starts, so the collector never walks a result's objects.
+    over the loop: each result is summarized, traced and dropped, and each
+    front dropped, before the next replication starts, so the collector
+    never walks their objects.
     """
+    backs = {}  # back-only field values -> indices of the measures with them
+    for j, measure in enumerate(measures):
+        backs.setdefault(tuple(getattr(measure, key) for key in BACK_FIELDS), []).append(j)
     per_measure = [[] for _ in measures]
+
+    def add_summaries(group, result):
+        for j in group:
+            per_measure[j].append(summarize(measures[j], result))
+
     collecting = gc.isenabled()
     gc.disable()
     try:
         for k in range(cfg.replications) if reps is None else reps:
-            result = run_once(cfg, cfg.master_seed + k, record=trace is not None)
-            for summaries, measure in zip(per_measure, measures):
-                summaries.append(summarize(measure, result))
-            if trace is not None:
-                _write_trace(trace, k, result)
-            del result
+            seed = cfg.master_seed + k
+            if len(backs) > 1:
+                from .frontback import run_back, run_front
+
+                front = run_front(cfg, seed)
+                for group in backs.values():
+                    add_summaries(group, run_back(measures[group[0]], seed, front))
+                del front
+            else:
+                result = run_once(cfg, seed, record=trace is not None)
+                add_summaries(range(len(measures)), result)
+                if trace is not None:
+                    _write_trace(trace, k, result)
+                del result
     finally:
         if collecting:
             gc.enable()
@@ -136,12 +157,8 @@ def _fmt(x):
 
 
 def _fmt_value(value):
-    """A swept value in config syntax, with every digit it needs: shortest
-    under "g" if that reads back as the same float, in full otherwise."""
-    if isinstance(value, float):
-        short = format(value, "g")
-        return short if float(short) == value else repr(value)
-    return str(value)
+    """A swept value in config syntax, with every digit it needs."""
+    return number_text(value) if isinstance(value, float) else str(value)
 
 
 def aggregate_row(param, value, summaries):
@@ -164,8 +181,8 @@ def run_sweep(base, param, values):
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter '{param}'")
     configs = [base.replace(**{param: value}) for value in values]  # validate first
-    if param in MEASUREMENT_FIELDS:
-        # every value measures the same sample paths
+    if param in MEASUREMENT_FIELDS or param in BACK_FIELDS:
+        # every value measures the same sample paths, or runs the same fronts
         per_value = _replicate(configs[0], configs) if configs else []
     else:
         per_value = (run_replications(cfg) for cfg in configs)

@@ -26,14 +26,51 @@ transaction go when its block commits.  Outcomes are counted as blocks
 commit, in either mode.  A run with injected `arrivals`, whose keys may
 repeat, always keeps the full record.
 
+The front and the back.  Generation, key assignment, channel split,
+transmission, loss, comm latency and endorsement (the front) never depend on
+block cutting, ordering, validation or VSCC (the back): the back only
+consumes endorse-done events and reads the ledger as it does.  So runs that
+differ only in back fields (`config.BACK_FIELDS`) can share one front:
+`frontback.run_front` dispatches the generation and transmit-complete slots
+alone and returns the endorsements in endorse-done dispatch order, and
+`frontback.run_back` merges that stream with its own heap of timeout,
+block-ready and validation-complete events.  The tie rule that keeps the
+merged order equal to the one loop's (time, seq) order:
+
+- Slot dispatches are numbered 0, 1, ... in dispatch order.  The front
+  records each one's time and the number of the slot dispatch that
+  scheduled it (-1 for the first generation, scheduled before the loop).
+- Each endorsement carries `slot`, the slot dispatch that delivered it, and
+  `n_before`, the number of slot dispatches before its own endorse-done
+  dispatch.  Injected arrivals carry a negative `slot`.
+- Each back event carries N, the number of slot dispatches before the
+  dispatch that scheduled it: the `n_before` of an endorse-done dispatch,
+  or, for a back dispatch at t whose own event carries n, the slot
+  dispatches at times < t plus those at t scheduled by a slot dispatch
+  numbered < n.
+- A seq is taken when an event is scheduled, so slot dispatch r (and every
+  event it scheduled) precedes back event z iff r < N(z).  At a tie the
+  next endorsement goes first iff its `slot` < N of the heap head;
+  endorsements keep their own (time, seq) order among themselves, and back
+  events theirs.
+
+A replication with one back config runs the one loop of `run_once`: front
+plus back took 1.06-1.12x its time at paper defaults (block sizes 10 and 1)
+and 1.15-1.18x on the M/D/1 configs of the benchmark's md1_channel workload
+(lean runs, Python 3.11, 2 cores), because the endorsement stream is built
+and then read back.  A sweep over back fields pays that once per
+replication and saves the front, about two thirds of a paper-default run,
+on every further value.
+
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would
 only rescan the live objects, over and over, and find nothing.  `run_once`
 therefore pauses it for the duration of the run and restores the caller's
 setting when it returns.  `experiments._replicate` holds the pause longer:
-from before `run_once` until the result has been summarized (and traced) and
-dropped, so the collector never wakes to walk a result's objects.
-`test_simulation.py::test_run_leaves_no_cyclic_garbage` guards the premise.
+from before the first run of a replication until its results have been
+summarized (and traced) and dropped, so the collector never walks a result's
+objects.  `test_simulation.py::test_run_leaves_no_cyclic_garbage` guards the
+premise.
 """
 
 import gc
@@ -97,21 +134,27 @@ def run_once(cfg, seed, arrivals=None, record=True):
     `arrivals` bypasses the workload entirely: a list of
     (arrive_time, endorse_delay, key, gen_time) tuples injected straight into
     the endorsing phase of channel 0's pipeline (used by tests to drive the
-    pipeline with a known sub-workload).  With `record` false the run is
-    lean: `transactions`, `lost` and `ledgers` are None (unless `arrivals`
-    is given), and every other field is as in a full run.
+    pipeline with a known sub-workload); the run is then a back over those
+    endorsements.  With `record` false the run is lean: `transactions`,
+    `lost` and `ledgers` are None (unless `arrivals` is given), and every
+    other field is as in a full run.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _simulate(cfg, seed, arrivals, record or arrivals is not None)
+        if arrivals is not None:
+            from .frontback import arrivals_front, run_back
+
+            return run_back(cfg, seed, arrivals_front(arrivals), True)
+        return _simulate(cfg, seed, record)
     finally:
         if collecting:
             gc.enable()
 
 
-def _simulate(cfg, seed, arrivals, record):
-    """The run itself; `run_once` calls it with the cyclic collector paused."""
+def _simulate(cfg, seed, record):
+    """The run itself, front and back in one loop; `run_once` calls it with
+    the cyclic collector paused."""
     cfg.validate()
     horizon = cfg.horizon
 
@@ -154,20 +197,12 @@ def _simulate(cfg, seed, arrivals, record):
     next_seq = itertools.count().__next__
 
     gen = tc = _IDLE  # the pending generation and transmit-complete events
-    n_generated = 0
-    if arrivals is None:
-        first = expovariate(rate) if exponential else period
-        if first <= horizon:
-            gen = (first, next_seq(), _GENERATION, None)
-    else:
-        for arrive, delay, key, gen_time in arrivals:
-            n_generated += 1
-            tx = Transaction(n_generated, key, 0, gen_time, arrive)
-            transactions.append(tx)
-            heappush(heap, (arrive + delay, next_seq(), _ENDORSE_COMPLETE, tx))
+    first = expovariate(rate) if exponential else period
+    if first <= horizon:
+        gen = (first, next_seq(), _GENERATION, None)
 
     now = 0.0
-    blocks_committed = 0
+    n_generated = blocks_committed = 0
     n_lost = n_valid = n_mvcc_invalid = 0
     while True:
         ev = gen if gen < tc else tc
@@ -273,10 +308,17 @@ def _simulate(cfg, seed, arrivals, record):
             tx.order_done = ready
         heappush(heap, (ready, next_seq(), _BLOCK_READY, Block(batch, t, c)))
 
+    return _result(cfg, raw_path, block_times, transactions, lost, ledgers, record,
+                   n_generated, n_lost, n_valid, n_mvcc_invalid, blocks_committed)
+
+
+def _result(cfg, raw_path, block_times, transactions, lost, ledgers, record,
+            n_generated, n_lost, n_valid, n_mvcc_invalid, blocks_committed):
+    """The RunResult of a drained run, from what its loop kept and counted."""
     warmup = cfg.warmup
     n_delivered = n_generated - n_lost  # the drained run resolved every delivery
     return RunResult(
-        path=raw_path.restricted(warmup, horizon),
+        path=raw_path.restricted(warmup, cfg.horizon),
         breakdown=LatencyBreakdown(
             *latency_means(transactions, TARGET_KEY),
             n_generated=n_generated,

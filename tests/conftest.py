@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 import bcesim.experiments
+import bcesim.frontback
 from bcesim.config import paper_default
 
 
@@ -35,15 +36,19 @@ def parse_csv(text):
 
 
 def count_runs(monkeypatch):
-    """Record the seed of every simulation made through bcesim.experiments from now on."""
-    calls = []
-    real = bcesim.experiments.run_once
+    """Record the seed of every `run_once`, `run_front` and `run_back` call made
+    through bcesim.experiments from now on, as {function name: seeds}."""
+    calls = {}
+    for module, name in [(bcesim.experiments, "run_once"), (bcesim.frontback, "run_front"),
+                         (bcesim.frontback, "run_back")]:
+        real = getattr(module, name)
+        seeds = calls[name] = []
 
-    def counting(cfg, seed, *args, **kwargs):
-        calls.append(seed)
-        return real(cfg, seed, *args, **kwargs)
+        def counting(cfg, seed, *args, _real=real, _seeds=seeds, **kwargs):
+            _seeds.append(seed)
+            return _real(cfg, seed, *args, **kwargs)
 
-    monkeypatch.setattr(bcesim.experiments, "run_once", counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 import bcesim.experiments
+import bcesim.frontback
 from bcesim.cli import main
 from bcesim.config import parse_config
 from bcesim.experiments import run_plain, trace_csv
@@ -41,7 +42,11 @@ def test_sweep_option(tmp_path):
 
 @pytest.mark.parametrize(
     "key, values",
-    [("master_seed", "12345678,12345679"), ("target_aoi", "0.1234567891,0.5")],
+    [
+        ("master_seed", "12345678,12345679"),
+        ("target_aoi", "0.1234567891,0.5"),
+        ("comm_latency", "exp:0.1234567,exp:0.12345671"),
+    ],
 )
 def test_swept_values_print_every_digit(tmp_path, key, values):
     cfg = tmp_path / "run.cfg"
@@ -107,7 +112,7 @@ def test_trace_run_simulates_each_replication_once(tmp_path, monkeypatch):
     trace = tmp_path / "trace.csv"
     calls = count_runs(monkeypatch)
     assert main(["--config", str(cfg_path), "--out", str(out), "--trace", str(trace)]) == 0
-    assert len(calls) == cfg.replications
+    assert len(calls["run_once"]) == cfg.replications
     assert out.read_text() == run_plain(cfg)
     assert trace.read_text() == trace_csv(cfg)
 
@@ -120,6 +125,7 @@ def test_trace_with_scenario_or_sweep_rejected_before_simulating(
         raise AssertionError("simulated before rejecting --trace")
 
     monkeypatch.setattr(bcesim.experiments, "run_once", no_simulation)
+    monkeypatch.setattr(bcesim.frontback, "run_front", no_simulation)
     trace = tmp_path / "trace.csv"
     assert main(extra + ["--reps", "1", "--trace", str(trace)]) == 2
     assert "--trace" in capsys.readouterr().err

@@ -5,7 +5,8 @@ delay after the transmitter but a fixed communication latency, a proposal
 commits the instant it arrives, so the transmitter queue alone sets the age
 (the M/D/1 and D/D/1 forms from the AoI literature).  With fixed delays
 throughout, the whole block pipeline is deterministic and its age follows
-from the MVCC first-writer-wins rule.
+from the MVCC first-writer-wins rule, whether blocks are cut by size or by
+the timeout.
 """
 
 import math
@@ -14,7 +15,7 @@ import statistics
 import pytest
 
 from bcesim.config import parse_config
-from bcesim.experiments import run_replications
+from bcesim.experiments import run_replications, run_sweep
 
 TRANSMITTER_ONLY = (
     "target_ratio = 1\nblock_size = 1\nendorse_time = fixed:0\nordering_base = 0\n"
@@ -108,5 +109,57 @@ def test_deterministic_block_pipeline_average_aoi_is_exact(model, expected):
     [summary] = run_replications(cfg)
     assert summary.avg_aoi == (
         (size - first_valid) / rate + endorse + order + validate + size / (2 * rate)
+    ) == expected
+    assert summary.mvcc_invalid_frac == pytest.approx((size - 1) / size, abs=1e-3)
+
+
+# (total_rate, endorse_time, ordering_base, validate_block_overhead,
+# validate_per_tx, timeout) and the exact average AoI.
+TIMEOUT_CUTS = [
+    ((4, 0.125, 0.125, 0.125, 0.0625, 0.625), 1.0625),
+    ((2, 0.25, 0, 0.5, 0.125, 1.25), 2.125),
+    ((8, 0.0625, 0.0625, 0.125, 0.03125, 0.3125), 0.59375),
+    ((4, 0.125, 0, 0.0625, 0.0625, 0.375), 0.6875),
+]
+
+
+@pytest.mark.parametrize("model, expected", TIMEOUT_CUTS)
+def test_timeout_cut_pipeline_average_aoi_is_exact(model, expected):
+    """The pipeline above with blocks of up to 100, cut by a timeout T first.
+
+    A block's first endorsement arms the timeout, and the endorsements of
+    the next T join it: n = ceil(r*T) per block, as r*T is not an integer.
+    Block m holds proposals (m-1)*n + 1 .. m*n and commits at
+    1/r + e + (m-1)*n/r + T + o + v.  In every later block, MVCC lets
+    through only the first transaction whose endorsement sees the previous
+    commit, the one numbered j* = max(0, floor(r*(T + o + v) - n) + 1)
+    from 0, so each commit resets the age to T + o + v + e - j*/r, n/r
+    apart.  The sweep's second value shares each replication's front, so the
+    first row runs through `run_back`.
+    """
+    rate, endorse, order, overhead, per_tx, timeout = model
+    size = math.ceil(rate * timeout)
+    validate = overhead + per_tx * size
+    lag = rate * (timeout + order + validate) - size
+    first_valid = max(0, math.floor(lag) + 1)
+    # Neither the timeout nor the previous commit falls on an endorsement,
+    # the validator keeps up, and some transaction of each block sees the
+    # previous commit.
+    assert rate * timeout != size and lag != math.floor(lag)
+    assert validate < size / rate and first_valid <= size - 1
+
+    def commit(m):
+        return 1 / rate + endorse + (m - 1) * size / rate + timeout + order + validate
+
+    cfg = parse_config(
+        f"target_ratio = 1\ncomm_latency = fixed:0\ntransmit_time = 0\nblock_size = 100\n"
+        f"total_rate = {rate}\nendorse_time = fixed:{endorse}\nordering_base = {order}\n"
+        f"ordering_per_kafka = 0\nvalidate_block_overhead = {overhead}\n"
+        f"validate_per_tx = {per_tx}\ntimeout = {timeout}\nreplications = 1\n"
+        f"warmup = {commit(2)!r}\nhorizon = {commit(500)!r}\n"
+    )
+    _, [[summary], _] = run_sweep(cfg, "timeout", [timeout, 2 * timeout])
+    assert summary.avg_aoi == (
+        timeout + order + validate + endorse - first_valid / rate + size / (2 * rate)
     ) == expected
     assert summary.mvcc_invalid_frac == pytest.approx((size - 1) / size, abs=1e-3)

@@ -1,8 +1,11 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError
+from bcesim.dists import Delay
 from bcesim.experiments import (
     CSV_HEADER,
     aggregate_row,
@@ -67,6 +70,8 @@ def test_sweep_rows_carry_param_and_value(quick_cfg):
         (1e-07, "1e-07"),
         (0.1234567891, "0.1234567891"),
         (1234567.5, "1234567.5"),
+        (Delay("exp", 0.1234567), "exp:0.1234567"),
+        (Delay("exp", 0.12345671), "exp:0.12345671"),
     ],
 )
 def test_swept_value_cell_reads_back_as_the_value(quick_cfg, value, cell):
@@ -153,13 +158,77 @@ def test_measurement_sweep_simulates_each_replication_once(quick_cfg, monkeypatc
     cfg = quick_cfg.replace(replications=3)
     calls = count_runs(monkeypatch)
     run_sweep(cfg, param, values)
-    assert calls == [cfg.master_seed + k for k in range(3)]
+    assert calls == {
+        "run_once": [cfg.master_seed + k for k in range(3)], "run_front": [], "run_back": [],
+    }
 
 
 def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
+    seeds = [quick_cfg.master_seed + k for k in range(quick_cfg.replications)]
+    # a back-only key: one front per replication, one back per value
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, "block_size", [2, 5, 7])
-    assert len(calls) == 3 * quick_cfg.replications
+    assert calls == {
+        "run_once": [], "run_front": seeds, "run_back": [s for s in seeds for _ in range(3)],
+    }
+    # a front key: every value is simulated whole
+    calls = count_runs(monkeypatch)
+    run_sweep(quick_cfg, "target_ratio", [0.2, 0.3, 0.5])
+    assert calls == {"run_once": seeds * 3, "run_front": [], "run_back": []}
+
+
+# Swept values of each back-only key, on a coarse grid of fixed delays.
+_BACK_VALUES = {
+    "block_size": st.integers(1, 4),
+    "timeout": st.sampled_from([0.5, 1.0, 2.0]),
+    "ordering_base": st.sampled_from([0.0, 0.5, 1.0]),
+    "ordering_per_kafka": st.sampled_from([0.0, 0.5, 1.0]),
+    "n_kafka": st.sampled_from([4, 5, 6]),
+    "validate_block_overhead": st.sampled_from([0.0, 0.5, 1.0]),
+    "validate_per_tx": st.sampled_from([0.0, 0.5, 1.0]),
+    "vscc_fail_prob": st.sampled_from([0.0, 0.3]),
+}
+
+
+@st.composite
+def _back_sweeps(draw):
+    exact = st.sampled_from([0.0, 0.5, 1.0])
+    base = paper_default().replace(
+        horizon=60.0,
+        warmup=4.0,
+        replications=2,
+        total_rate=draw(st.sampled_from([1.0, 2.0, 4.0])),
+        generation_mode=draw(st.sampled_from(["periodic", "periodic", "exponential"])),
+        target_ratio=draw(st.sampled_from([0.3, 1.0])),
+        discipline=draw(st.sampled_from(["fcfs", "lcfs"])),
+        stp=draw(st.sampled_from([0.5, 1.0])),
+        transmit_time=draw(st.sampled_from([0.25, 0.5])),
+        comm_latency=Delay("fixed", draw(exact)),
+        endorse_time=Delay("fixed", draw(exact)),
+        n_channels=draw(st.integers(2, 3)),
+        block_size=draw(_BACK_VALUES["block_size"]),
+        timeout=draw(_BACK_VALUES["timeout"]),
+        n_kafka=draw(_BACK_VALUES["n_kafka"]),
+        ordering_base=draw(exact),
+        ordering_per_kafka=draw(exact),
+        validate_block_overhead=draw(exact),
+        validate_per_tx=draw(exact),
+        vscc_fail_prob=draw(st.sampled_from([0.0, 0.3])),
+        master_seed=draw(st.integers(0, 1000)),
+    )
+    key = draw(st.sampled_from(sorted(BACK_FIELDS)))
+    values = draw(st.lists(_BACK_VALUES[key], min_size=2, max_size=3))
+    return base, key, values
+
+
+@settings(settings.get_profile("simulation"), max_examples=60)
+@given(_back_sweeps())
+def test_back_sweep_rows_equal_separate_runs(sweep):
+    base, key, values = sweep
+    rows, summaries = run_sweep(base, key, values)
+    expected = [run_replications(base.replace(**{key: v})) for v in values]
+    assert summaries == expected
+    assert rows == [aggregate_row(key, v, s) for v, s in zip(values, expected)]
 
 
 def _collections_during(call):
@@ -180,11 +249,14 @@ def _collections_during(call):
     return started
 
 
-@pytest.mark.parametrize("workload", ["replication", "target_aoi sweep", "plain traced"])
+@pytest.mark.parametrize(
+    "workload", ["replication", "target_aoi sweep", "block_size sweep", "plain traced"]
+)
 def test_collector_never_wakes_during_replications(quick_cfg, workload):
     call = {
         "replication": lambda: run_replication(quick_cfg, 0),
         "target_aoi sweep": lambda: run_sweep(quick_cfg, "target_aoi", [0.5, 1.0, 2.0]),
+        "block_size sweep": lambda: run_sweep(quick_cfg, "block_size", [2, 5, 7]),
         "plain traced": lambda: run_plain_traced(quick_cfg),
     }[workload]
     assert _collections_during(call) == []

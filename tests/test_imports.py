@@ -6,6 +6,7 @@ the module's `__all__` counts as used.
 """
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +70,16 @@ def test_imported_package_check_sees_every_form():
 def test_package_imports_only_the_standard_library(path):
     allowed = sys.stdlib_module_names | {"bcesim"}
     assert sorted(imported_packages(path.read_text()) - allowed) == []
+
+
+def test_a_run_without_a_back_sweep_never_loads_the_front_back_split():
+    # bcesim.frontback is loaded on first use, so that starting any other run
+    # does not pay for it.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import bcesim.cli; "
+        "from bcesim.config import paper_default; from bcesim.experiments import run_plain; "
+        "run_plain(paper_default().replace(horizon=20.0, warmup=0.0, replications=1)); "
+        "print('bcesim.frontback' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -4,10 +4,11 @@ import re
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from bcesim.config import paper_default
+from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
 from bcesim.experiments import summarize
+from bcesim.frontback import run_back, run_front
 from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
@@ -144,6 +145,59 @@ def _assert_lean_summary_exact(cfg, seed, measure):
 def test_lean_run_summarizes_like_the_full_record(model, seed, warmup, target_aoi):
     cfg, _ = model  # injected arrivals always give the full record
     _assert_lean_summary_exact(cfg, seed, cfg.replace(warmup=warmup, target_aoi=target_aoi))
+
+
+def _front_and_back(cfg, seed, arrivals, record=True):
+    return run_back(cfg, seed, run_front(cfg, seed, record=record), record)
+
+
+@settings(settings.get_profile("simulation"), max_examples=200)
+@given(_models(), st.integers(0, 1000))
+def test_front_and_back_match_the_one_loop(model, seed):
+    cfg, _ = model  # injected arrivals are covered by the oracle test
+    assert _everything(_front_and_back, cfg, seed, None) == _everything(run_once, cfg, seed, None)
+    try:
+        lean = run_once(cfg, seed, record=False)
+    except SimulationError as exc:
+        with pytest.raises(SimulationError, match=re.escape(str(exc))):
+            _front_and_back(cfg, seed, None, record=False)
+        return
+    assert summarize(cfg, _front_and_back(cfg, seed, None, record=False)) == summarize(cfg, lean)
+
+
+def _front_fields(front):
+    """Every field of a front, with each Transaction as its fields."""
+    return (
+        [x if isinstance(x, int) else
+         (x.id, x.key, x.channel, x.gen_time, x.arrive_time, x.endorse_done)
+         for x in front.stream],
+        front.done, front.slot, front.n_before, front.slot_time, front.slot_sched,
+        [tx.id for tx in front.transactions], front.lost, front.n_generated, front.n_lost,
+    )
+
+
+# A value other than quick_cfg's for each back-only key.
+_OTHER_BACK_VALUE = {
+    "block_size": 3,
+    "timeout": 0.3,
+    "ordering_base": 0.2,
+    "ordering_per_kafka": 0.1,
+    "n_kafka": 6,
+    "validate_block_overhead": 0.3,
+    "validate_per_tx": 0.01,
+    "vscc_fail_prob": 0.3,
+}
+
+
+@pytest.mark.parametrize("key", sorted(BACK_FIELDS))
+def test_back_fields_leave_the_front_unchanged(quick_cfg, key):
+    cfg = quick_cfg.replace(n_channels=2, stp=0.6, discipline="lcfs", transmit_time=0.08)
+    front = run_front(cfg, 5)
+    assert {x for x in front.stream if isinstance(x, int)} == {-1, -2}
+    assert front.n_lost > 0 and len(front.slot_time) > front.n_generated
+    assert _front_fields(run_front(cfg.replace(**{key: _OTHER_BACK_VALUE[key]}), 5)) == (
+        _front_fields(front)
+    )
 
 
 @pytest.mark.parametrize("seed", [1022, 1023])
