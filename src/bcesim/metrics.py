@@ -9,10 +9,15 @@ time seen so far.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import ConfigError, SimulationError
 from .pipeline import VALID
+
+
+_COMMIT_TIME = itemgetter(0)  # t_u of a reset
 
 
 class AoISamplePath:
@@ -23,7 +28,7 @@ class AoISamplePath:
     def __init__(self, start, end):
         self.start = start
         self.end = end
-        self.resets = []  # (t_u, t_g), t_u strictly increasing, t_g increasing
+        self.resets = []  # (t_u, t_g), t_u nondecreasing, t_g increasing
         self.freshest_gen = -math.inf
         self._last_commit = -math.inf
 
@@ -43,9 +48,9 @@ class AoISamplePath:
     def restricted(self, start, end):
         """Copy of the path truncated to resets with t_u inside [start, end]."""
         path = AoISamplePath(start, end)
-        for t_u, t_g in self.resets:
-            if start <= t_u <= end:
-                path.resets.append((t_u, t_g))
+        resets = self.resets
+        path.resets = resets[bisect_left(resets, start, key=_COMMIT_TIME):
+                             bisect_right(resets, end, key=_COMMIT_TIME)]
         if path.resets:
             path.freshest_gen = path.resets[-1][1]
             path._last_commit = path.resets[-1][0]

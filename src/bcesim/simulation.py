@@ -14,6 +14,19 @@ scheduled.  At most one generation and one transmission are ever pending;
 each waits in its own slot outside the heap, and the slots and the heap
 share the seq counter, so the order is the same as if all were on one heap.
 
+An event that a dispatch schedules due strictly before the pending
+generation, the pending transmit-complete and the heap's head would be
+dispatched next, so the same dispatch handles it at once and it never enters
+the heap.  `_simulate` chains this way a delivered proposal's endorse-complete
+(checked once the next generation or transmission is scheduled), a cut
+block's block-ready and a block's validation-complete: where nothing after
+the transmitter takes time, a proposal takes two dispatches, its generation
+and its transmit-complete, and no heap push.  Nothing is scheduled between a
+chained event and its handling, so every other event keeps its (time, seq)
+order.  An event due at the very instant of a pending one still goes through
+the heap: the pending one was scheduled first, so it goes first.
+`frontback.run_front` and `run_back` do not chain.
+
 A run's caller says whether it needs the per-transaction record.  A full
 run keeps every delivered transaction, every lost proposal and each
 channel's ledger.  A lean run (``record=False``) keeps only what `summarize`
@@ -55,12 +68,12 @@ merged order equal to the one loop's (time, seq) order:
   events theirs.
 
 A replication with one back config runs the one loop of `run_once`: front
-plus back took 1.06-1.12x its time at paper defaults (block sizes 10 and 1)
-and 1.15-1.18x on the M/D/1 configs of the benchmark's md1_channel workload
-(lean runs, Python 3.11, 2 cores), because the endorsement stream is built
-and then read back.  A sweep over back fields pays that once per
-replication and saves the front, about two thirds of a paper-default run,
-on every further value.
+plus back took 1.2-1.3x its time at paper defaults (block sizes 10 and 1)
+and 1.4-1.55x on the M/D/1 configs of the benchmark's md1_channel workload
+(lean runs, medians of 6 seeds, Python 3.11, 2 cores), because the
+endorsement stream is built and then read back, and neither half chains
+events.  A sweep over back fields pays that once per replication and saves
+the front, about two thirds of a paper-default run, on every further value.
 
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would
@@ -195,6 +208,7 @@ def _simulate(cfg, seed, record):
 
     heap = []  # endorse, timeout, block-ready and validation-complete events
     next_seq = itertools.count().__next__
+    waiting = txq.heap  # nonempty while a proposal waits for the channel
 
     gen = tc = _IDLE  # the pending generation and transmit-complete events
     first = expovariate(rate) if exponential else period
@@ -215,18 +229,11 @@ def _simulate(cfg, seed, record):
             raise SimulationError(f"event at t={t} behind clock t={now}")
         now = t
 
-        if kind == _ENDORSE_COMPLETE:
-            c = x.channel
-            x.endorse_done = t
-            if record or x.key == TARGET_KEY:
-                x.captured_version = ledgers[c].read_version(x.key)
-            batch = batches[c]
-            batch.append(x)
-            if len(batch) < block_size:
-                if len(batch) == 1:
-                    heappush(heap, (t + timeout, next_seq(), _TIMEOUT_FIRE, batch))
-                continue
-        elif kind <= _TRANSMIT_COMPLETE:
+        # The stages below follow the pipeline, in the order of the kinds; a
+        # dispatch enters at its event's kind.  An event a stage schedules that
+        # is due before every pending one is handled by the next stage at once
+        # (see the module docstring); otherwise it goes on the heap.
+        if kind <= _TRANSMIT_COMPLETE:
             # A proposal is generated, or its transmission ends.  With zero
             # transmit time a generated proposal's transmission ends at once.
             if kind == _GENERATION:
@@ -247,16 +254,17 @@ def _simulate(cfg, seed, record):
             else:
                 pid, key, c, gen_time = x.id, x.key, x.channel, x.gen_time
                 transmitted = True
+            x = None  # the delivered transaction, if any
             if transmitted:
                 if stp >= 1.0 or rng_loss.random() < stp:
                     arrive = t
                     if comm.value != 0.0:
                         arrive += comm.sample(rng_comm)
-                    tx = Transaction(pid, key, c, gen_time, arrive)
+                    x = Transaction(pid, key, c, gen_time, arrive)
                     if record or key == TARGET_KEY:
-                        transactions.append(tx)
+                        transactions.append(x)
                     done = arrive + endorse_max(rng_endorse, n_endorsers)
-                    heappush(heap, (done, next_seq(), _ENDORSE_COMPLETE, tx))
+                    seq = next_seq()  # before the next generation's or transmission's
                 else:
                     n_lost += 1
                     if record:
@@ -264,49 +272,76 @@ def _simulate(cfg, seed, record):
             if kind == _GENERATION:
                 nxt = t + expovariate(rate) if exponential else t + period
                 gen = (nxt, next_seq(), _GENERATION, None) if nxt <= horizon else _IDLE
-            elif txq:
+            elif waiting:
                 tc = (t + transmit_time, next_seq(), _TRANSMIT_COMPLETE, txq.pop())
             else:
                 tc = _IDLE
-            continue
-        elif kind == _VALIDATION_COMPLETE:
+            if x is None:
+                continue
+            # due at or after a pending event: it waits its turn on the heap
+            if done >= gen[0] or done >= tc[0] or heap and heap[0][0] <= done:
+                heappush(heap, (done, seq, _ENDORSE_COMPLETE, x))
+                continue
+            now = t = done
+            kind = _ENDORSE_COMPLETE
+
+        if kind == _ENDORSE_COMPLETE:
             c = x.channel
-            committed, conflicts = commit_block(
-                x, ledgers[c], t, vscc_fail_prob, rng_vscc, versioned
-            )
-            n_valid += len(committed)
-            n_mvcc_invalid += conflicts
-            if t <= horizon:
-                for tx in committed:
-                    if tx.key == TARGET_KEY:
-                        raw_path.record_commit(t, tx.gen_time)
-                block_times.append(t)
-            blocks_committed += 1
-            queue = validating[c]
-            queue.popleft()
-            if queue:
-                block = queue[0]
-                done = t + validation_duration(cfg, len(block.txs))
-                heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, block))
-            continue
-        elif kind == _BLOCK_READY:
-            queue = validating[x.channel]
-            queue.append(x)
-            if len(queue) == 1:  # the validator was idle
-                done = t + validation_duration(cfg, len(x.txs))
-                heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, x))
-            continue
-        else:  # _TIMEOUT_FIRE: x is the batch that armed it
+            x.endorse_done = t
+            if record or x.key == TARGET_KEY:
+                x.captured_version = ledgers[c].read_version(x.key)
+            batch = batches[c]
+            batch.append(x)
+            if len(batch) < block_size:
+                if len(batch) == 1:
+                    heappush(heap, (t + timeout, next_seq(), _TIMEOUT_FIRE, batch))
+                continue
+        elif kind == _TIMEOUT_FIRE:  # x is the batch that armed it
             batch = x
             c = batch[0].channel
             if batch is not batches[c]:
                 continue  # stale: that batch was already cut by size
-        # cut channel c's batch at t and hand the block to ordering
-        batches[c] = []
-        ready = t + order_time
-        for tx in batch:
-            tx.order_done = ready
-        heappush(heap, (ready, next_seq(), _BLOCK_READY, Block(batch, t, c)))
+        if kind <= _TIMEOUT_FIRE:
+            # cut channel c's batch at t and hand the block to ordering
+            batches[c] = []
+            ready = t + order_time
+            for tx in batch:
+                tx.order_done = ready
+            x = Block(batch, t, c)
+            if ready >= gen[0] or ready >= tc[0] or heap and heap[0][0] <= ready:
+                heappush(heap, (ready, next_seq(), _BLOCK_READY, x))
+                continue
+            now = t = ready
+            kind = _BLOCK_READY
+
+        if kind == _BLOCK_READY:
+            queue = validating[x.channel]
+            queue.append(x)
+            if len(queue) > 1:
+                continue  # the validator is busy
+            done = t + validation_duration(cfg, len(x.txs))
+            if done >= gen[0] or done >= tc[0] or heap and heap[0][0] <= done:
+                heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, x))
+                continue
+            now = t = done
+
+        # _VALIDATION_COMPLETE: x is the block at the head of its validator
+        c = x.channel
+        committed, conflicts = commit_block(x, ledgers[c], t, vscc_fail_prob, rng_vscc, versioned)
+        n_valid += len(committed)
+        n_mvcc_invalid += conflicts
+        if t <= horizon:
+            for tx in committed:
+                if tx.key == TARGET_KEY:
+                    raw_path.record_commit(t, tx.gen_time)
+            block_times.append(t)
+        blocks_committed += 1
+        queue = validating[c]
+        queue.popleft()
+        if queue:
+            block = queue[0]
+            done = t + validation_duration(cfg, len(block.txs))
+            heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, block))
 
     return _result(cfg, raw_path, block_times, transactions, lost, ledgers, record,
                    n_generated, n_lost, n_valid, n_mvcc_invalid, blocks_committed)

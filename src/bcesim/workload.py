@@ -30,23 +30,25 @@ class TransmitterQueue:
     insertion order (FCFS the first pushed, LCFS the last).  Each discipline
     keeps a heap keyed so that its next proposal is the minimum, so the
     discipline holds for any queue state and push and pop are O(log n).
+    `heap` is empty exactly when the queue is, so a hot loop can test it
+    instead of calling `len`.
     """
 
-    __slots__ = ("discipline", "_heap", "_seq", "_sign")
+    __slots__ = ("discipline", "heap", "_seq", "_sign")
 
     def __init__(self, discipline):
         self.discipline = discipline
-        self._heap = []  # (sign * gen_time, sign * insertion seq, proposal)
+        self.heap = []  # (sign * gen_time, sign * insertion seq, proposal)
         self._seq = 0
         self._sign = 1 if discipline == "fcfs" else -1
 
     def push(self, proposal):
         sign = self._sign
-        heappush(self._heap, (sign * proposal.gen_time, sign * self._seq, proposal))
+        heappush(self.heap, (sign * proposal.gen_time, sign * self._seq, proposal))
         self._seq += 1
 
     def pop(self):
-        return heappop(self._heap)[2]
+        return heappop(self.heap)[2]
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.heap)

@@ -140,6 +140,15 @@ def test_statistics_consistent_under_warmup_restriction():
         )
 
 
+def test_restriction_keeps_every_reset_on_the_window_edges():
+    # Two blocks committing at one instant give resets with equal t_u.
+    path = path_from([(1.0, 0.5), (2.0, 1.0), (2.0, 1.5), (3.0, 2.0), (3.0, 2.5), (4.0, 3.0)])
+    for start, end in [(2.0, 3.0), (2.0, 2.0), (1.5, 3.5), (0.0, 10.0), (3.5, 3.75)]:
+        window = path.restricted(start, end)
+        assert window.resets == [r for r in path.resets if start <= r[0] <= end]
+        assert (window.start, window.end) == (start, end)
+
+
 def test_grid_oracle_agreement_small():
     from aoi_oracle import grid_average_aoi, grid_violation_probability
 

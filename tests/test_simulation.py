@@ -118,6 +118,70 @@ def test_run_matches_event_heap_oracle(model, seed):
     )
 
 
+@pytest.mark.parametrize("transmit_time", [0.05, 0.1])
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs"])
+def test_transmitter_bound_runs_match_the_oracle(discipline, transmit_time):
+    # The benchmark's M/D/1 shape, which the strategy above seldom draws: every
+    # proposal queues at the transmitter and each later stage takes no time,
+    # so a delivered proposal goes from endorsement to commit in one dispatch.
+    cfg = paper_default().replace(
+        horizon=60.0,
+        warmup=5.0,
+        generation_mode="exponential",
+        total_rate=9.0,
+        target_ratio=1.0,
+        discipline=discipline,
+        transmit_time=transmit_time,
+        endorse_time=Delay("fixed", 0.0),
+        ordering_base=0.0,
+        validate_block_overhead=0.0,
+        validate_per_tx=0.0,
+        block_size=1,
+    )
+    for seed in (3, 4):
+        assert _everything(run_once, cfg, seed, None) == _everything(run_oracle, cfg, seed, None)
+        _assert_lean_summary_exact(cfg, seed, cfg)
+
+
+# Periodic generation and fixed dyadic delays, so that an event a dispatch
+# schedules is often due at the very instant of a pending one.
+_TIE_MODELS = {
+    # Every stage takes half the generation period: an endorsement is due with
+    # the next generation, a block-ready with a transmission and a
+    # validation-complete with a heap event.
+    "half-period stages": dict(
+        total_rate=1.0, transmit_time=0.5, endorse_time=Delay("fixed", 0.5), ordering_base=0.5,
+        validate_block_overhead=0.5, validate_per_tx=0.0, block_size=1,
+    ),
+    # Two channels: a block-ready is due with a generation, an endorsement and
+    # a validation-complete with a heap event.
+    "two channels": dict(
+        total_rate=2.0, transmit_time=0.0, endorse_time=Delay("fixed", 0.25), ordering_base=0.25,
+        validate_block_overhead=0.25, validate_per_tx=0.0, block_size=2, n_channels=2,
+        target_ratio=0.5,
+    ),
+    # The two channels' validations draw from one VSCC stream, so the order
+    # of a block-ready and a heap event due at its instant shows.
+    "two channels, one VSCC stream": dict(
+        total_rate=2.0, transmit_time=0.0, endorse_time=Delay("fixed", 0.0), ordering_base=0.25,
+        validate_block_overhead=0.25, validate_per_tx=0.0, block_size=2, n_channels=2,
+        target_ratio=0.5, vscc_fail_prob=0.5,
+    ),
+}
+
+
+def test_event_due_with_a_pending_one_waits_its_turn():
+    # An event due at the instant of a pending one was scheduled after it, so
+    # it must go through the heap instead of being handled at once.
+    base = paper_default().replace(
+        horizon=20.0, warmup=0.0, generation_mode="periodic", target_ratio=1.0,
+        comm_latency=Delay("fixed", 0.0), ordering_per_kafka=0.0, timeout=1.0,
+    )
+    for name, model in _TIE_MODELS.items():
+        cfg = base.replace(**model)
+        assert _everything(run_once, cfg, 1, None) == _everything(run_oracle, cfg, 1, None), name
+
+
 def _assert_lean_summary_exact(cfg, seed, measure):
     """A lean run summarizes exactly like the full record of the same run,
     with its outcome counts and latency means taken from the transactions."""
