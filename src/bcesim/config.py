@@ -21,7 +21,7 @@ from .pipeline import ordering_delay
 MEASUREMENT_FIELDS = frozenset({"target_aoi", "warmup"})
 
 # Fields that act only after endorsement: runs that differ in them alone
-# share generation through endorsement (`simulation.run_front`).
+# share generation through endorsement (`frontback.run_front`).
 BACK_FIELDS = frozenset({
     "block_size", "timeout", "ordering_base", "ordering_per_kafka", "n_kafka",
     "validate_block_overhead", "validate_per_tx", "vscc_fail_prob",

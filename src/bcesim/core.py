@@ -1,6 +1,6 @@
 """Shared error types, the seeded RNG streams and the text of a number.
 
-The event loop itself lives in `bcesim.simulation.run_once`.
+The event loop itself lives in `bcesim.simulation._simulate`, called by `run_once`.
 """
 
 import random

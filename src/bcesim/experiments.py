@@ -13,6 +13,7 @@ per-transaction record; every other run keeps what the CSV needs.
 
 import gc
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import ConfigError, number_text
@@ -58,14 +59,19 @@ class RunSummary:
 def summarize(cfg, result):
     """Reduce one RunResult to the observables reported per replication.
 
-    `cfg` may differ from the config of the run in its measurement fields.
+    The only place a measurement field applies: the path is measured on
+    [cfg.warmup, cfg.horizon], blocks are counted from cfg.warmup, and the
+    violation is taken against cfg.target_aoi.  So `cfg` may differ from the
+    config of the run in its measurement fields.
     """
     bd = result.breakdown
-    path, blocks_in_window = result.window(cfg.warmup)
+    warmup = cfg.warmup
+    path = result.path.restricted(warmup, cfg.horizon)
     violation = None
     if cfg.target_aoi is not None and path.resets:
         violation = violation_probability(path, cfg.target_aoi)
-    frac = bd.n_mvcc_invalid / result.n_generated if result.n_generated else 0.0
+    frac = bd.n_mvcc_invalid / bd.n_generated if bd.n_generated else 0.0
+    blocks = len(result.block_times) - bisect_left(result.block_times, warmup)
     return RunSummary(
         avg_aoi=average_aoi(path),
         violation_prob=violation,
@@ -74,8 +80,8 @@ def summarize(cfg, result):
         order_lat=bd.order_lat,
         validate_lat=bd.validate_lat,
         mvcc_invalid_frac=frac,
-        block_rate=blocks_in_window / (cfg.horizon - cfg.warmup),
-        n_delivered=result.n_delivered,
+        block_rate=blocks / (cfg.horizon - warmup),
+        n_delivered=bd.n_generated - bd.n_lost,
     )
 
 

@@ -1,11 +1,47 @@
 """A run split in two, so that runs differing only in back fields share
-one front (see the `bcesim.simulation` docstring for the split and the tie
-rule that keeps its event order exact).
+one front.
 
-`run_front` is generation through endorsement, `run_back` batching through
-commit.  Only a sweep over back fields, or a run with injected arrivals,
-needs them, so `bcesim.experiments` and `run_once` import this module on
-first use: every other run starts without loading it.
+Generation, key assignment, channel split, transmission, loss, comm latency
+and endorsement (the front) never depend on block cutting, ordering,
+validation or VSCC (the back): the back only consumes endorse-done events
+and reads the ledger as it does.  So runs that differ only in back fields
+(`config.BACK_FIELDS`) can share one front: `run_front` dispatches the
+generation and transmit-complete slots of `simulation._simulate` alone and
+returns the endorsements in endorse-done dispatch order, and `run_back`
+merges that stream with its own heap of timeout, block-ready and
+validation-complete events.  The tie rule that keeps the merged order equal
+to the one loop's (time, seq) order:
+
+- Slot dispatches are numbered 0, 1, ... in dispatch order.  The front
+  records each one's time and the number of the slot dispatch that
+  scheduled it (-1 for the first generation, scheduled before the loop).
+- Each endorsement carries `slot`, the slot dispatch that delivered it, and
+  `n_before`, the number of slot dispatches before its own endorse-done
+  dispatch.  Injected arrivals carry a negative `slot`.
+- Each back event carries N, the number of slot dispatches before the
+  dispatch that scheduled it: the `n_before` of an endorse-done dispatch,
+  or, for a back dispatch at t whose own event carries n, the slot
+  dispatches at times < t plus those at t scheduled by a slot dispatch
+  numbered < n.
+- A seq is taken when an event is scheduled, so slot dispatch r (and every
+  event it scheduled) precedes back event z iff r < N(z).  At a tie the
+  next endorsement goes first iff its `slot` < N of the heap head;
+  endorsements keep their own (time, seq) order among themselves, and back
+  events theirs.
+
+Neither half chains events as `_simulate` does.  A replication with one back
+config runs the one loop of `run_once`: front plus back took 1.2-1.3x its
+time at paper defaults (block sizes 10 and 1) and 1.4-1.55x on the M/D/1
+configs of the benchmark's md1_channel workload (lean runs, medians of 6
+seeds, Python 3.11, 2 cores), because the endorsement stream is built and
+then read back.  A sweep over back fields pays that once per replication and
+saves the front, about two thirds of a paper-default run, on every further
+value.
+
+`arrivals_front` builds a front from a list of injected endorsements, so
+tests can drive the back with a known sub-workload.  Only a sweep over back
+fields needs this module, so `bcesim.experiments` imports it on first use:
+every other run starts without loading it.
 """
 
 import itertools
@@ -92,6 +128,7 @@ def run_front(cfg, seed, record=False):
 
     heap = []  # endorsements not yet done: (done, seq, delivering slot, tx or marker)
     next_seq = itertools.count().__next__
+    waiting = txq.heap  # nonempty while a proposal waits for the channel
 
     # The pending generation and transmit-complete events, as
     # (time, seq, number of the slot dispatch that scheduled it, payload).
@@ -152,7 +189,7 @@ def run_front(cfg, seed, record=False):
         if ev is gen:
             nxt = t + expovariate(rate) if exponential else t + period
             gen = (nxt, next_seq(), r, None) if nxt <= horizon else _IDLE
-        elif txq:
+        elif waiting:
             tc = (t + transmit_time, next_seq(), r, txq.pop())
         else:
             tc = _IDLE
@@ -163,9 +200,10 @@ def run_front(cfg, seed, record=False):
 
 
 def arrivals_front(arrivals):
-    """A full-record front whose endorsements are the injected arrivals, on
-    channel 0, ahead of every back event at the same instant (they were all
-    scheduled before the run)."""
+    """A full-record front whose endorsements are the injected arrivals, each
+    (arrive_time, endorse_delay, key, gen_time), on channel 0, ahead of every
+    back event at the same instant (they were all scheduled before the run).
+    Keys may repeat, so only a full-record back runs over it."""
     transactions = []
     for tid, (arrive, delay, key, gen_time) in enumerate(arrivals, 1):
         tx = Transaction(tid, key, 0, gen_time, arrive)
@@ -198,7 +236,7 @@ def run_back(cfg, seed, front, record=False):
     validating = [deque() for _ in range(n_channels)]
     versioned = None if record else TARGET_KEY
     block_times = []
-    raw_path = AoISamplePath(0.0, horizon)
+    path = AoISamplePath(0.0, horizon)
     # A lean front's background endorsement on channel c is the marker
     # -1 - c; it is batched and committed as that channel's placeholder.
     background = [Transaction(None, None, c, None, None) for c in reversed(range(n_channels))]
@@ -245,7 +283,7 @@ def run_back(cfg, seed, front, record=False):
                 if t <= horizon:
                     for tx in committed:
                         if tx.key == TARGET_KEY:
-                            raw_path.record_commit(t, tx.gen_time)
+                            path.record_commit(t, tx.gen_time)
                     block_times.append(t)
                 blocks_committed += 1
                 queue = validating[c]
@@ -296,5 +334,5 @@ def run_back(cfg, seed, front, record=False):
             tx.order_done = ready
         heappush(heap, (ready, next_seq(), _BLOCK_READY, Block(batch, t, c), m))
 
-    return _result(cfg, raw_path, block_times, front.transactions, front.lost, ledgers, record,
+    return _result(path, block_times, front.transactions, front.lost, ledgers, record,
                    front.n_generated, front.n_lost, n_valid, n_mvcc_invalid, blocks_committed)

@@ -56,17 +56,6 @@ class AoISamplePath:
             path._last_commit = path.resets[-1][0]
         return path
 
-    def age_at(self, t):
-        """Age at time t: elapsed since the freshest generation committed by t."""
-        gen = None
-        for t_u, t_g in self.resets:
-            if t_u > t:
-                break
-            gen = t_g
-        if gen is None:
-            return None
-        return t - gen
-
 
 def _segments(path):
     """Linear pieces (seg_start, seg_end, age_at_seg_start) of the sawtooth.

@@ -3,9 +3,9 @@
 Generation stops at the horizon; the remaining events then drain so every
 proposal resolves to exactly one outcome (valid, mvcc_invalid, vscc_invalid,
 or lost) and the outcome counts partition the generated count.  Age resets
-are only recorded up to the horizon, and statistics are taken on the path
-restricted to [warmup, horizon].  The warmup never changes the run itself, so
-a result keeps the whole path and can be re-windowed for any other warmup.
+and block commit times are recorded up to the horizon.  A run reads no
+measurement field (`warmup`, `target_aoi`): its record is the same for every
+value of them, and `experiments.summarize` alone applies them to it.
 
 Events are tuples ``(time, seq, kind, payload)`` dispatched in (time, seq)
 order by a single loop.  ``seq`` comes from one counter, taken at the moment
@@ -25,7 +25,6 @@ and its transmit-complete, and no heap push.  Nothing is scheduled between a
 chained event and its handling, so every other event keeps its (time, seq)
 order.  An event due at the very instant of a pending one still goes through
 the heap: the pending one was scheduled first, so it goes first.
-`frontback.run_front` and `run_back` do not chain.
 
 A run's caller says whether it needs the per-transaction record.  A full
 run keeps every delivered transaction, every lost proposal and each
@@ -36,44 +35,11 @@ summed in the same order as from the full record.  A background key is its
 proposal's unique id, never written before, so its MVCC check always passes:
 a lean run neither reads nor writes it in the ledger, and lets the
 transaction go when its block commits.  Outcomes are counted as blocks
-commit, in either mode.  A run with injected `arrivals`, whose keys may
-repeat, always keeps the full record.
+commit, in either mode.
 
-The front and the back.  Generation, key assignment, channel split,
-transmission, loss, comm latency and endorsement (the front) never depend on
-block cutting, ordering, validation or VSCC (the back): the back only
-consumes endorse-done events and reads the ledger as it does.  So runs that
-differ only in back fields (`config.BACK_FIELDS`) can share one front:
-`frontback.run_front` dispatches the generation and transmit-complete slots
-alone and returns the endorsements in endorse-done dispatch order, and
-`frontback.run_back` merges that stream with its own heap of timeout,
-block-ready and validation-complete events.  The tie rule that keeps the
-merged order equal to the one loop's (time, seq) order:
-
-- Slot dispatches are numbered 0, 1, ... in dispatch order.  The front
-  records each one's time and the number of the slot dispatch that
-  scheduled it (-1 for the first generation, scheduled before the loop).
-- Each endorsement carries `slot`, the slot dispatch that delivered it, and
-  `n_before`, the number of slot dispatches before its own endorse-done
-  dispatch.  Injected arrivals carry a negative `slot`.
-- Each back event carries N, the number of slot dispatches before the
-  dispatch that scheduled it: the `n_before` of an endorse-done dispatch,
-  or, for a back dispatch at t whose own event carries n, the slot
-  dispatches at times < t plus those at t scheduled by a slot dispatch
-  numbered < n.
-- A seq is taken when an event is scheduled, so slot dispatch r (and every
-  event it scheduled) precedes back event z iff r < N(z).  At a tie the
-  next endorsement goes first iff its `slot` < N of the heap head;
-  endorsements keep their own (time, seq) order among themselves, and back
-  events theirs.
-
-A replication with one back config runs the one loop of `run_once`: front
-plus back took 1.2-1.3x its time at paper defaults (block sizes 10 and 1)
-and 1.4-1.55x on the M/D/1 configs of the benchmark's md1_channel workload
-(lean runs, medians of 6 seeds, Python 3.11, 2 cores), because the
-endorsement stream is built and then read back, and neither half chains
-events.  A sweep over back fields pays that once per replication and saves
-the front, about two thirds of a paper-default run, on every further value.
+Runs that differ only in back fields (`config.BACK_FIELDS`) can share the
+front of the pipeline: `bcesim.frontback` splits a run in two and documents
+the tie rule that keeps the split run's event order equal to this loop's.
 
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would
@@ -89,7 +55,6 @@ premise.
 import gc
 import itertools
 import math
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -115,50 +80,25 @@ _IDLE = (math.inf, math.inf, None, None)
 
 @dataclass
 class RunResult:
-    path: AoISamplePath  # restricted to [warmup, horizon]
-    breakdown: LatencyBreakdown
+    path: AoISamplePath  # every reset up to the horizon
+    block_times: list  # ascending commit times of the blocks committed by the horizon
+    blocks_committed: int  # total over the drained run
+    breakdown: LatencyBreakdown  # latency means and every outcome count
     # `transactions`, `lost` and `ledgers` are None in a lean run.
     transactions: list | None  # every delivered Transaction, in delivery order
     lost: list | None  # (id, key, channel, gen_time) of dropped proposals
-    n_generated: int
-    n_delivered: int
-    blocks_committed: int  # total over the whole run
-    blocks_in_window: int  # committed inside [warmup, horizon]
     ledgers: list | None  # final LedgerState per channel
-    full_path: AoISamplePath  # every reset up to the horizon
-    block_times: list  # ascending commit times of the blocks committed by the horizon
-
-    def window(self, warmup):
-        """(path, blocks_in_window) as a run of the same model with this warmup reports them."""
-        if warmup == self.path.start:
-            return self.path, self.blocks_in_window
-        path = self.full_path.restricted(warmup, self.path.end)
-        return path, _count_from(self.block_times, warmup)
 
 
-def _count_from(times, start):
-    """Number of entries of an ascending list that are >= start."""
-    return len(times) - bisect_left(times, start)
-
-
-def run_once(cfg, seed, arrivals=None, record=True):
+def run_once(cfg, seed, record=True):
     """Single-threaded, deterministic run of one configuration and seed.
 
-    `arrivals` bypasses the workload entirely: a list of
-    (arrive_time, endorse_delay, key, gen_time) tuples injected straight into
-    the endorsing phase of channel 0's pipeline (used by tests to drive the
-    pipeline with a known sub-workload); the run is then a back over those
-    endorsements.  With `record` false the run is lean: `transactions`,
-    `lost` and `ledgers` are None (unless `arrivals` is given), and every
-    other field is as in a full run.
+    With `record` false the run is lean: `transactions`, `lost` and
+    `ledgers` are None, and every other field is as in a full run.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if arrivals is not None:
-            from .frontback import arrivals_front, run_back
-
-            return run_back(cfg, seed, arrivals_front(arrivals), True)
         return _simulate(cfg, seed, record)
     finally:
         if collecting:
@@ -188,7 +128,7 @@ def _simulate(cfg, seed, record):
     lost = []
     versioned = None if record else TARGET_KEY  # the keys the ledgers hold
     block_times = []
-    raw_path = AoISamplePath(0.0, horizon)
+    path = AoISamplePath(0.0, horizon)
 
     key_random = rng_key.random
     target_ratio = cfg.target_ratio
@@ -333,7 +273,7 @@ def _simulate(cfg, seed, record):
         if t <= horizon:
             for tx in committed:
                 if tx.key == TARGET_KEY:
-                    raw_path.record_commit(t, tx.gen_time)
+                    path.record_commit(t, tx.gen_time)
             block_times.append(t)
         blocks_committed += 1
         queue = validating[c]
@@ -343,17 +283,18 @@ def _simulate(cfg, seed, record):
             done = t + validation_duration(cfg, len(block.txs))
             heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, block))
 
-    return _result(cfg, raw_path, block_times, transactions, lost, ledgers, record,
+    return _result(path, block_times, transactions, lost, ledgers, record,
                    n_generated, n_lost, n_valid, n_mvcc_invalid, blocks_committed)
 
 
-def _result(cfg, raw_path, block_times, transactions, lost, ledgers, record,
+def _result(path, block_times, transactions, lost, ledgers, record,
             n_generated, n_lost, n_valid, n_mvcc_invalid, blocks_committed):
     """The RunResult of a drained run, from what its loop kept and counted."""
-    warmup = cfg.warmup
     n_delivered = n_generated - n_lost  # the drained run resolved every delivery
     return RunResult(
-        path=raw_path.restricted(warmup, cfg.horizon),
+        path=path,
+        block_times=block_times,
+        blocks_committed=blocks_committed,
         breakdown=LatencyBreakdown(
             *latency_means(transactions, TARGET_KEY),
             n_generated=n_generated,
@@ -364,11 +305,5 @@ def _result(cfg, raw_path, block_times, transactions, lost, ledgers, record,
         ),
         transactions=transactions if record else None,
         lost=lost if record else None,
-        n_generated=n_generated,
-        n_delivered=n_delivered,
-        blocks_committed=blocks_committed,
-        blocks_in_window=_count_from(block_times, warmup),
         ledgers=ledgers if record else None,
-        full_path=raw_path,
-        block_times=block_times,
     )

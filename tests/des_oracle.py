@@ -26,7 +26,7 @@ from bcesim.pipeline import (
     ordering_delay,
     validation_duration,
 )
-from bcesim.simulation import RunResult, _count_from
+from bcesim.simulation import RunResult
 from bcesim.workload import TARGET_KEY, Proposal
 
 
@@ -216,7 +216,8 @@ class ChannelState:
 
 
 class Simulator:
-    """One run of a configuration and seed; `arrivals` as in `run_once`."""
+    """One run of a configuration and seed; `arrivals` as in
+    `bcesim.frontback.arrivals_front`."""
 
     def __init__(self, cfg, seed, arrivals=None):
         cfg.validate()
@@ -241,7 +242,6 @@ class Simulator:
         self.transactions = []
         self.lost = []
         self.n_generated = 0
-        self.n_delivered = 0
         self.blocks_committed = 0
         self.block_times = []
         self._next_id = 1
@@ -259,7 +259,6 @@ class Simulator:
                 tx = Transaction(self._next_id, key, 0, gen_time, arrive)
                 self._next_id += 1
                 self.n_generated += 1
-                self.n_delivered += 1
                 self.transactions.append(tx)
                 queue.schedule(arrive + delay, EventKind.ENDORSE_COMPLETE, tx)
 
@@ -319,7 +318,6 @@ class Simulator:
             arrive = t
             if cfg.comm_latency.value != 0.0:
                 arrive += cfg.comm_latency.sample(self.rng_comm)
-            self.n_delivered += 1
             tx = Transaction(prop.id, prop.key, prop.channel, prop.gen_time, arrive)
             self.transactions.append(tx)
             delay = cfg.endorse_time.sample_max(self.rng_endorse, cfg.n_endorsers)
@@ -380,21 +378,16 @@ class Simulator:
     # -- results -----------------------------------------------------------
 
     def result(self):
-        warmup = self.cfg.warmup
         return RunResult(
-            path=self._raw_path.restricted(warmup, self.cfg.horizon),
+            path=self._raw_path,
+            block_times=self.block_times,
+            blocks_committed=self.blocks_committed,
             breakdown=latency_breakdown(
                 self.transactions, len(self.lost), self.n_generated, TARGET_KEY
             ),
             transactions=self.transactions,
             lost=self.lost,
-            n_generated=self.n_generated,
-            n_delivered=self.n_delivered,
-            blocks_committed=self.blocks_committed,
-            blocks_in_window=_count_from(self.block_times, warmup),
             ledgers=[ch.ledger for ch in self.channels],
-            full_path=self._raw_path,
-            block_times=self.block_times,
         )
 
 

@@ -112,7 +112,7 @@ def test_criterion_02_thinning_identity():
     ok = True
     for theta in (0.25, 0.5, 0.75):
         result = run_once(cfg.replace(stp=theta), cfg.master_seed)
-        rate = result.n_delivered / cfg.horizon
+        rate = (result.breakdown.n_generated - result.breakdown.n_lost) / cfg.horizon
         expected = 20.0 * theta
         ok = ok and abs(rate - expected) <= 0.02 * expected
         details.append(f"theta={theta}: {rate:.3f}/s vs {expected:.1f}/s")
@@ -239,7 +239,7 @@ def test_criterion_09_mvcc_ledger_exactness():
         bd = result.breakdown
         conserved = (
             bd.n_valid + bd.n_mvcc_invalid + bd.n_vscc_invalid + bd.n_lost
-            == result.n_generated
+            == bd.n_generated
         )
         committed = [tx for tx in result.transactions if tx.validity == VALID]
         committed.sort(key=lambda tx: (tx.commit_time, tx.id))
@@ -250,7 +250,7 @@ def test_criterion_09_mvcc_ledger_exactness():
         n_target = sum(1 for tx in committed if tx.key == TARGET_KEY)
         versions_ok = result.ledgers[0].read_version(TARGET_KEY) == n_target
         ok = ok and conserved and gapless and versions_ok
-        details.append(f"seed {seed}: {result.n_generated} proposals")
+        details.append(f"seed {seed}: {bd.n_generated} proposals")
     check(9, "MVCC/ledger exactness", ok, "; ".join(details))
 
 

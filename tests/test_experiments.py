@@ -132,7 +132,7 @@ def test_trace_csv_covers_every_proposal(quick_cfg):
     from bcesim.simulation import run_once
 
     result = run_once(cfg, cfg.master_seed)
-    assert len(data) == result.n_generated
+    assert len(data) == result.breakdown.n_generated
     outcomes = [line.split(",")[-1] for line in data]
     assert set(outcomes) <= {"valid", "mvcc_invalid", "vscc_invalid", "lost"}
     assert outcomes.count("lost") == len(result.lost)

@@ -1,8 +1,12 @@
 """No module of the package or of the test suite imports a name it never uses,
-and the package imports nothing outside the standard library.
+the package imports nothing outside the standard library, and the package
+defines nothing that nothing names.
 
 Usage is any load of the bound name anywhere in the module; a name listed in
-the module's `__all__` counts as used.
+the module's `__all__` counts as used.  A top-level function or class counts
+as named if its name is loaded, read as an attribute or imported by name
+anywhere in `src/`, `tests/` or `bench/`; a method that is not a dunder, if
+it is read as an attribute there.
 """
 
 import ast
@@ -15,6 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "bcesim").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+SEARCHED = [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]
 
 
 def unused_imports(source):
@@ -83,3 +88,59 @@ def test_a_run_without_a_back_sweep_never_loads_the_front_back_split():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def definitions(source):
+    """(line, name, is_method) of each top-level function and class of a
+    module, and of each method whose name is not a dunder."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name, False))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (item.lineno, item.name, True) for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return found
+
+
+def references(source):
+    """(names, attributes): every name a module loads or imports by name, and
+    every attribute it reads."""
+    names, attributes = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names, attributes
+
+
+def test_dead_definition_check_sees_functions_classes_and_methods():
+    source = "def f():\n    g()\nclass C:\n    def __len__(self): pass\n    def m(self): pass\n"
+    assert definitions(source) == [(1, "f", False), (3, "C", False), (5, "m", True)]
+    assert references(source + "from a import b\nx.y\n") == ({"g", "b", "x"}, {"y"})
+
+
+@pytest.fixture(scope="module")
+def in_use():
+    """(names, attributes) referenced anywhere in src/, tests/ or bench/."""
+    names, attributes = set(), set()
+    for path in SEARCHED:
+        more_names, more_attributes = references(path.read_text())
+        names |= more_names
+        attributes |= more_attributes
+    return names, attributes
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_definition_is_named_somewhere(path, in_use):
+    # A method is named only as an attribute; a local variable of the same
+    # name does not keep it alive.
+    names, attributes = in_use
+    assert [(line, name) for line, name, is_method in definitions(path.read_text())
+            if name not in attributes and (is_method or name not in names)] == []

@@ -101,10 +101,6 @@ def test_age_is_strictly_positive():
         path = random_path(rng)
         for t_u, t_g in path.resets:
             assert t_u - t_g > 0
-        t0 = path.resets[0][0]
-        for i in range(101):
-            t = t0 + (path.end - t0) * i / 100
-            assert path.age_at(t) > 0
 
 
 def test_average_at_least_minimum_reset_age():

@@ -1,10 +1,12 @@
-"""Pipeline phase tests, driven through the arrival-injection hook so each
-case controls exactly which transactions enter the endorsing phase."""
+"""Pipeline phase tests, driven by injected arrivals (a back over
+`frontback.arrivals_front`) so each case controls exactly which transactions
+enter the endorsing phase."""
 
 import pytest
 
 from bcesim.config import paper_default
 from bcesim.dists import Delay
+from bcesim.frontback import arrivals_front, run_back
 from bcesim.ledger import LedgerState
 from bcesim.pipeline import (
     MVCC_INVALID,
@@ -17,7 +19,11 @@ from bcesim.pipeline import (
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
 
-# arrivals are (arrive_time, endorse_delay, key, gen_time)
+
+def _inject(cfg, arrivals):
+    """A full-record run of the pipeline over injected arrivals, each
+    (arrive_time, endorse_delay, key, gen_time), on channel 0."""
+    return run_back(cfg, 1, arrivals_front(arrivals), record=True)
 
 
 def _cfg(**overrides):
@@ -36,7 +42,7 @@ def _cfg(**overrides):
 
 def test_fixed_endorsement_delay():
     cfg = _cfg(block_size=1)
-    result = run_once(cfg, 1, arrivals=[(1.0, 0.02, TARGET_KEY, 0.9)])
+    result = _inject(cfg, [(1.0, 0.02, TARGET_KEY, 0.9)])
     (tx,) = result.transactions
     assert tx.endorse_done == pytest.approx(1.02)
 
@@ -44,7 +50,7 @@ def test_fixed_endorsement_delay():
 def test_size_triggered_block_cut():
     cfg = _cfg(block_size=3, timeout=2.0)
     arrivals = [(t, 0.0, TARGET_KEY, t) for t in (0.5, 0.6, 0.7)]
-    result = run_once(cfg, 1, arrivals=arrivals)
+    result = _inject(cfg, arrivals)
     # cut at 0.7, ordering adds 0.05 at the 4-node minimum
     assert all(tx.order_done == pytest.approx(0.75) for tx in result.transactions)
     assert result.blocks_committed == 1
@@ -52,7 +58,7 @@ def test_size_triggered_block_cut():
 
 def test_timeout_cuts_underfull_block():
     cfg = _cfg(block_size=10, timeout=2.0)
-    result = run_once(cfg, 1, arrivals=[(0.5, 0.0, TARGET_KEY, 0.4)])
+    result = _inject(cfg, [(0.5, 0.0, TARGET_KEY, 0.4)])
     (tx,) = result.transactions
     assert tx.order_done == pytest.approx(2.55)  # cut at 0.5 + T, plus ordering
 
@@ -60,7 +66,7 @@ def test_timeout_cuts_underfull_block():
 def test_block_size_one_is_per_transaction_blocks():
     cfg = _cfg(block_size=1, timeout=5.0)
     arrivals = [(float(i), 0.0, TARGET_KEY, float(i)) for i in range(1, 4)]
-    result = run_once(cfg, 1, arrivals=arrivals)
+    result = _inject(cfg, arrivals)
     assert result.blocks_committed == 3
     assert [tx.order_done for tx in result.transactions] == pytest.approx(
         [1.05, 2.05, 3.05]
@@ -70,7 +76,7 @@ def test_block_size_one_is_per_transaction_blocks():
 def test_two_lone_transactions_two_timeout_blocks():
     cfg = _cfg(block_size=10, timeout=2.0)
     arrivals = [(1.0, 0.0, TARGET_KEY, 0.9), (10.0, 0.0, TARGET_KEY, 9.9)]
-    result = run_once(cfg, 1, arrivals=arrivals)
+    result = _inject(cfg, arrivals)
     assert result.blocks_committed == 2
     assert [tx.order_done for tx in result.transactions] == pytest.approx([3.05, 12.05])
 
@@ -83,7 +89,7 @@ def test_stale_timeout_is_ignored_after_size_cut():
         (1.5, 0.0, TARGET_KEY, 1.4),
         (4.0, 0.0, TARGET_KEY, 3.9),
     ]
-    result = run_once(cfg, 1, arrivals=arrivals)
+    result = _inject(cfg, arrivals)
     assert result.blocks_committed == 2
     assert result.transactions[0].order_done == pytest.approx(1.55)
     assert result.transactions[2].order_done == pytest.approx(6.05)  # own timeout at 6.0
@@ -92,7 +98,7 @@ def test_stale_timeout_is_ignored_after_size_cut():
 def test_ordering_time_is_affine_in_kafka_count():
     for n_kafka, expected in [(4, 2.05), (5, 2.07)]:
         cfg = _cfg(block_size=1, n_kafka=n_kafka)
-        result = run_once(cfg, 1, arrivals=[(2.0, 0.0, TARGET_KEY, 1.9)])
+        result = _inject(cfg, [(2.0, 0.0, TARGET_KEY, 1.9)])
         assert result.transactions[0].order_done == pytest.approx(expected)
 
 
@@ -147,7 +153,7 @@ def test_cross_block_staleness_detected_end_to_end():
     cfg = _cfg(block_size=1, timeout=5.0)
     # second update endorses before the first commits, so it captures version 0
     arrivals = [(1.0, 0.0, TARGET_KEY, 0.9), (1.01, 0.0, TARGET_KEY, 1.0)]
-    result = run_once(cfg, 1, arrivals=arrivals)
+    result = _inject(cfg, arrivals)
     assert [tx.validity for tx in result.transactions] == [VALID, MVCC_INVALID]
     assert result.ledgers[0].read_version(TARGET_KEY) == 1
 
@@ -156,14 +162,14 @@ def test_committed_same_key_updates_count_versions():
     cfg = _cfg(block_size=1, timeout=5.0)
     # spaced far enough apart that each sees the previous commit
     arrivals = [(5.0 * i, 0.0, TARGET_KEY, 5.0 * i - 0.1) for i in range(1, 9)]
-    result = run_once(cfg, 1, arrivals=arrivals)
+    result = _inject(cfg, arrivals)
     assert all(tx.validity == VALID for tx in result.transactions)
     assert result.ledgers[0].read_version(TARGET_KEY) == 8
 
 
 def test_vscc_failure_blocks_ledger_update():
     cfg = _cfg(block_size=1, timeout=5.0, vscc_fail_prob=1.0)
-    result = run_once(cfg, 1, arrivals=[(1.0, 0.0, TARGET_KEY, 0.9)])
+    result = _inject(cfg, [(1.0, 0.0, TARGET_KEY, 0.9)])
     assert result.transactions[0].validity == VSCC_INVALID
     assert result.ledgers[0].read_version(TARGET_KEY) == 0
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import re
 
@@ -8,7 +9,8 @@ from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
 from bcesim.experiments import summarize
-from bcesim.frontback import run_back, run_front
+from bcesim.frontback import arrivals_front, run_back, run_front
+from bcesim.metrics import AoISamplePath, average_aoi
 from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
@@ -23,29 +25,38 @@ def _trace(result):
     ]
 
 
-def _everything(engine, cfg, seed, arrivals):
-    """Every observable of a run, or the error it stopped with, for exact comparison."""
-    try:
-        result = engine(cfg, seed, arrivals)
-    except SimulationError as exc:  # e.g. a commit at its own generation instant
-        return str(exc)
+def _record(result):
+    """Every field of a run's record, each Transaction and ledger as its
+    fields, for exact comparison."""
     return (
-        [
+        None if result.transactions is None else [
             (tx.id, tx.key, tx.channel, tx.gen_time, tx.arrive_time, tx.endorse_done,
              tx.captured_version, tx.order_done, tx.commit_time, tx.validity)
             for tx in result.transactions
         ],
         result.lost,
         (result.path.start, result.path.end, result.path.resets),
-        result.full_path.resets,
-        result.breakdown,
-        result.n_generated,
-        result.n_delivered,
-        result.blocks_committed,
-        result.blocks_in_window,
         result.block_times,
-        [ledger.entries() for ledger in result.ledgers],
+        result.blocks_committed,
+        result.breakdown,
+        None if result.ledgers is None else [ledger.entries() for ledger in result.ledgers],
     )
+
+
+def _everything(engine, cfg, seed, arrivals):
+    """Every observable of a run, or the error it stopped with, for exact comparison."""
+    try:
+        result = engine(cfg, seed, arrivals)
+    except SimulationError as exc:  # e.g. a commit at its own generation instant
+        return str(exc)
+    return _record(result)
+
+
+def _run(cfg, seed, arrivals):
+    """A full-record run; with `arrivals`, a back over those injected endorsements."""
+    if arrivals is None:
+        return run_once(cfg, seed)
+    return run_back(cfg, seed, arrivals_front(arrivals), record=True)
 
 
 # Multiples of 1/8 add up exactly in binary floating point, so with periodic
@@ -113,7 +124,7 @@ def _models(draw):
 @given(_models(), st.integers(0, 1000))
 def test_run_matches_event_heap_oracle(model, seed):
     cfg, arrivals = model
-    assert _everything(run_once, cfg, seed, arrivals) == _everything(
+    assert _everything(_run, cfg, seed, arrivals) == _everything(
         run_oracle, cfg, seed, arrivals
     )
 
@@ -139,7 +150,7 @@ def test_transmitter_bound_runs_match_the_oracle(discipline, transmit_time):
         block_size=1,
     )
     for seed in (3, 4):
-        assert _everything(run_once, cfg, seed, None) == _everything(run_oracle, cfg, seed, None)
+        assert _everything(_run, cfg, seed, None) == _everything(run_oracle, cfg, seed, None)
         _assert_lean_summary_exact(cfg, seed, cfg)
 
 
@@ -179,7 +190,7 @@ def test_event_due_with_a_pending_one_waits_its_turn():
     )
     for name, model in _TIE_MODELS.items():
         cfg = base.replace(**model)
-        assert _everything(run_once, cfg, 1, None) == _everything(run_oracle, cfg, 1, None), name
+        assert _everything(_run, cfg, 1, None) == _everything(run_oracle, cfg, 1, None), name
 
 
 def _assert_lean_summary_exact(cfg, seed, measure):
@@ -193,9 +204,9 @@ def _assert_lean_summary_exact(cfg, seed, measure):
         return
     lean = run_once(cfg, seed, record=False)
     assert (lean.transactions, lean.lost, lean.ledgers) == (None, None, None)
-    full.breakdown = latency_breakdown(full.transactions, len(full.lost), full.n_generated,
-                                       TARGET_KEY)
-    full.n_delivered = len(full.transactions)
+    full.breakdown = latency_breakdown(full.transactions, len(full.lost),
+                                       full.breakdown.n_generated, TARGET_KEY)
+    assert full.breakdown.n_generated - full.breakdown.n_lost == len(full.transactions)
     assert summarize(measure, lean) == summarize(measure, full)
 
 
@@ -207,7 +218,7 @@ def _assert_lean_summary_exact(cfg, seed, measure):
     st.sampled_from([None, 0.0, 0.5, 2.0]),
 )
 def test_lean_run_summarizes_like_the_full_record(model, seed, warmup, target_aoi):
-    cfg, _ = model  # injected arrivals always give the full record
+    cfg, _ = model  # injected arrivals have no lean run
     _assert_lean_summary_exact(cfg, seed, cfg.replace(warmup=warmup, target_aoi=target_aoi))
 
 
@@ -219,7 +230,7 @@ def _front_and_back(cfg, seed, arrivals, record=True):
 @given(_models(), st.integers(0, 1000))
 def test_front_and_back_match_the_one_loop(model, seed):
     cfg, _ = model  # injected arrivals are covered by the oracle test
-    assert _everything(_front_and_back, cfg, seed, None) == _everything(run_once, cfg, seed, None)
+    assert _everything(_front_and_back, cfg, seed, None) == _everything(_run, cfg, seed, None)
     try:
         lean = run_once(cfg, seed, record=False)
     except SimulationError as exc:
@@ -287,20 +298,33 @@ def test_lean_latency_means_are_summed_in_delivery_order(seed):
     _assert_lean_summary_exact(cfg, seed, cfg)
 
 
-def test_injected_arrivals_always_keep_the_full_record(quick_cfg):
-    arrivals = [(1.0, 0.0, TARGET_KEY, 0.9), (1.5, 0.0, 1, 1.4), (1.6, 0.0, 1, 1.5)]
-    cfg = quick_cfg.replace(warmup=0.0)
-    lean = run_once(cfg, 1, arrivals=arrivals, record=False)
-    assert [tx.key for tx in lean.transactions] == [TARGET_KEY, 1, 1]
-    assert lean.ledgers[0].entries() == {TARGET_KEY: (1, 0.9), 1: (1, 1.4)}
-    assert _everything(lambda *_: lean, cfg, 1, arrivals) == _everything(
-        run_once, cfg, 1, arrivals
-    )
+# Three ways to run: the one loop, full and lean, and a lean front and back.
+_RUNS = {
+    "one loop": run_once,
+    "lean one loop": lambda cfg, seed: run_once(cfg, seed, record=False),
+    "lean front and back": lambda cfg, seed: run_back(cfg, seed, run_front(cfg, seed)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_a_run_reads_no_measurement_field(quick_cfg, run):
+    # warmup and target_aoi are applied by `summarize` only: the record of a
+    # run is the same, field for field, whatever their values.
+    cfg = quick_cfg.replace(horizon=60.0, warmup=0.0, stp=0.8, transmit_time=0.02,
+                            n_channels=2, block_size=3, vscc_fail_prob=0.1)
+    result = _RUNS[run](cfg, 7)
+    # resets and blocks before the first nonzero warmup, so a record cut to it would show
+    assert result.path.resets[0][0] < 17.25 and result.block_times[0] < 17.25
+    record = _record(result)
+    for warmup in (0.0, 17.25, 59.5):
+        for target_aoi in (None, 2.0):
+            measure = cfg.replace(warmup=warmup, target_aoi=target_aoi)
+            assert _record(_RUNS[run](measure, 7)) == record, (warmup, target_aoi)
 
 
 def test_injected_arrival_behind_the_clock_raises(quick_cfg):
     with pytest.raises(SimulationError, match="behind"):
-        run_once(quick_cfg, 1, arrivals=[(-1.0, 0.5, TARGET_KEY, -2.0)])
+        run_back(quick_cfg, 1, arrivals_front([(-1.0, 0.5, TARGET_KEY, -2.0)]), record=True)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -310,8 +334,9 @@ def test_run_restores_gc_state(quick_cfg, enabled):
         gc.enable() if enabled else gc.disable()
         run_once(quick_cfg, 1)
         assert gc.isenabled() == enabled
-        with pytest.raises(SimulationError, match="behind"):
-            run_once(quick_cfg, 1, arrivals=[(-1.0, 0.5, TARGET_KEY, -2.0)])
+        # dataclasses.replace skips validation, so the run's own check raises
+        with pytest.raises(ConfigError, match="horizon"):
+            run_once(dataclasses.replace(quick_cfg, horizon=-1.0), 1)
         assert gc.isenabled() == enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -351,8 +376,8 @@ def test_outcome_counts_partition_generated(quick_cfg):
     result = run_once(cfg, 17)
     bd = result.breakdown
     assert bd.n_valid + bd.n_mvcc_invalid + bd.n_vscc_invalid + bd.n_lost == (
-        result.n_generated
-    )
+        bd.n_generated
+    ) == len(result.transactions) + len(result.lost)
     assert all(tx.validity != "pending" for tx in result.transactions)
 
 
@@ -381,19 +406,22 @@ def test_ledger_replay_matches_final_state(quick_cfg):
 def test_warmup_only_affects_the_measured_window():
     cfg = paper_default().replace(horizon=300.0, warmup=0.0)
     full = run_once(cfg, 31)
-    warmed = run_once(cfg.replace(warmup=50.0), 31)
-    assert warmed.path.resets == [r for r in full.path.resets if r[0] >= 50.0]
+    warmed_cfg = cfg.replace(warmup=50.0)
+    warmed = run_once(warmed_cfg, 31)
+    assert warmed.path.resets == full.path.resets
+    window = AoISamplePath(50.0, 300.0)
+    window.resets = [r for r in full.path.resets if r[0] >= 50.0]
+    summary = summarize(warmed_cfg, warmed)
+    assert summary.avg_aoi == average_aoi(window)
+    assert summary.block_rate == sum(t >= 50.0 for t in full.block_times) / 250.0
 
 
 def test_result_rewindows_like_a_run_with_that_warmup():
     cfg = paper_default().replace(horizon=300.0, warmup=0.0, block_size=3)
     base = run_once(cfg, 31)
     for warmup in (0.0, 0.05, 50.0, 299.5):
-        run = run_once(cfg.replace(warmup=warmup), 31)
-        path, blocks = base.window(warmup)
-        assert (path.start, path.end, path.resets) == (run.path.start, run.path.end, run.path.resets)
-        assert blocks == run.blocks_in_window
-        assert run.window(warmup) == (run.path, run.blocks_in_window)
+        measure = cfg.replace(warmup=warmup)
+        assert summarize(measure, base) == summarize(measure, run_once(measure, 31))
 
 
 def test_multi_channel_trace_equals_single_channel_sub_workload():
@@ -413,7 +441,7 @@ def test_multi_channel_trace_equals_single_channel_sub_workload():
             for tx in txs
         ]
         sub_cfg = cfg.replace(n_channels=1)
-        sub = run_once(sub_cfg, 41, arrivals=arrivals)
+        sub = run_back(sub_cfg, 41, arrivals_front(arrivals), record=True)
         assert [
             (tx.key, tx.endorse_done, tx.captured_version, tx.order_done,
              tx.commit_time, tx.validity)

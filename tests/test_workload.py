@@ -17,7 +17,7 @@ def _proposals(n, seed, **overrides):
     cfg = paper_default().replace(warmup=0.0, stp=0.0, **overrides)
     cfg = cfg.replace(horizon=n / cfg.total_rate)
     result = run_once(cfg, seed)
-    assert len(result.lost) == result.n_generated > 0
+    assert len(result.lost) == result.breakdown.n_generated > 0
     return result.lost
 
 
@@ -75,8 +75,8 @@ def test_deterministic_delivery_arithmetic():
 def test_zero_stp_loses_everything():
     cfg = paper_default().replace(stp=0.0, horizon=50.0, warmup=0.0)
     result = run_once(cfg, 5)
-    assert result.n_delivered == 0
-    assert len(result.lost) == result.n_generated > 0
+    assert result.breakdown.n_generated - result.breakdown.n_lost == 0
+    assert len(result.lost) == result.breakdown.n_generated > 0
     assert result.transactions == []
 
 
