@@ -29,14 +29,44 @@ to the one loop's (time, seq) order:
   endorsements keep their own (time, seq) order among themselves, and back
   events theirs.
 
-Neither half chains events as `_simulate` does.  A replication with one back
-config runs the one loop of `run_once`: front plus back took 1.2-1.3x its
-time at paper defaults (block sizes 10 and 1) and 1.4-1.55x on the M/D/1
-configs of the benchmark's md1_channel workload (lean runs, medians of 6
-seeds, Python 3.11, 2 cores), because the endorsement stream is built and
-then read back.  A sweep over back fields pays that once per replication and
-saves the front, about two thirds of a paper-default run, on every further
-value.
+Each half does only the dispatches that can change the run.  Three rules
+leave out the others and keep the (time, seq) order:
+
+- The front chains endorse-done as `_simulate` does.  An endorsement that
+  slot dispatch r makes due strictly before the pending generation, the
+  pending transmit-complete and the heap's head would be the next dispatch,
+  so it goes onto the stream at once, with `slot` r and `n_before` r + 1.
+  A tie goes through the heap, where the earlier-scheduled event goes first.
+- A channel keeps at most one timeout on the heap.  A batch still takes its
+  timeout's key (time, seq, N) when it starts, but the key is pushed only if
+  the channel has no timeout on the heap.  When a stale timeout pops and the
+  channel's batch is non-empty, that batch's stored key is pushed.  That key
+  is no smaller than the popped one, so no event ordered after it has been
+  dispatched yet, and it keeps its seq and N: every later comparison with it
+  comes out as if it had been on the heap since it was taken.
+- A block joins a busy validator at its cut.  The back keeps when the last
+  block queued at each channel's validator completes, summed as the
+  validation-complete dispatches sum it.  If that queue is non-empty, no
+  block-ready of the channel is pending and the block is ready strictly
+  before that completion, its block-ready would find the validator still
+  busy and only append it.  So it is appended at the cut and nothing is
+  pushed: until it is ready, a validation-complete starts a block ahead of
+  it.  A pending block-ready must append its block first, and at a tie the
+  validation-complete goes first and may leave the validator idle.
+
+The back does not chain its block-ready and validation-complete events; a
+prototype of that gained nothing on a back-only sweep.  At paper defaults
+(seed 12345) the rules cut one replication of fig2's block-size sweep
+(B = 1, 2, 5, 10, 20) from 111,003 heap pushes to 48,210.
+
+A replication with one back config runs the one loop of `run_once`: front
+plus back took 1.05-1.2x its time at paper defaults (block sizes 1 and 10)
+and 1.3-1.5x on the M/D/1 configs of the benchmark's md1_channel workload
+(lean runs; per config the median over 6 seeds of the fastest of 7
+interleaved runs; Python 3.11, 2 cores), because the endorsement stream is
+built and then read back.  A sweep over back fields pays that once per
+replication and saves the front, about 70% of a paper-default run, on every
+further value.
 
 `arrivals_front` builds a front from a list of injected endorsements, so
 tests can drive the back with a known sub-workload.  Only a sweep over back
@@ -85,6 +115,11 @@ class Front:
     lost: list | None
     n_generated: int
     n_lost: int
+
+    @property
+    def record(self):
+        """Whether the front holds the full record, as `run_front(record=True)`'s does."""
+        return self.lost is not None
 
 
 def run_front(cfg, seed, record=False):
@@ -169,6 +204,7 @@ def run_front(cfg, seed, record=False):
         else:
             pid, key, c, gen_time = x.id, x.key, x.channel, x.gen_time
             transmitted = True
+        tx = None  # the delivered endorsement, if any
         if transmitted:
             if stp >= 1.0 or rng_loss.random() < stp:
                 arrive = t
@@ -181,7 +217,7 @@ def run_front(cfg, seed, record=False):
                     transactions.append(tx)
                 else:
                     tx = -1 - c
-                heappush(heap, (endorsed, next_seq(), r, tx))
+                seq = next_seq()  # before the next generation's or transmission's
             else:
                 n_lost += 1
                 if record:
@@ -194,6 +230,17 @@ def run_front(cfg, seed, record=False):
         else:
             tc = _IDLE
         r += 1
+        if tx is None:
+            continue
+        # due at or after a pending event: it waits its turn on the heap
+        if endorsed >= gen[0] or endorsed >= tc[0] or heap and heap[0][0] <= endorsed:
+            heappush(heap, (endorsed, seq, r - 1, tx))
+            continue
+        # otherwise its endorse-done is the next dispatch, right after slot dispatch r - 1
+        done.append(endorsed)
+        slot.append(r - 1)
+        n_before.append(r)
+        stream.append(tx)
 
     return Front(stream, done, slot, n_before, slot_time, slot_sched, transactions,
                  lost if record else None, n_generated, n_lost)
@@ -220,12 +267,15 @@ def run_back(cfg, seed, front, record=False):
     of a config that differs from `cfg` in back fields only.
 
     The result equals `run_once(cfg, seed, record=record)`.  A full-record
-    back needs a full-record front and stamps that front's Transactions, so
-    such a front serves one back.  A lean front serves any number of lean
-    backs: each back rewrites `captured_version`, `order_done`, `commit_time`
-    and `validity` of every kept Transaction, since every endorsement is
-    committed in the drained run, and a lean RunResult holds none of them.
+    back needs a full-record front (over a lean one it raises ValueError) and
+    stamps that front's Transactions, so such a front serves one back.  A
+    lean front serves any number of lean backs: each back rewrites
+    `captured_version`, `order_done`, `commit_time` and `validity` of every
+    kept Transaction, since every endorsement is committed in the drained
+    run, and a lean RunResult holds none of them.
     """
+    if record and not front.record:
+        raise ValueError("a full-record back needs a full-record front (run_front(record=True))")
     cfg.validate()
     horizon = cfg.horizon
     rng_vscc = make_stream(seed, "vscc")
@@ -255,6 +305,13 @@ def run_back(cfg, seed, front, record=False):
 
     heap = []  # (time, seq, kind, payload, N) of timeout, block-ready and validation events
     next_seq = itertools.count().__next__
+    # Per channel: the timeout key its current batch took, whether a timeout
+    # of it is on the heap, its blocks in ordering (block-readys on the heap)
+    # and when the last block queued at its validator completes.
+    armed = [None] * n_channels
+    timing = [False] * n_channels
+    ordering = [0] * n_channels
+    last_done = [0.0] * n_channels
 
     now = 0.0
     blocks_committed = n_valid = n_mvcc_invalid = 0
@@ -265,14 +322,6 @@ def run_back(cfg, seed, front, record=False):
             if t < now:
                 raise SimulationError(f"event at t={t} behind clock t={now}")
             now = t
-            # N of the events this dispatch schedules.  It lies between the
-            # n_before of the last endorsement taken and of the next one.
-            lo = n_before[i - 1] if i else 0
-            hi = n_before[i] if i < n_endorsed else n_slots
-            m = bisect_left(slot_time, t, lo, hi)
-            if m < hi and slot_time[m] == t:
-                m = bisect_left(slot_sched, n, m, bisect_right(slot_time, t, m, hi))
-
             if kind == _VALIDATION_COMPLETE:
                 c = x.channel
                 committed, conflicts = commit_block(
@@ -288,23 +337,41 @@ def run_back(cfg, seed, front, record=False):
                 blocks_committed += 1
                 queue = validating[c]
                 queue.popleft()
-                if queue:
-                    block = queue[0]
-                    end = t + validation_duration(cfg, len(block.txs))
-                    heappush(heap, (end, next_seq(), _VALIDATION_COMPLETE, block, m))
-                continue
-            if kind == _BLOCK_READY:
-                queue = validating[x.channel]
+                if not queue:
+                    continue
+                x = queue[0]  # the next block starts validation
+            elif kind == _BLOCK_READY:
+                c = x.channel
+                ordering[c] -= 1
+                queue = validating[c]
                 queue.append(x)
-                if len(queue) == 1:  # the validator was idle
-                    end = t + validation_duration(cfg, len(x.txs))
-                    heappush(heap, (end, next_seq(), _VALIDATION_COMPLETE, x, m))
+                if len(queue) > 1:  # the validator is busy
+                    last_done[c] += validation_duration(cfg, len(x.txs))
+                    continue
+            else:  # _TIMEOUT_FIRE: x is the batch that armed it
+                batch = x
+                c = batch[0].channel
+                timing[c] = False
+                if batch is not batches[c]:
+                    # stale: that batch was already cut by size; the
+                    # channel's current batch, if any, puts its timeout on
+                    if batches[c]:
+                        timing[c] = True
+                        heappush(heap, armed[c])
+                    continue
+            # N of the events this dispatch schedules.  It lies between the
+            # n_before of the last endorsement taken and of the next one.
+            lo = n_before[i - 1] if i else 0
+            hi = n_before[i] if i < n_endorsed else n_slots
+            m = bisect_left(slot_time, t, lo, hi)
+            if m < hi and slot_time[m] == t:
+                m = bisect_left(slot_sched, n, m, bisect_right(slot_time, t, m, hi))
+            if kind != _TIMEOUT_FIRE:  # block x starts validation
+                end = t + validation_duration(cfg, len(x.txs))
+                if kind == _BLOCK_READY:
+                    last_done[c] = end
+                heappush(heap, (end, next_seq(), _VALIDATION_COMPLETE, x, m))
                 continue
-            # _TIMEOUT_FIRE: x is the batch that armed it
-            batch = x
-            c = batch[0].channel
-            if batch is not batches[c]:
-                continue  # stale: that batch was already cut by size
         elif i < n_endorsed:
             t = next_done
             if t < now:
@@ -323,7 +390,10 @@ def run_back(cfg, seed, front, record=False):
             batch.append(x)
             if len(batch) < block_size:
                 if len(batch) == 1:
-                    heappush(heap, (t + timeout, next_seq(), _TIMEOUT_FIRE, batch, m))
+                    key = armed[c] = (t + timeout, next_seq(), _TIMEOUT_FIRE, batch, m)
+                    if not timing[c]:
+                        timing[c] = True
+                        heappush(heap, key)
                 continue
         else:
             break
@@ -332,7 +402,15 @@ def run_back(cfg, seed, front, record=False):
         ready = t + order_time
         for tx in batch:
             tx.order_done = ready
-        heappush(heap, (ready, next_seq(), _BLOCK_READY, Block(batch, t, c), m))
+        block = Block(batch, t, c)
+        queue = validating[c]
+        if queue and not ordering[c] and ready < last_done[c]:
+            # its block-ready would find the validator busy and only queue it
+            queue.append(block)
+            last_done[c] += validation_duration(cfg, len(batch))
+        else:
+            ordering[c] += 1
+            heappush(heap, (ready, next_seq(), _BLOCK_READY, block, m))
 
     return _result(path, block_times, front.transactions, front.lost, ledgers, record,
                    front.n_generated, front.n_lost, n_valid, n_mvcc_invalid, blocks_committed)

@@ -1,10 +1,13 @@
 import dataclasses
 import gc
+import heapq
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import bcesim.frontback
 from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
@@ -12,7 +15,7 @@ from bcesim.experiments import summarize
 from bcesim.frontback import arrivals_front, run_back, run_front
 from bcesim.metrics import AoISamplePath, average_aoi
 from bcesim.pipeline import VALID
-from bcesim.simulation import run_once
+from bcesim.simulation import _BLOCK_READY, _TIMEOUT_FIRE, run_once
 from bcesim.workload import TARGET_KEY
 from des_oracle import latency_breakdown, run_oracle
 
@@ -178,19 +181,36 @@ _TIE_MODELS = {
         validate_block_overhead=0.25, validate_per_tx=0.0, block_size=2, n_channels=2,
         target_ratio=0.5, vscc_fail_prob=0.5,
     ),
+    # Size-2 blocks cut faster than the timeout: a channel's stale timeout
+    # pops while its next batch waits and re-arms that batch's timeout, which
+    # then falls due with a block-ready or validation-complete of the other
+    # channel scheduled after the batch began.  The re-armed timeout keeps
+    # the seq its batch took, so it goes first; the shared VSCC stream shows
+    # the order later on.
+    "a timeout re-armed after a size cut": dict(
+        total_rate=8.0, transmit_time=0.0, endorse_time=Delay("fixed", 0.0), ordering_base=0.75,
+        validate_block_overhead=0.75, validate_per_tx=0.0, block_size=2, n_channels=2,
+        target_ratio=0.5, vscc_fail_prob=0.5,
+    ),
 }
 
 
 def test_event_due_with_a_pending_one_waits_its_turn():
     # An event due at the instant of a pending one was scheduled after it, so
-    # it must go through the heap instead of being handled at once.
+    # it must go through the heap instead of being handled at once: in the one
+    # loop, and in the front and the back of a split run, full and lean.
     base = paper_default().replace(
         horizon=20.0, warmup=0.0, generation_mode="periodic", target_ratio=1.0,
         comm_latency=Delay("fixed", 0.0), ordering_per_kafka=0.0, timeout=1.0,
     )
     for name, model in _TIE_MODELS.items():
         cfg = base.replace(**model)
-        assert _everything(_run, cfg, 1, None) == _everything(run_oracle, cfg, 1, None), name
+        expected = _everything(run_oracle, cfg, 1, None)
+        assert _everything(_run, cfg, 1, None) == expected, name
+        assert _everything(_front_and_back, cfg, 1, None) == expected, name
+        assert _record(_front_and_back(cfg, 1, None, record=False)) == (
+            _record(run_once(cfg, 1, record=False))
+        ), name
 
 
 def _assert_lean_summary_exact(cfg, seed, measure):
@@ -238,6 +258,55 @@ def test_front_and_back_match_the_one_loop(model, seed):
             _front_and_back(cfg, seed, None, record=False)
         return
     assert summarize(cfg, _front_and_back(cfg, seed, None, record=False)) == summarize(cfg, lean)
+
+
+@pytest.mark.parametrize("block_size", [1, 2, 20])
+def test_front_and_back_match_the_one_loop_over_a_long_run(block_size):
+    # Paper defaults over 300 s.  At B = 1 the validator's load is 1.65, so its
+    # queue grows all run and a cut block almost always joins it; at B = 2 the
+    # load is 1.025; at B = 20 blocks are cut by timeout.  The strategy above
+    # runs 60 s with B <= 4 and never builds such a queue.
+    cfg = paper_default().replace(horizon=300.0, block_size=block_size)
+    full = run_once(cfg, 3)
+    backlog = full.blocks_committed - len(full.block_times)  # blocks left at the horizon
+    assert backlog > {1: 1000, 2: 30, 20: 0}[block_size]
+    assert _record(_front_and_back(cfg, 3, None)) == _record(full)
+    assert _record(_front_and_back(cfg, 3, None, record=False)) == (
+        _record(run_once(cfg, 3, record=False))
+    )
+
+
+def test_split_run_pushes_only_events_that_can_change_it(monkeypatch):
+    # Paper defaults over 300 s: the front hands nearly every endorse-done
+    # straight to the stream; at B = 1 a cut block joins its busy validator
+    # instead of pushing a block-ready; at B = 2 a channel keeps one timeout
+    # on the heap instead of one per batch.  Each count is 1.0 per endorsement
+    # or per block without its rule.
+    cfg = paper_default().replace(horizon=300.0)
+    pushed = Counter()
+
+    def counting(heap, item):
+        pushed[item[2]] += 1  # by a back event's kind
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(bcesim.frontback, "heappush", counting)
+    front = run_front(cfg, 3)
+    assert sum(pushed.values()) < len(front.stream) / 100
+    for block_size, kind, share in [(1, _BLOCK_READY, 1 / 100), (2, _TIMEOUT_FIRE, 1 / 5)]:
+        pushed.clear()
+        blocks = run_back(cfg.replace(block_size=block_size), 3, front).blocks_committed
+        assert pushed[kind] < blocks * share, block_size
+
+
+def test_a_full_record_back_over_a_lean_front_is_rejected():
+    # A lean front keeps only the target-key transactions and stands each
+    # background one in by its channel's marker, which a full-record back
+    # would version in the ledger as if it were a real key.
+    cfg = paper_default().replace(horizon=60.0, warmup=0.0)
+    lean = run_front(cfg, 1)
+    assert not lean.record and run_front(cfg, 1, record=True).record
+    with pytest.raises(ValueError, match="full-record front"):
+        run_back(cfg, 1, lean, record=True)
 
 
 def _front_fields(front):
