@@ -8,6 +8,7 @@ Exit code 0 on success; 2 with a diagnostic on configuration errors.
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 from .core import ConfigError
 from .config import SWEEPABLE, parse_config, paper_default
@@ -21,7 +22,8 @@ from .experiments import (
 )
 
 
-def _parse_sweep(spec):
+def _parse_sweep(spec, cfg):
+    """(key, values) of a --sweep spec, each value checked against cfg."""
     key, sep, raw_values = spec.partition("=")
     key = key.strip()
     if not sep or not raw_values:
@@ -29,6 +31,8 @@ def _parse_sweep(spec):
     if key not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter '{key}'")
     values = [SWEEPABLE[key](v.strip()) for v in raw_values.split(",")]
+    for value in values:
+        cfg.replace(**{key: value})
     return key, values
 
 
@@ -49,45 +53,44 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        if args.config is not None:
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        else:
-            cfg = paper_default()
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.reps is not None:
-            overrides["replications"] = args.reps
-        if overrides:
-            cfg = cfg.replace(**overrides)
+    with ExitStack() as files:
+        try:
+            if args.config is not None:
+                with open(args.config) as fh:
+                    cfg = parse_config(fh.read())
+            else:
+                cfg = paper_default()
+            overrides = {}
+            if args.seed is not None:
+                overrides["master_seed"] = args.seed
+            if args.reps is not None:
+                overrides["replications"] = args.reps
+            if overrides:
+                cfg = cfg.replace(**overrides)
 
-        if args.scenario and args.sweep:
-            raise ConfigError("--scenario and --sweep are mutually exclusive")
-        if args.trace is not None and (args.scenario or args.sweep):
-            raise ConfigError("--trace applies to plain runs only")
-        if args.scenario:
-            csv_text = run_scenario(args.scenario, base=cfg)
-        elif args.sweep:
-            key, values = _parse_sweep(args.sweep)
-            rows, _ = run_sweep(cfg, key, values)
-            csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
-        elif args.trace is not None:
-            csv_text, trace_text = run_plain_traced(cfg)
-            with open(args.trace, "w") as fh:
-                fh.write(trace_text)
-        else:
-            csv_text = run_plain(cfg)
-    except (ConfigError, OSError) as exc:
-        print(f"simulate: error: {exc}", file=sys.stderr)
-        return 2
+            if args.scenario and args.sweep:
+                raise ConfigError("--scenario and --sweep are mutually exclusive")
+            if args.trace is not None and (args.scenario or args.sweep):
+                raise ConfigError("--trace applies to plain runs only")
+            sweep = _parse_sweep(args.sweep, cfg) if args.sweep else None
+            # open the output files before any run, so a bad path costs no simulation
+            out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
+            trace = files.enter_context(open(args.trace, "w")) if args.trace is not None else None
 
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+            if args.scenario:
+                csv_text = run_scenario(args.scenario, base=cfg)
+            elif sweep:
+                rows, _ = run_sweep(cfg, *sweep)
+                csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+            elif trace is not None:
+                csv_text, trace_text = run_plain_traced(cfg)
+                trace.write(trace_text)
+            else:
+                csv_text = run_plain(cfg)
+        except (ConfigError, OSError) as exc:
+            print(f"simulate: error: {exc}", file=sys.stderr)
+            return 2
+        out.write(csv_text)
     return 0
 
 

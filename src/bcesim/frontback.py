@@ -7,10 +7,34 @@ validation or VSCC (the back): the back only consumes endorse-done events
 and reads the ledger as it does.  So runs that differ only in back fields
 (`config.BACK_FIELDS`) can share one front: `run_front` dispatches the
 generation and transmit-complete slots of `simulation._simulate` alone and
-returns the endorsements in endorse-done dispatch order, and `run_back`
-merges that stream with its own heap of timeout, block-ready and
-validation-complete events.  The tie rule that keeps the merged order equal
-to the one loop's (time, seq) order:
+returns the endorsements in endorse-done dispatch order, and `run_back` runs
+the rest of the pipeline over that stream.
+
+The front chains endorse-done as `_simulate` does: an endorsement that slot
+dispatch r makes due strictly before the pending generation, the pending
+transmit-complete and the heap's head would be the next dispatch, so it goes
+onto the stream at once.  A tie goes through the heap, where the
+earlier-scheduled event goes first.
+
+The back is one pass over the stream, with no event heap.  Per channel:
+
+- A batch is cut when it reaches `block_size`, or at its deadline
+  t0 + timeout (t0 its first endorsement) if that passes before the
+  channel's next endorsement.
+- A block is ready at cut + ordering delay.  The channel's validator is a
+  FIFO single server with deterministic service, so block k completes at
+  done_k = max(ready_k, done_{k-1}) + validation time (Lindley's recursion,
+  with the float operations of the one loop's dispatches).
+- Blocks commit in completion order, across channels, since the channels
+  share one VSCC stream: the blocks that complete before an endorsement that
+  reads the ledger (a target-key one in a lean back, every one in a full
+  back) commit just before it reads, and the rest at the end.  In a lean back
+  without VSCC a block of background endorsements only is never queued for
+  commit: each of them is valid whenever it commits.
+
+The one loop orders same-instant events by (time, seq), with seq taken when
+an event is scheduled; the pass resolves that order only where two times are
+exactly equal (`_Dispatches`):
 
 - Slot dispatches are numbered 0, 1, ... in dispatch order.  The front
   records each one's time and the number of the slot dispatch that
@@ -22,51 +46,24 @@ to the one loop's (time, seq) order:
   dispatch that scheduled it: the `n_before` of an endorse-done dispatch,
   or, for a back dispatch at t whose own event carries n, the slot
   dispatches at times < t plus those at t scheduled by a slot dispatch
-  numbered < n.
-- A seq is taken when an event is scheduled, so slot dispatch r (and every
-  event it scheduled) precedes back event z iff r < N(z).  At a tie the
-  next endorsement goes first iff its `slot` < N of the heap head;
-  endorsements keep their own (time, seq) order among themselves, and back
-  events theirs.
+  numbered < n.  At a tie the endorsement goes first iff its `slot` < N.
+- Endorsements keep their stream order.  Each dispatch schedules at most one
+  back event: an endorse-done a timeout or a block-ready, a timeout a
+  block-ready, and a block-ready or a validation-complete the next
+  validation-complete.  So two back events due at one instant go in the
+  order of the dispatches that scheduled them, compared the same way.  The
+  dispatch that starts a block's validation is the later of its block-ready
+  and the previous block's validation-complete.
 
-Each half does only the dispatches that can change the run.  Three rules
-leave out the others and keep the (time, seq) order:
-
-- The front chains endorse-done as `_simulate` does.  An endorsement that
-  slot dispatch r makes due strictly before the pending generation, the
-  pending transmit-complete and the heap's head would be the next dispatch,
-  so it goes onto the stream at once, with `slot` r and `n_before` r + 1.
-  A tie goes through the heap, where the earlier-scheduled event goes first.
-- A channel keeps at most one timeout on the heap.  A batch still takes its
-  timeout's key (time, seq, N) when it starts, but the key is pushed only if
-  the channel has no timeout on the heap.  When a stale timeout pops and the
-  channel's batch is non-empty, that batch's stored key is pushed.  That key
-  is no smaller than the popped one, so no event ordered after it has been
-  dispatched yet, and it keeps its seq and N: every later comparison with it
-  comes out as if it had been on the heap since it was taken.
-- A block joins a busy validator at its cut.  The back keeps when the last
-  block queued at each channel's validator completes, summed as the
-  validation-complete dispatches sum it.  If that queue is non-empty, no
-  block-ready of the channel is pending and the block is ready strictly
-  before that completion, its block-ready would find the validator still
-  busy and only append it.  So it is appended at the cut and nothing is
-  pushed: until it is ready, a validation-complete starts a block ahead of
-  it.  A pending block-ready must append its block first, and at a tie the
-  validation-complete goes first and may leave the validator idle.
-
-The back does not chain its block-ready and validation-complete events; a
-prototype of that gained nothing on a back-only sweep.  At paper defaults
-(seed 12345) the rules cut one replication of fig2's block-size sweep
-(B = 1, 2, 5, 10, 20) from 111,003 heap pushes to 48,210.
-
-A replication with one back config runs the one loop of `run_once`: front
-plus back took 1.05-1.2x its time at paper defaults (block sizes 1 and 10)
-and 1.3-1.5x on the M/D/1 configs of the benchmark's md1_channel workload
-(lean runs; per config the median over 6 seeds of the fastest of 7
-interleaved runs; Python 3.11, 2 cores), because the endorsement stream is
-built and then read back.  A sweep over back fields pays that once per
-replication and saves the front, about 70% of a paper-default run, on every
-further value.
+A sweep over back fields pays the front once per replication and saves it
+on every further value; at paper defaults with block size 10 the front is
+about 70% of a lean front plus back.  A replication with one back config
+runs the one loop of `run_once`.  Front plus back took 0.99-1.04x its time at
+paper defaults with block size 10, 0.67-0.76x with block size 1, and
+1.02-1.24x on the four M/D/1 configs of the benchmark's md1_channel workload,
+where every endorsement reads the ledger and is a block of its own (lean
+runs; per config the median over 6 seeds of the fastest of 7 interleaved
+runs, in three measurements; Python 3.11, 2 cores).
 
 `arrivals_front` builds a front from a list of injected endorsements, so
 tests can drive the back with a known sub-workload.  Only a sweep over back
@@ -85,8 +82,8 @@ from heapq import heappop, heappush
 from .core import SimulationError, make_stream
 from .ledger import LedgerState
 from .metrics import AoISamplePath
-from .pipeline import Block, Transaction, commit_block, ordering_delay, validation_duration
-from .simulation import _BLOCK_READY, _IDLE, _TIMEOUT_FIRE, _VALIDATION_COMPLETE, _result
+from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
+from .simulation import _IDLE, _result
 from .workload import TARGET_KEY, Proposal, TransmitterQueue
 
 
@@ -282,135 +279,222 @@ def run_back(cfg, seed, front, record=False):
 
     n_channels = cfg.n_channels
     ledgers = [LedgerState(c) for c in range(n_channels)]
-    batches = [[] for _ in range(n_channels)]
-    validating = [deque() for _ in range(n_channels)]
-    versioned = None if record else TARGET_KEY
-    block_times = []
     path = AoISamplePath(0.0, horizon)
-    # A lean front's background endorsement on channel c is the marker
-    # -1 - c; it is batched and committed as that channel's placeholder.
-    background = [Transaction(None, None, c, None, None) for c in reversed(range(n_channels))]
 
     block_size = cfg.block_size
     timeout = cfg.timeout
     order_time = ordering_delay(cfg)
+    overhead, per_tx = cfg.validate_block_overhead, cfg.validate_per_tx
     vscc_fail_prob = cfg.vscc_fail_prob
 
-    stream, done, slot, n_before = front.stream, front.done, front.slot, front.n_before
-    slot_time, slot_sched = front.slot_time, front.slot_sched
-    n_slots = len(slot_time)
-    n_endorsed = len(stream)
-    i = 0  # the next endorsement
-    next_done = done[0] if n_endorsed else math.inf
+    stream, done = front.stream, front.done
+    if stream and done[0] < 0.0:  # the stream is in time order, from a clock at 0
+        raise SimulationError(f"event at t={done[0]} behind clock t=0.0")
+    slot, n_before = front.slot, front.n_before
+    ties = _Dispatches(front)
+    times = ties.time
+    add_time, add_parent = times.append, ties.parent.append
 
-    heap = []  # (time, seq, kind, payload, N) of timeout, block-ready and validation events
-    next_seq = itertools.count().__next__
-    # Per channel: the timeout key its current batch took, whether a timeout
-    # of it is on the heap, its blocks in ordering (block-readys on the heap)
-    # and when the last block queued at its validator completes.
-    armed = [None] * n_channels
-    timing = [False] * n_channels
-    ordering = [0] * n_channels
-    last_done = [0.0] * n_channels
+    # Per channel: its batch, whether the batch holds a kept Transaction,
+    # when the batch's timeout falls due (inf while it has none) and the
+    # endorsement that started it, when its validator frees and that
+    # validation-complete (a dispatch of `ties`), the completion times of its
+    # blocks by the horizon, and its blocks awaiting commit, each as (its
+    # validation-complete, its ready time, its batch).
+    batches = [[] for _ in range(n_channels)]
+    holds = [False] * n_channels
+    deadline = [math.inf] * n_channels
+    first = [0] * n_channels
+    free_at = [-math.inf] * n_channels
+    last_vc = [None] * n_channels
+    ends = [[] for _ in range(n_channels)]
+    pending = [deque() for _ in range(n_channels)]
+    next_end = math.inf  # the earliest completion of a block awaiting commit
+    n_valid = n_mvcc_invalid = blocks_committed = 0
 
-    now = 0.0
-    blocks_committed = n_valid = n_mvcc_invalid = 0
-    while True:
-        if heap and (heap[0][0] < next_done
-                     or heap[0][0] == next_done and slot[i] >= heap[0][4]):
-            t, _, kind, x, n = heappop(heap)
-            if t < now:
-                raise SimulationError(f"event at t={t} behind clock t={now}")
-            now = t
-            if kind == _VALIDATION_COMPLETE:
-                c = x.channel
-                committed, conflicts = commit_block(
-                    x, ledgers[c], t, vscc_fail_prob, rng_vscc, versioned
-                )
-                n_valid += len(committed)
-                n_mvcc_invalid += conflicts
-                if t <= horizon:
-                    for tx in committed:
-                        if tx.key == TARGET_KEY:
-                            path.record_commit(t, tx.gen_time)
-                    block_times.append(t)
-                blocks_committed += 1
-                queue = validating[c]
-                queue.popleft()
-                if not queue:
-                    continue
-                x = queue[0]  # the next block starts validation
-            elif kind == _BLOCK_READY:
-                c = x.channel
-                ordering[c] -= 1
-                queue = validating[c]
-                queue.append(x)
-                if len(queue) > 1:  # the validator is busy
-                    last_done[c] += validation_duration(cfg, len(x.txs))
-                    continue
-            else:  # _TIMEOUT_FIRE: x is the batch that armed it
-                batch = x
-                c = batch[0].channel
-                timing[c] = False
-                if batch is not batches[c]:
-                    # stale: that batch was already cut by size; the
-                    # channel's current batch, if any, puts its timeout on
-                    if batches[c]:
-                        timing[c] = True
-                        heappush(heap, armed[c])
-                    continue
-            # N of the events this dispatch schedules.  It lies between the
-            # n_before of the last endorsement taken and of the next one.
-            lo = n_before[i - 1] if i else 0
-            hi = n_before[i] if i < n_endorsed else n_slots
-            m = bisect_left(slot_time, t, lo, hi)
-            if m < hi and slot_time[m] == t:
-                m = bisect_left(slot_sched, n, m, bisect_right(slot_time, t, m, hi))
-            if kind != _TIMEOUT_FIRE:  # block x starts validation
-                end = t + validation_duration(cfg, len(x.txs))
-                if kind == _BLOCK_READY:
-                    last_done[c] = end
-                heappush(heap, (end, next_seq(), _VALIDATION_COMPLETE, x, m))
-                continue
-        elif i < n_endorsed:
-            t = next_done
-            if t < now:
-                raise SimulationError(f"event at t={t} behind clock t={now}")
-            now = t
-            x = stream[i]
-            if x.__class__ is int:
-                x = background[x]
-            c = x.channel
-            if record or x.key == TARGET_KEY:
-                x.captured_version = ledgers[c].read_version(x.key)
-            m = n_before[i]
-            i += 1
-            next_done = done[i] if i < n_endorsed else math.inf
-            batch = batches[c]
-            batch.append(x)
-            if len(batch) < block_size:
-                if len(batch) == 1:
-                    key = armed[c] = (t + timeout, next_seq(), _TIMEOUT_FIRE, batch, m)
-                    if not timing[c]:
-                        timing[c] = True
-                        heappush(heap, key)
-                continue
-        else:
-            break
-        # cut channel c's batch at t and hand the block to ordering
+    def cut(c, t, cause):
+        """Cut channel c's batch at t by dispatch `cause` and queue the block
+        at the channel's validator."""
+        nonlocal next_end, n_valid, blocks_committed
+        batch = batches[c]
         batches[c] = []
+        deadline[c] = math.inf
         ready = t + order_time
-        for tx in batch:
-            tx.order_done = ready
-        block = Block(batch, t, c)
-        queue = validating[c]
-        if queue and not ordering[c] and ready < last_done[c]:
-            # its block-ready would find the validator busy and only queue it
-            queue.append(block)
-            last_done[c] += validation_duration(cfg, len(batch))
+        prev = free_at[c]
+        # The later of the block-ready and the last validation-complete
+        # starts the block's validation; at a tie both start it at ready.
+        if ready < prev:
+            start, parent = prev, last_vc[c]
         else:
-            ordering[c] += 1
-            heappush(heap, (ready, next_seq(), _BLOCK_READY, block, m))
+            add_time(ready)
+            add_parent(cause)
+            start, parent = ready, -len(times)
+            if ready == prev and ties.precedes(parent, last_vc[c]):
+                parent = last_vc[c]
+        end = free_at[c] = start + (overhead + per_tx * len(batch))  # validation_duration's sum
+        add_time(end)
+        add_parent(parent)
+        vc = last_vc[c] = -len(times)
+        if end <= horizon:
+            ends[c].append(end)
+        blocks_committed += 1  # every block commits in the drained run
+        if holds[c] or vscc_fail_prob > 0.0:
+            holds[c] = False
+            pending[c].append((vc, ready, batch))
+            if end < next_end:
+                next_end = end
+        else:  # background only and no VSCC: every one is valid, whenever it commits
+            n_valid += len(batch)
+
+    def timeout_cut(c, i):
+        """Cut channel c's batch by its timeout if that falls due before
+        endorsement i (or at all, if i is None).  At a tie the timeout goes
+        first iff it was scheduled first: by the batch's first endorsement,
+        before the slot dispatch that delivered endorsement i."""
+        d = deadline[c]
+        if d != math.inf and (i is None or d < done[i]
+                              or d == done[i] and slot[i] >= n_before[first[c]]):
+            add_time(d)
+            add_parent(first[c])
+            cut(c, d, -len(times))
+
+    def commit_before(i):
+        """Commit, in completion order, every block awaiting commit whose
+        validation completes before endorsement i (or at all, if i is None)."""
+        nonlocal next_end, n_valid, n_mvcc_invalid
+        t = math.inf if i is None else done[i]
+        c = 0
+        while True:
+            if n_channels > 1:  # the channel whose next completion comes first
+                c = None
+                for other, queue in enumerate(pending):
+                    if queue and (c is None or ties.precedes(queue[0][0], pending[c][0][0])):
+                        c = other
+                if c is None:
+                    break
+            queue = pending[c]
+            if not queue:
+                break
+            vc, ready, batch = queue[0]
+            end = times[-1 - vc]
+            if end > t or end == t and not ties.precedes(vc, i):
+                break
+            queue.popleft()
+            # VSCC first, then MVCC against the ledger, which already holds
+            # this block's earlier commits (as `pipeline.commit_block`)
+            ledger = ledgers[c]
+            for tx in batch:
+                if vscc_fail_prob > 0.0 and rng_vscc.random() < vscc_fail_prob:
+                    if tx.__class__ is not int:
+                        tx.order_done, tx.commit_time, tx.validity = ready, end, VSCC_INVALID
+                elif tx.__class__ is int:  # background the back does not keep
+                    n_valid += 1
+                else:
+                    tx.order_done, tx.commit_time = ready, end
+                    if tx.captured_version == ledger.read_version(tx.key):
+                        tx.validity = VALID
+                        ledger.apply_update(tx.key, tx.gen_time)
+                        n_valid += 1
+                        if tx.key == TARGET_KEY and end <= horizon:
+                            path.record_commit(end, tx.gen_time)
+                    else:
+                        tx.validity = MVCC_INVALID
+                        n_mvcc_invalid += 1
+        next_end = math.inf
+        for queue in pending:
+            if queue and times[-1 - queue[0][0]] < next_end:
+                next_end = times[-1 - queue[0][0]]
+
+    for i, (x, t) in enumerate(zip(stream, done)):
+        if x.__class__ is int:
+            c = -1 - x
+            if deadline[c] <= t:
+                timeout_cut(c, i)
+        else:
+            c = x.channel
+            if deadline[c] <= t:
+                timeout_cut(c, i)
+            if record or x.key == TARGET_KEY:
+                # it reads the ledger as every block that completes before it
+                # left it, so every cut due before it is made first
+                if n_channels > 1:
+                    for other in range(n_channels):
+                        timeout_cut(other, i)
+                if next_end <= t:
+                    commit_before(i)
+                x.captured_version = ledgers[c].read_version(x.key)
+                holds[c] = True
+            else:
+                x = -1 - c  # a lean back keeps and versions the target key only
+        batch = batches[c]
+        batch.append(x)
+        n = len(batch)
+        if n == block_size:
+            cut(c, t, i)
+        elif n == 1:
+            deadline[c] = t + timeout
+            first[c] = i
+    for c in range(n_channels):
+        timeout_cut(c, None)
+    commit_before(None)
+    block_times = ends[0] if n_channels == 1 else sorted(itertools.chain(*ends))
 
     return _result(path, block_times, front.transactions, front.lost, ledgers, record,
                    front.n_generated, front.n_lost, n_valid, n_mvcc_invalid, blocks_committed)
+
+
+class _Dispatches:
+    """The dispatches of one back, as far as an exact tie needs them.
+
+    A dispatch is an int: endorsement i of the front is i, and back dispatch
+    j (a timeout that cuts a batch, a block-ready, a validation-complete) is
+    -1 - j, with `time[j]` its time and `parent[j]` the dispatch that
+    scheduled it.
+    """
+
+    __slots__ = ("front", "time", "parent")
+
+    def __init__(self, front):
+        self.front = front
+        self.time = array("d")
+        self.parent = array("q")
+
+    def slots_before(self, d):
+        """The number of slot dispatches before dispatch d."""
+        front, time, parent = self.front, self.time, self.parent
+        slot_time = front.slot_time
+        instants = []  # (lo, hi): the slot dispatches at each back dispatch's instant
+        while d < 0:
+            t = time[-1 - d]
+            lo = bisect_left(slot_time, t)
+            hi = bisect_right(slot_time, t, lo)
+            if lo == hi:
+                n = lo
+                break
+            instants.append((lo, hi))
+            d = parent[-1 - d]
+        else:
+            n = front.n_before[d]
+        # a slot dispatch at a back dispatch's instant goes first iff the slot
+        # dispatch that scheduled it precedes the one that scheduled the back event
+        for lo, hi in reversed(instants):
+            n = bisect_left(front.slot_sched, n, lo, hi)
+        return n
+
+    def precedes(self, a, b):
+        """Whether dispatch a comes before dispatch b, a different one, in the
+        one loop's (time, seq) order."""
+        done, slot = self.front.done, self.front.slot
+        time, parent = self.time, self.parent
+        while True:
+            ta = done[a] if a >= 0 else time[-1 - a]
+            tb = done[b] if b >= 0 else time[-1 - b]
+            if ta != tb:
+                return ta < tb
+            if a >= 0:
+                if b >= 0:
+                    return a < b
+                return slot[a] < self.slots_before(parent[-1 - b])
+            if b >= 0:
+                return slot[b] >= self.slots_before(parent[-1 - a])
+            a, b = parent[-1 - a], parent[-1 - b]  # each dispatch schedules at most one back event

@@ -132,6 +132,24 @@ def test_trace_with_scenario_or_sweep_rejected_before_simulating(
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("option", ["--out", "--trace"])
+def test_unwritable_output_path_rejected_before_simulating(tmp_path, monkeypatch, capsys, option):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUICK)
+    calls = count_runs(monkeypatch)
+    assert main(["--config", str(cfg), option, str(tmp_path / "absent" / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("simulate: error: ")
+    assert calls == {"run_once": [], "run_front": [], "run_back": []}
+
+
+def test_bad_sweep_value_rejected_before_opening_the_output(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUICK)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(cfg), "--sweep", "stp=0.5,2.0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, values",
     [("endorse_time", "exp:0.01,exp:0.02"), ("comm_latency", "fixed:0,exp:0.05")],
