@@ -58,12 +58,13 @@ exactly equal (`_Dispatches`):
 A sweep over back fields pays the front once per replication and saves it
 on every further value; at paper defaults with block size 10 the front is
 about 70% of a lean front plus back.  A replication with one back config
-runs the one loop of `run_once`.  Front plus back took 0.99-1.04x its time at
-paper defaults with block size 10, 0.67-0.76x with block size 1, and
-1.02-1.24x on the four M/D/1 configs of the benchmark's md1_channel workload,
-where every endorsement reads the ledger and is a block of its own (lean
-runs; per config the median over 6 seeds of the fastest of 7 interleaved
-runs, in three measurements; Python 3.11, 2 cores).
+runs the one loop of `run_once`.  Front plus back took 0.97-1.02x its time at
+paper defaults with block size 10, 0.73-0.92x with block size 1, and
+1.26-1.55x on the four M/D/1 configs of the benchmark's md1_channel workload,
+where every endorsement reads the ledger and is a block of its own, while
+the one loop's transmitter and blocks cost it little (lean runs; per config
+the median over 6 seeds of the fastest of 7 interleaved runs, in three
+measurements; Python 3.11, 2 cores).
 
 `arrivals_front` builds a front from a list of injected endorsements, so
 tests can drive the back with a known sub-workload.  Only a sweep over back
@@ -84,7 +85,7 @@ from .ledger import LedgerState
 from .metrics import AoISamplePath
 from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
 from .simulation import _IDLE, _result
-from .workload import TARGET_KEY, Proposal, TransmitterQueue
+from .workload import TARGET_KEY
 
 
 @dataclass
@@ -115,7 +116,8 @@ class Front:
 
     @property
     def record(self):
-        """Whether the front holds the full record, as `run_front(record=True)`'s does."""
+        """Whether the front holds the full record, as `run_front(record=True)`'s
+        does, and so whether a back over it does."""
         return self.lost is not None
 
 
@@ -138,7 +140,9 @@ def run_front(cfg, seed, record=False):
     rng_split = make_stream(seed, "channel-split")
 
     n_channels = cfg.n_channels
-    txq = TransmitterQueue(cfg.discipline)
+    # proposals waiting for the channel, in generation order (see bcesim.workload)
+    waiting = deque()
+    take = waiting.popleft if cfg.discipline == "fcfs" else waiting.pop
     stream = []
     # 32-bit counts: a run past 2**31 slot dispatches raises OverflowError.
     done, slot, n_before = array("d"), array("i"), array("i")
@@ -160,7 +164,6 @@ def run_front(cfg, seed, record=False):
 
     heap = []  # endorsements not yet done: (done, seq, delivering slot, tx or marker)
     next_seq = itertools.count().__next__
-    waiting = txq.heap  # nonempty while a proposal waits for the channel
 
     # The pending generation and transmit-complete events, as
     # (time, seq, number of the slot dispatch that scheduled it, payload).
@@ -193,13 +196,13 @@ def run_front(cfg, seed, record=False):
                 c = rng_split.randrange(n_channels)
             transmitted = transmit_time == 0.0
             if not transmitted:
-                prop = Proposal(pid, key, c, t)
+                prop = (pid, key, c, t)
                 if tc is _IDLE:
                     tc = (t + transmit_time, next_seq(), r, prop)
                 else:
-                    txq.push(prop)
+                    waiting.append(prop)
         else:
-            pid, key, c, gen_time = x.id, x.key, x.channel, x.gen_time
+            pid, key, c, gen_time = x
             transmitted = True
         tx = None  # the delivered endorsement, if any
         if transmitted:
@@ -223,7 +226,7 @@ def run_front(cfg, seed, record=False):
             nxt = t + expovariate(rate) if exponential else t + period
             gen = (nxt, next_seq(), r, None) if nxt <= horizon else _IDLE
         elif waiting:
-            tc = (t + transmit_time, next_seq(), r, txq.pop())
+            tc = (t + transmit_time, next_seq(), r, take())
         else:
             tc = _IDLE
         r += 1
@@ -247,7 +250,7 @@ def arrivals_front(arrivals):
     """A full-record front whose endorsements are the injected arrivals, each
     (arrive_time, endorse_delay, key, gen_time), on channel 0, ahead of every
     back event at the same instant (they were all scheduled before the run).
-    Keys may repeat, so only a full-record back runs over it."""
+    Keys may repeat: a back over this full-record front versions every key."""
     transactions = []
     for tid, (arrive, delay, key, gen_time) in enumerate(arrivals, 1):
         tx = Transaction(tid, key, 0, gen_time, arrive)
@@ -259,26 +262,24 @@ def arrivals_front(arrivals):
                  array("i", [0]) * n, array("d"), array("i"), transactions, [], n, 0)
 
 
-def run_back(cfg, seed, front, record=False):
+def run_back(cfg, seed, front):
     """Batching through commit of one run over a front of the same seed and
     of a config that differs from `cfg` in back fields only.
 
-    The result equals `run_once(cfg, seed, record=record)`.  A full-record
-    back needs a full-record front (over a lean one it raises ValueError) and
-    stamps that front's Transactions, so such a front serves one back.  A
-    lean front serves any number of lean backs: each back rewrites
-    `captured_version`, `order_done`, `commit_time` and `validity` of every
-    kept Transaction, since every endorsement is committed in the drained
-    run, and a lean RunResult holds none of them.
+    The result equals `run_once(cfg, seed, record=front.record)`.  A
+    full-record back stamps its front's Transactions, so a full-record front
+    serves one back.  A lean front serves any number of backs: each back
+    rewrites `captured_version`, `order_done`, `commit_time` and `validity`
+    of every kept Transaction, since every endorsement is committed in the
+    drained run, and a lean RunResult holds none of them.
     """
-    if record and not front.record:
-        raise ValueError("a full-record back needs a full-record front (run_front(record=True))")
+    record = front.record
     cfg.validate()
     horizon = cfg.horizon
     rng_vscc = make_stream(seed, "vscc")
 
     n_channels = cfg.n_channels
-    ledgers = [LedgerState(c) for c in range(n_channels)]
+    ledgers = [LedgerState() for _ in range(n_channels)]
     path = AoISamplePath(0.0, horizon)
 
     block_size = cfg.block_size
@@ -331,7 +332,7 @@ def run_back(cfg, seed, front, record=False):
             start, parent = ready, -len(times)
             if ready == prev and ties.precedes(parent, last_vc[c]):
                 parent = last_vc[c]
-        end = free_at[c] = start + (overhead + per_tx * len(batch))  # validation_duration's sum
+        end = free_at[c] = start + (overhead + per_tx * len(batch))  # the one loop's sum
         add_time(end)
         add_parent(parent)
         vc = last_vc[c] = -len(times)

@@ -10,10 +10,9 @@ count or walk.
 
 
 class LedgerState:
-    __slots__ = ("channel", "_versions", "_gen_times")
+    __slots__ = ("_versions", "_gen_times")
 
-    def __init__(self, channel=0):
-        self.channel = channel
+    def __init__(self):
         self._versions = {}  # key -> version
         self._gen_times = {}  # key -> generation time of the last committed update
 

@@ -42,26 +42,14 @@ class Transaction:
         self.validity = PENDING
 
 
-class Block:
-    __slots__ = ("txs", "cut_time", "channel")
-
-    def __init__(self, txs, cut_time, channel):
-        self.txs = txs
-        self.cut_time = cut_time
-        self.channel = channel
-
-
 def ordering_delay(cfg):
     """Service time to turn a cut block into a deliverable one."""
     return cfg.ordering_base + cfg.ordering_per_kafka * (cfg.n_kafka - 4)
 
 
-def validation_duration(cfg, n_txs):
-    return cfg.validate_block_overhead + cfg.validate_per_tx * n_txs
-
-
-def commit_block(block, ledger, completion, vscc_fail_prob, rng, versioned=None):
-    """Decide and apply each transaction in block order; stamp commit times.
+def commit_block(txs, ledger, completion, vscc_fail_prob, rng, versioned=None):
+    """Decide and apply each transaction of a block (`txs`, in block order);
+    stamp commit times.
 
     VSCC is drawn first; a transaction that passes it is valid iff its
     captured version equals the ledger's current version, which already
@@ -76,7 +64,7 @@ def commit_block(block, ledger, completion, vscc_fail_prob, rng, versioned=None)
     """
     committed = []
     conflicts = 0
-    for tx in block.txs:
+    for tx in txs:
         tx.commit_time = completion
         if vscc_fail_prob > 0.0 and rng.random() < vscc_fail_prob:
             tx.validity = VSCC_INVALID

@@ -8,11 +8,15 @@ measurement field (`warmup`, `target_aoi`): its record is the same for every
 value of them, and `experiments.summarize` alone applies them to it.
 
 Events are tuples ``(time, seq, kind, payload)`` dispatched in (time, seq)
-order by a single loop.  ``seq`` comes from one counter, taken at the moment
-an event is scheduled, so same-instant events fire in the order they were
-scheduled.  At most one generation and one transmission are ever pending;
-each waits in its own slot outside the heap, and the slots and the heap
-share the seq counter, so the order is the same as if all were on one heap.
+order by a single loop.  A transmit-complete carries its proposal as the
+tuple ``(id, key, channel, gen_time)``, an endorse-complete its Transaction,
+and a timeout, block-ready or validation-complete its batch: a cut block is
+just the list of its transactions.  ``seq`` comes from one counter, taken at
+the moment an event is scheduled, so same-instant events fire in the order
+they were scheduled.  At most one generation and one transmission are ever
+pending; each waits in its own slot outside the heap, and the slots and the
+heap share the seq counter, so the order is the same as if all were on one
+heap.
 
 An event that a dispatch schedules due strictly before the pending
 generation, the pending transmit-complete and the heap's head would be
@@ -62,8 +66,8 @@ from heapq import heappop, heappush
 from .core import SimulationError, make_stream
 from .ledger import LedgerState
 from .metrics import AoISamplePath, LatencyBreakdown, latency_means
-from .pipeline import Block, Transaction, commit_block, ordering_delay, validation_duration
-from .workload import TARGET_KEY, Proposal, TransmitterQueue
+from .pipeline import Transaction, commit_block, ordering_delay
+from .workload import TARGET_KEY
 
 (
     _GENERATION,
@@ -120,10 +124,12 @@ def _simulate(cfg, seed, record):
     rng_split = make_stream(seed, "channel-split")
 
     n_channels = cfg.n_channels
-    ledgers = [LedgerState(c) for c in range(n_channels)]
+    ledgers = [LedgerState() for _ in range(n_channels)]
     batches = [[] for _ in range(n_channels)]  # pending ordering batch per channel
     validating = [deque() for _ in range(n_channels)]  # blocks at the validator; head in service
-    txq = TransmitterQueue(cfg.discipline)
+    # proposals waiting for the channel, in generation order (see bcesim.workload)
+    waiting = deque()
+    take = waiting.popleft if cfg.discipline == "fcfs" else waiting.pop
     transactions = []  # every delivered transaction, or in a lean run the target-key ones
     lost = []
     versioned = None if record else TARGET_KEY  # the keys the ledgers hold
@@ -144,11 +150,11 @@ def _simulate(cfg, seed, record):
     block_size = cfg.block_size
     timeout = cfg.timeout
     order_time = ordering_delay(cfg)
+    overhead, per_tx = cfg.validate_block_overhead, cfg.validate_per_tx
     vscc_fail_prob = cfg.vscc_fail_prob
 
     heap = []  # endorse, timeout, block-ready and validation-complete events
     next_seq = itertools.count().__next__
-    waiting = txq.heap  # nonempty while a proposal waits for the channel
 
     gen = tc = _IDLE  # the pending generation and transmit-complete events
     first = expovariate(rate) if exponential else period
@@ -186,13 +192,13 @@ def _simulate(cfg, seed, record):
                     c = rng_split.randrange(n_channels)
                 transmitted = transmit_time == 0.0
                 if not transmitted:
-                    prop = Proposal(pid, key, c, t)
+                    prop = (pid, key, c, t)
                     if tc is _IDLE:
                         tc = (t + transmit_time, next_seq(), _TRANSMIT_COMPLETE, prop)
                     else:
-                        txq.push(prop)
+                        waiting.append(prop)
             else:
-                pid, key, c, gen_time = x.id, x.key, x.channel, x.gen_time
+                pid, key, c, gen_time = x
                 transmitted = True
             x = None  # the delivered transaction, if any
             if transmitted:
@@ -213,7 +219,7 @@ def _simulate(cfg, seed, record):
                 nxt = t + expovariate(rate) if exponential else t + period
                 gen = (nxt, next_seq(), _GENERATION, None) if nxt <= horizon else _IDLE
             elif waiting:
-                tc = (t + transmit_time, next_seq(), _TRANSMIT_COMPLETE, txq.pop())
+                tc = (t + transmit_time, next_seq(), _TRANSMIT_COMPLETE, take())
             else:
                 tc = _IDLE
             if x is None:
@@ -247,7 +253,7 @@ def _simulate(cfg, seed, record):
             ready = t + order_time
             for tx in batch:
                 tx.order_done = ready
-            x = Block(batch, t, c)
+            x = batch
             if ready >= gen[0] or ready >= tc[0] or heap and heap[0][0] <= ready:
                 heappush(heap, (ready, next_seq(), _BLOCK_READY, x))
                 continue
@@ -255,18 +261,18 @@ def _simulate(cfg, seed, record):
             kind = _BLOCK_READY
 
         if kind == _BLOCK_READY:
-            queue = validating[x.channel]
+            queue = validating[x[0].channel]
             queue.append(x)
             if len(queue) > 1:
                 continue  # the validator is busy
-            done = t + validation_duration(cfg, len(x.txs))
+            done = t + (overhead + per_tx * len(x))
             if done >= gen[0] or done >= tc[0] or heap and heap[0][0] <= done:
                 heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, x))
                 continue
             now = t = done
 
         # _VALIDATION_COMPLETE: x is the block at the head of its validator
-        c = x.channel
+        c = x[0].channel
         committed, conflicts = commit_block(x, ledgers[c], t, vscc_fail_prob, rng_vscc, versioned)
         n_valid += len(committed)
         n_mvcc_invalid += conflicts
@@ -280,7 +286,7 @@ def _simulate(cfg, seed, record):
         queue.popleft()
         if queue:
             block = queue[0]
-            done = t + validation_duration(cfg, len(block.txs))
+            done = t + (overhead + per_tx * len(block))
             heappush(heap, (done, next_seq(), _VALIDATION_COMPLETE, block))
 
     return _result(path, block_times, transactions, lost, ledgers, record,

@@ -17,17 +17,19 @@ from collections import deque
 from bcesim.core import SimulationError, make_stream
 from bcesim.ledger import LedgerState
 from bcesim.metrics import AoISamplePath, LatencyBreakdown
-from bcesim.pipeline import (
-    MVCC_INVALID,
-    VALID,
-    VSCC_INVALID,
-    Block,
-    Transaction,
-    ordering_delay,
-    validation_duration,
-)
+from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
 from bcesim.simulation import RunResult
-from bcesim.workload import TARGET_KEY, Proposal
+from bcesim.workload import TARGET_KEY
+
+
+class Proposal:
+    def __init__(self, pid, key, channel, gen_time):
+        self.id, self.key, self.channel, self.gen_time = pid, key, channel, gen_time
+
+
+class Block:
+    def __init__(self, txs, cut_time, channel):
+        self.txs, self.cut_time, self.channel = txs, cut_time, channel
 
 
 def next_generation_time(cfg, now, rng):
@@ -234,7 +236,7 @@ class Simulator:
         self.rng_split = make_stream(seed, "channel-split")
 
         self.channels = [
-            ChannelState(i, cfg, LedgerState(i))
+            ChannelState(i, cfg, LedgerState())
             for i in range(cfg.n_channels)
         ]
         self.txq = ScanQueue(cfg.discipline)
@@ -358,7 +360,7 @@ class Simulator:
 
     def _start_validation(self, ch, block, t):
         ch.validator_busy = True
-        duration = validation_duration(self.cfg, len(block.txs))
+        duration = self.cfg.validate_block_overhead + self.cfg.validate_per_tx * len(block.txs)
         self.queue.schedule(t + duration, EventKind.VALIDATION_COMPLETE, block)
 
     def _on_validation_complete(self, t, block):

@@ -3,6 +3,8 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bcesim.experiments
+import bcesim.frontback
 from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError
 from bcesim.dists import Delay
@@ -231,32 +233,47 @@ def test_back_sweep_rows_equal_separate_runs(sweep):
     assert rows == [aggregate_row(key, v, s) for v, s in zip(values, expected)]
 
 
-def _collections_during(call):
-    """Generations of the collections the cyclic collector starts during call()."""
-    started = []
+def _collections_during_replications(monkeypatch, call):
+    """Generations of the collections the cyclic collector starts while
+    `experiments._replicate` runs, over call().  Also asserts that call()
+    simulates and that the collector is paused at every run_once, run_front
+    and run_back call."""
+    started, paused = [], []
 
     def on_gc(phase, info):
         if phase == "start":
             started.append(info["generation"])
 
+    def replicate(*args, _real=bcesim.experiments._replicate, **kwargs):
+        gc.callbacks.append(on_gc)
+        try:
+            return _real(*args, **kwargs)
+        finally:
+            gc.callbacks.remove(on_gc)
+
+    monkeypatch.setattr(bcesim.experiments, "_replicate", replicate)
+    for module, name in [(bcesim.experiments, "run_once"), (bcesim.frontback, "run_front"),
+                         (bcesim.frontback, "run_back")]:
+        def run(*args, _real=getattr(module, name), **kwargs):
+            paused.append(not gc.isenabled())
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, run)
     assert gc.isenabled()
     gc.collect()
-    gc.callbacks.append(on_gc)
-    try:
-        call()
-    finally:
-        gc.callbacks.remove(on_gc)
+    call()
+    assert paused and all(paused), paused
     return started
 
 
 @pytest.mark.parametrize(
     "workload", ["replication", "target_aoi sweep", "block_size sweep", "plain traced"]
 )
-def test_collector_never_wakes_during_replications(quick_cfg, workload):
+def test_collector_never_wakes_during_replications(monkeypatch, quick_cfg, workload):
     call = {
         "replication": lambda: run_replication(quick_cfg, 0),
         "target_aoi sweep": lambda: run_sweep(quick_cfg, "target_aoi", [0.5, 1.0, 2.0]),
         "block_size sweep": lambda: run_sweep(quick_cfg, "block_size", [2, 5, 7]),
         "plain traced": lambda: run_plain_traced(quick_cfg),
     }[workload]
-    assert _collections_during(call) == []
+    assert _collections_during_replications(monkeypatch, call) == []

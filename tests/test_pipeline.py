@@ -8,14 +8,7 @@ from bcesim.config import paper_default
 from bcesim.dists import Delay
 from bcesim.frontback import arrivals_front, run_back
 from bcesim.ledger import LedgerState
-from bcesim.pipeline import (
-    MVCC_INVALID,
-    VALID,
-    VSCC_INVALID,
-    Block,
-    Transaction,
-    commit_block,
-)
+from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, commit_block
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
 
@@ -23,7 +16,7 @@ from bcesim.workload import TARGET_KEY
 def _inject(cfg, arrivals):
     """A full-record run of the pipeline over injected arrivals, each
     (arrive_time, endorse_delay, key, gen_time), on channel 0."""
-    return run_back(cfg, 1, arrivals_front(arrivals), record=True)
+    return run_back(cfg, 1, arrivals_front(arrivals))
 
 
 def _cfg(**overrides):
@@ -108,7 +101,7 @@ def test_mvcc_valid_update_bumps_version():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == ([tx], 0)
+    assert commit_block([tx], ledger, 1.0, 0.0, None) == ([tx], 0)
     assert tx.validity == VALID
     assert ledger.read_version("k") == 6
 
@@ -119,7 +112,7 @@ def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
         ledger.apply_update("k", 0.0)
     tx = Transaction(1, "k", 0, 0.0, 0.0)
     tx.captured_version = 5
-    assert commit_block(Block([tx], 1.0, 0), ledger, 1.0, 0.0, None) == ([], 1)
+    assert commit_block([tx], ledger, 1.0, 0.0, None) == ([], 1)
     assert tx.validity == MVCC_INVALID
     assert ledger.read_version("k") == 6
 
@@ -133,7 +126,7 @@ def test_first_wins_within_a_block():
         tx = Transaction(i + 1, "k", 0, 0.0, 0.0)
         tx.captured_version = 5
         txs.append(tx)
-    assert commit_block(Block(txs, 1.0, 0), ledger, 1.0, 0.0, None) == (txs[:1], 1)
+    assert commit_block(txs, ledger, 1.0, 0.0, None) == (txs[:1], 1)
     assert [t.validity for t in txs] == [VALID, MVCC_INVALID]
     assert ledger.read_version("k") == 6
 
@@ -143,9 +136,9 @@ def test_only_the_versioned_key_touches_the_ledger():
     background = Transaction(7, 7, 0, 0.0, 0.0)  # never read at endorsement
     target = Transaction(8, TARGET_KEY, 0, 0.0, 0.0)
     target.captured_version = 0
-    block = Block([background, target], 1.0, 0)
+    block = [background, target]
     assert commit_block(block, ledger, 1.0, 0.0, None, TARGET_KEY) == ([background, target], 0)
-    assert [t.validity for t in block.txs] == [VALID, VALID]
+    assert [t.validity for t in block] == [VALID, VALID]
     assert ledger.entries() == {TARGET_KEY: (1, 0.0)}
 
 

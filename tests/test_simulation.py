@@ -58,7 +58,7 @@ def _run(cfg, seed, arrivals):
     """A full-record run; with `arrivals`, a back over those injected endorsements."""
     if arrivals is None:
         return run_once(cfg, seed)
-    return run_back(cfg, seed, arrivals_front(arrivals), record=True)
+    return run_back(cfg, seed, arrivals_front(arrivals))
 
 
 # Multiples of 1/8 add up exactly in binary floating point, so with periodic
@@ -276,7 +276,7 @@ def test_lean_run_summarizes_like_the_full_record(model, seed, warmup, target_ao
 
 
 def _front_and_back(cfg, seed, arrivals, record=True):
-    return run_back(cfg, seed, run_front(cfg, seed, record=record), record)
+    return run_back(cfg, seed, run_front(cfg, seed, record=record))
 
 
 @settings(settings.get_profile("simulation"), max_examples=200)
@@ -336,15 +336,13 @@ def test_split_run_pushes_only_events_that_can_change_it(monkeypatch):
         assert run_back(back, 3, shared).blocks_committed > 100 and pushed == [], back.block_size
 
 
-def test_a_full_record_back_over_a_lean_front_is_rejected():
-    # A lean front keeps only the target-key transactions and stands each
-    # background one in by its channel's marker, which a full-record back
-    # would version in the ledger as if it were a real key.
+def test_a_front_says_whether_it_holds_the_full_record():
+    # A back takes its record mode from its front.  A lean front keeps only
+    # the target-key transactions and stands each background one in by its
+    # channel's marker, which a full-record back would version in the ledger
+    # as if it were a real key.
     cfg = paper_default().replace(horizon=60.0, warmup=0.0)
-    lean = run_front(cfg, 1)
-    assert not lean.record and run_front(cfg, 1, record=True).record
-    with pytest.raises(ValueError, match="full-record front"):
-        run_back(cfg, 1, lean, record=True)
+    assert not run_front(cfg, 1).record and run_front(cfg, 1, record=True).record
 
 
 def _front_fields(front):
@@ -431,7 +429,7 @@ def test_a_run_reads_no_measurement_field(quick_cfg, run):
 
 def test_injected_arrival_behind_the_clock_raises(quick_cfg):
     with pytest.raises(SimulationError, match="behind"):
-        run_back(quick_cfg, 1, arrivals_front([(-1.0, 0.5, TARGET_KEY, -2.0)]), record=True)
+        run_back(quick_cfg, 1, arrivals_front([(-1.0, 0.5, TARGET_KEY, -2.0)]))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -548,7 +546,7 @@ def test_multi_channel_trace_equals_single_channel_sub_workload():
             for tx in txs
         ]
         sub_cfg = cfg.replace(n_channels=1)
-        sub = run_back(sub_cfg, 41, arrivals_front(arrivals), record=True)
+        sub = run_back(sub_cfg, 41, arrivals_front(arrivals))
         assert [
             (tx.key, tx.endorse_done, tx.captured_version, tx.order_done,
              tx.commit_time, tx.validity)

@@ -1,12 +1,12 @@
+import math
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
 
 from bcesim.config import paper_default
 from bcesim.dists import Delay
 from bcesim.simulation import run_once
-from bcesim.workload import TARGET_KEY, Proposal, TransmitterQueue
+from bcesim.workload import TARGET_KEY
 
 
 def _proposals(n, seed, **overrides):
@@ -91,28 +91,48 @@ def test_lost_proposals_never_reach_the_ledger():
     assert lost_ids.isdisjoint(committed_bg)
 
 
-def _queue_with(discipline, gen_times):
-    q = TransmitterQueue(discipline)
-    for i, t in enumerate(gen_times):
-        q.push(Proposal(i + 1, i + 1, 0, t))
-    return q
+def md1_transmitter(discipline, horizon=100.0):
+    """The benchmark's M/D/1 shape: Poisson proposals at 9/s queue for a
+    channel that takes 0.1 s each (load 0.9) and loses none, and arrive the
+    instant their transmission ends."""
+    return paper_default().replace(
+        horizon=horizon, warmup=0.0, generation_mode="exponential", total_rate=9.0,
+        discipline=discipline, transmit_time=0.1, stp=1.0, comm_latency=Delay("fixed", 0.0),
+    )
 
 
-@given(st.lists(st.floats(0, 100), min_size=1, max_size=30))
-def test_fcfs_pops_minimum_gen_time(gen_times):
-    q = _queue_with("fcfs", gen_times)
-    popped = [q.pop().gen_time for _ in range(len(gen_times))]
-    assert popped == sorted(gen_times)
+def transmitter_replay(result, discipline):
+    """Replay the transmitter of a full-record `md1_transmitter` run from its
+    record: (the transmissions that did not serve the proposal the
+    discipline picks, the most proposals that were waiting at one start).
+
+    The record lists the delivered transactions in delivery order, with ids
+    counting generations, and a transaction arrives when its transmission
+    ends.  A transmission starts when the previous one ends or, if the
+    channel was idle, at its own proposal's generation, whichever is later;
+    the proposals generated by then and not yet sent were waiting.  FCFS
+    serves the oldest of them, LCFS the newest.
+    """
+    delivered = result.transactions
+    assert len(delivered) == result.breakdown.n_generated  # no loss: every proposal is here
+    by_generation = sorted(delivered, key=lambda tx: tx.id)
+    pick = min if discipline == "fcfs" else max
+    waiting, generated, end = set(), 0, -math.inf
+    wrong = peak = 0
+    for tx in delivered:
+        start = max(end, tx.gen_time)
+        while generated < len(by_generation) and by_generation[generated].gen_time <= start:
+            waiting.add(by_generation[generated])
+            generated += 1
+        peak = max(peak, len(waiting))
+        wrong += tx is not pick(waiting, key=lambda w: w.gen_time)
+        waiting.remove(tx)
+        end = tx.arrive_time
+    return wrong, peak
 
 
-@given(st.lists(st.floats(0, 100), min_size=1, max_size=30))
-def test_lcfs_pops_maximum_gen_time(gen_times):
-    q = _queue_with("lcfs", gen_times)
-    popped = [q.pop().gen_time for _ in range(len(gen_times))]
-    assert popped == sorted(gen_times, reverse=True)
-
-
-@pytest.mark.parametrize("discipline, order", [("fcfs", [1, 2, 3, 4]), ("lcfs", [4, 3, 2, 1])])
-def test_equal_gen_times_pop_by_insertion_order(discipline, order):
-    q = _queue_with(discipline, [5.0, 5.0, 5.0, 5.0])
-    assert [q.pop().id for _ in range(4)] == order
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs"])
+def test_transmitter_serves_by_discipline(discipline):
+    for seed in range(1, 5):
+        wrong, peak = transmitter_replay(run_once(md1_transmitter(discipline), seed), discipline)
+        assert wrong == 0 and peak >= 5, (seed, wrong, peak)
