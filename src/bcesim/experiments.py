@@ -267,15 +267,17 @@ def run_plain(cfg):
 
 
 def _write_trace(out, k, result):
+    # The run is drained, so every delivered transaction has each time stamped
+    # and `_fmt`'s NA never applies; ".10g" is its format.
     for tx in result.transactions:
         out.write(
-            f"{k},{tx.id},{tx.key},{tx.channel},{_fmt(tx.gen_time)},"
-            f"{_fmt(tx.arrive_time)},{_fmt(tx.endorse_done)},"
-            f"{tx.captured_version},{_fmt(tx.order_done)},"
-            f"{_fmt(tx.commit_time)},{tx.validity}\n"
+            f"{k},{tx.id},{tx.key},{tx.channel},{tx.gen_time:.10g},"
+            f"{tx.arrive_time:.10g},{tx.endorse_done:.10g},"
+            f"{tx.captured_version},{tx.order_done:.10g},"
+            f"{tx.commit_time:.10g},{tx.validity}\n"
         )
     for pid, key, channel, gen_time in result.lost:
-        out.write(f"{k},{pid},{key},{channel},{_fmt(gen_time)},NA,NA,NA,NA,NA,lost\n")
+        out.write(f"{k},{pid},{key},{channel},{gen_time:.10g},NA,NA,NA,NA,NA,lost\n")
 
 
 def trace_csv(cfg):

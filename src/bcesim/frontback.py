@@ -5,16 +5,30 @@ Generation, key assignment, channel split, transmission, loss, comm latency
 and endorsement (the front) never depend on block cutting, ordering,
 validation or VSCC (the back): the back only consumes endorse-done events
 and reads the ledger as it does.  So runs that differ only in back fields
-(`config.BACK_FIELDS`) can share one front: `run_front` dispatches the
-generation and transmit-complete slots of `simulation._simulate` alone and
-returns the endorsements in endorse-done dispatch order, and `run_back` runs
-the rest of the pipeline over that stream.
+(`config.BACK_FIELDS`) can share one front: `run_front` returns the
+endorsements of `simulation._simulate` in endorse-done dispatch order, and
+`run_back` runs the rest of the pipeline over that stream.
 
-The front chains endorse-done as `_simulate` does: an endorsement that slot
-dispatch r makes due strictly before the pending generation, the pending
-transmit-complete and the heap's head would be the next dispatch, so it goes
-onto the stream at once.  A tie goes through the heap, where the
-earlier-scheduled event goes first.
+The front has no event loop.  Each of its random streams is drawn in an
+order of its own (generation order or delivery order), so it draws each one
+in a pass over a whole-run list, as `_simulate` draws it, and merges them
+without a heap:
+
+- Generation times are the running sum of the gaps, up to the horizon.  The
+  key uniforms and the channel-split draws (background keys only, with more
+  than one channel) follow in generation order.
+- Slot dispatches (generations and transmit-completes) are numbered 0, 1, ...
+  in dispatch order.  With no transmit time they are the generations, each
+  scheduled by the one before, and each delivers its own proposal.
+  Otherwise one loop over the generations and transmit-completes alone
+  numbers them and serves the waiting deque by discipline.  Two of them due
+  at one instant go in the order of the dispatches that scheduled them; a
+  generation schedules the transmit-complete it starts before the next
+  generation.
+- Loss, comm latency and endorsement are drawn in delivery order.
+- Endorse-done order is a stable sort of the deliveries by time: at a tie the
+  endorsement delivered first took the smaller seq, since a slot dispatch
+  delivers at most one.
 
 The back is one pass over the stream, with no event heap.  Per channel:
 
@@ -36,17 +50,20 @@ The one loop orders same-instant events by (time, seq), with seq taken when
 an event is scheduled; the pass resolves that order only where two times are
 exactly equal (`_Dispatches`):
 
-- Slot dispatches are numbered 0, 1, ... in dispatch order.  The front
-  records each one's time and the number of the slot dispatch that
-  scheduled it (-1 for the first generation, scheduled before the loop).
-- Each endorsement carries `slot`, the slot dispatch that delivered it, and
-  `n_before`, the number of slot dispatches before its own endorse-done
-  dispatch.  Injected arrivals carry a negative `slot`.
+- The front records each slot dispatch's time and the number of the slot
+  dispatch that scheduled it (-1 for the first generation, scheduled before
+  the loop).
+- Each endorsement carries `slot`, the slot dispatch that delivered it.
+  Injected arrivals carry -1.
 - Each back event carries N, the number of slot dispatches before the
-  dispatch that scheduled it: the `n_before` of an endorse-done dispatch,
-  or, for a back dispatch at t whose own event carries n, the slot
+  dispatch that scheduled it.  For a dispatch at t whose own event was
+  scheduled by a dispatch with n slot dispatches before it, N is the slot
   dispatches at times < t plus those at t scheduled by a slot dispatch
-  numbered < n.  At a tie the endorsement goes first iff its `slot` < N.
+  numbered < n.  This holds for an endorse-done dispatch too, with
+  n = `slot`: the delivering dispatch schedules the endorsement before the
+  next generation or transmit-complete.  So the front stores no count, and
+  the back computes one only at an exact tie.  At a tie the endorsement goes
+  first iff its `slot` < N.
 - Endorsements keep their stream order.  Each dispatch schedules at most one
   back event: an endorse-done a timeout or a block-ready, a timeout a
   block-ready, and a block-ready or a validation-complete the next
@@ -57,10 +74,10 @@ exactly equal (`_Dispatches`):
 
 A sweep over back fields pays the front once per replication and saves it
 on every further value; at paper defaults with block size 10 the front is
-about 70% of a lean front plus back.  A replication with one back config
-runs the one loop of `run_once`.  Front plus back took 0.97-1.02x its time at
-paper defaults with block size 10, 0.73-0.92x with block size 1, and
-1.26-1.55x on the four M/D/1 configs of the benchmark's md1_channel workload,
+about 55% of a lean front plus back.  A replication with one back config
+runs the one loop of `run_once`.  Front plus back took 0.65-0.71x its time at
+paper defaults with block size 10, 0.54-0.60x with block size 1, and
+1.03-1.18x on the four M/D/1 configs of the benchmark's md1_channel workload,
 where every endorsement reads the ledger and is a block of its own, while
 the one loop's transmitter and blocks cost it little (lean runs; per config
 the median over 6 seeds of the fastest of 7 interleaved runs, in three
@@ -78,13 +95,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 from .core import SimulationError, make_stream
 from .ledger import LedgerState
 from .metrics import AoISamplePath
 from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
-from .simulation import _IDLE, _result
+from .simulation import _result
 from .workload import TARGET_KEY
 
 
@@ -95,10 +111,10 @@ class Front:
 
     `stream[i]` is endorsement i's Transaction, with `endorse_done` stamped;
     in a lean front a background endorsement is its channel marker
-    -1 - channel instead.  `done`, `slot` and `n_before` hold its endorse-done
-    time, the slot dispatch that delivered it and the slot dispatches before
-    its own dispatch; `slot_time` and `slot_sched` hold each slot dispatch's
-    time and the number of the slot dispatch that scheduled it.
+    -1 - channel instead.  `done` and `slot` hold its endorse-done time and
+    the slot dispatch that delivered it; `slot_time` and `slot_sched` hold
+    each slot dispatch's time and the number of the slot dispatch that
+    scheduled it (a range when every slot dispatch is a generation).
     `transactions` and `lost` are as in RunResult; a lean front keeps the
     target-key transactions only, and no `lost`.
     """
@@ -106,9 +122,8 @@ class Front:
     stream: list
     done: array
     slot: array
-    n_before: array
     slot_time: array
-    slot_sched: array
+    slot_sched: array | range
     transactions: list
     lost: list | None
     n_generated: int
@@ -131,119 +146,140 @@ def run_front(cfg, seed, record=False):
     """
     cfg.validate()
     horizon = cfg.horizon
-
-    rng_gen = make_stream(seed, "generation")
-    rng_key = make_stream(seed, "key-assign")
-    rng_loss = make_stream(seed, "channel-loss")
-    rng_comm = make_stream(seed, "comm-latency")
-    rng_endorse = make_stream(seed, "endorse")
-    rng_split = make_stream(seed, "channel-split")
-
-    n_channels = cfg.n_channels
-    # proposals waiting for the channel, in generation order (see bcesim.workload)
-    waiting = deque()
-    take = waiting.popleft if cfg.discipline == "fcfs" else waiting.pop
-    stream = []
-    # 32-bit counts: a run past 2**31 slot dispatches raises OverflowError.
-    done, slot, n_before = array("d"), array("i"), array("i")
-    slot_time, slot_sched = array("d"), array("i")
-    transactions = []
-    lost = []
-
-    key_random = rng_key.random
-    target_ratio = cfg.target_ratio
-    exponential = cfg.generation_mode == "exponential"
-    expovariate = rng_gen.expovariate
     rate = cfg.total_rate
-    period = 1.0 / rate
+    n_channels = cfg.n_channels
     stp = cfg.stp
     transmit_time = cfg.transmit_time
     comm = cfg.comm_latency
-    endorse_max = cfg.endorse_time.sample_max
-    n_endorsers = cfg.n_endorsers
+    endorse = cfg.endorse_time
 
-    heap = []  # endorsements not yet done: (done, seq, delivering slot, tx or marker)
-    next_seq = itertools.count().__next__
+    # Generation times: the running sum of the gaps, up to the horizon.
+    if cfg.generation_mode == "exponential":
+        expovariate = make_stream(seed, "generation").expovariate
+        gen_times = array("d")
+        t = expovariate(rate)
+        while t <= horizon:
+            gen_times.append(t)
+            t += expovariate(rate)
+    else:
+        period = 1.0 / rate
+        gaps = itertools.repeat(period, int(horizon * rate) + 2)
+        gen_times = array("d", itertools.accumulate(gaps))  # the float sums of t + period
+        while gen_times[-1] <= horizon:
+            gen_times.append(gen_times[-1] + period)
+        del gen_times[bisect_right(gen_times, horizon):]
+    n_generated = len(gen_times)
 
-    # The pending generation and transmit-complete events, as
-    # (time, seq, number of the slot dispatch that scheduled it, payload).
-    gen = tc = _IDLE
-    first = expovariate(rate) if exponential else period
-    if first <= horizon:
-        gen = (first, next_seq(), -1, None)
+    # Keys, and channels for the background keys, in generation order.
+    key_random = make_stream(seed, "key-assign").random
+    target_ratio = cfg.target_ratio
+    is_target = [key_random() < target_ratio for _ in itertools.repeat(None, n_generated)]
+    if n_channels == 1:
+        channel = array("i", [0]) * n_generated
+    else:
+        randrange = make_stream(seed, "channel-split").randrange
+        channel = array("i", [0 if target else randrange(n_channels) for target in is_target])
 
-    r = n_generated = n_lost = 0  # r: the slot dispatches so far
-    while True:
-        ev = gen if gen < tc else tc
-        while heap and heap[0] < ev:  # endorse-done dispatches before slot dispatch r
-            t, _, s, x = heappop(heap)
-            done.append(t)
-            slot.append(s)
-            n_before.append(r)
-            stream.append(x)
-        if ev is _IDLE:
-            break
-        t, _, sched, x = ev
-        slot_time.append(t)
-        slot_sched.append(sched)
-        if ev is gen:
-            n_generated += 1
-            pid, gen_time = n_generated, t
-            key = TARGET_KEY if key_random() < target_ratio else pid
-            if key == TARGET_KEY or n_channels == 1:
-                c = 0
-            else:
-                c = rng_split.randrange(n_channels)
-            transmitted = transmit_time == 0.0
-            if not transmitted:
-                prop = (pid, key, c, t)
-                if tc is _IDLE:
-                    tc = (t + transmit_time, next_seq(), r, prop)
+    # The slot dispatches (generations and transmit-completes), and the
+    # deliveries: the proposal each delivers (`served`), its time (`at`) and
+    # its slot dispatch (`by`), in delivery order.
+    if transmit_time == 0.0:
+        # each generation schedules the next, and delivers its own proposal
+        slot_time = gen_times
+        slot_sched = range(-1, n_generated - 1)
+        served = by = range(n_generated)
+        at = gen_times
+    else:
+        # 32-bit counts: a run past 2**31 slot dispatches raises OverflowError.
+        slot_time, slot_sched = array("d"), array("i")
+        served, at, by = [], [], []
+        # proposals waiting for the channel, in generation order (see bcesim.workload)
+        waiting = deque()
+        take = waiting.popleft if cfg.discipline == "fcfs" else waiting.pop
+        # The pending transmit-complete: its time, the slot dispatch that
+        # scheduled it and its proposal.  Generation k is scheduled by
+        # generation k - 1, after the transmit-complete that one started, so
+        # at a tie it goes first iff it was scheduled by an earlier dispatch.
+        tc, tc_sched, prop = math.inf, 0, None
+        gen_sched = r = -1  # r: the last slot dispatch
+        for k, g in enumerate(itertools.chain(gen_times, [math.inf])):
+            # the transmit-completes before generation k (after the last, the drain)
+            while tc < g or tc == g < math.inf and tc_sched <= gen_sched:
+                r += 1
+                slot_time.append(tc)
+                slot_sched.append(tc_sched)
+                served.append(prop)
+                at.append(tc)
+                by.append(r)
+                if waiting:
+                    tc, tc_sched, prop = tc + transmit_time, r, take()
                 else:
-                    waiting.append(prop)
-        else:
-            pid, key, c, gen_time = x
-            transmitted = True
-        tx = None  # the delivered endorsement, if any
-        if transmitted:
-            if stp >= 1.0 or rng_loss.random() < stp:
-                arrive = t
-                if comm.value != 0.0:
-                    arrive += comm.sample(rng_comm)
-                endorsed = arrive + endorse_max(rng_endorse, n_endorsers)
-                if record or key == TARGET_KEY:
-                    tx = Transaction(pid, key, c, gen_time, arrive)
-                    tx.endorse_done = endorsed
-                    transactions.append(tx)
-                else:
-                    tx = -1 - c
-                seq = next_seq()  # before the next generation's or transmission's
+                    tc = math.inf
+            if k == n_generated:
+                break
+            r += 1
+            slot_time.append(g)
+            slot_sched.append(gen_sched)
+            gen_sched = r
+            if tc == math.inf:
+                tc, tc_sched, prop = g + transmit_time, r, k
             else:
-                n_lost += 1
-                if record:
-                    lost.append((pid, key, c, gen_time))
-        if ev is gen:
-            nxt = t + expovariate(rate) if exponential else t + period
-            gen = (nxt, next_seq(), r, None) if nxt <= horizon else _IDLE
-        elif waiting:
-            tc = (t + transmit_time, next_seq(), r, take())
-        else:
-            tc = _IDLE
-        r += 1
-        if tx is None:
-            continue
-        # due at or after a pending event: it waits its turn on the heap
-        if endorsed >= gen[0] or endorsed >= tc[0] or heap and heap[0][0] <= endorsed:
-            heappush(heap, (endorsed, seq, r - 1, tx))
-            continue
-        # otherwise its endorse-done is the next dispatch, right after slot dispatch r - 1
-        done.append(endorsed)
-        slot.append(r - 1)
-        n_before.append(r)
-        stream.append(tx)
+                waiting.append(k)
 
-    return Front(stream, done, slot, n_before, slot_time, slot_sched, transactions,
-                 lost if record else None, n_generated, n_lost)
+    # Loss, comm latency and endorsement, in delivery order.
+    lost = [] if record else None
+    n_lost = 0
+    if stp < 1.0:
+        loss_random = make_stream(seed, "channel-loss").random
+        passed = [loss_random() < stp for _ in served]
+        n_lost = len(passed) - sum(passed)
+        if record:
+            lost = [(k + 1, TARGET_KEY if is_target[k] else k + 1, channel[k], gen_times[k])
+                    for k, ok in zip(served, passed) if not ok]
+        served = list(itertools.compress(served, passed))
+        at = list(itertools.compress(at, passed))
+        by = list(itertools.compress(by, passed))
+    if comm.value != 0.0:
+        rng_comm = make_stream(seed, "comm-latency")
+        at = [t + comm.sample(rng_comm) for t in at]
+    if endorse.kind == "fixed":
+        done = [a + endorse.value for a in at]
+    else:
+        # `Delay.sample_max` inline; its redraw of a zero uniform is not, so
+        # after a zero (log raises) the stream is drawn again through it
+        random = make_stream(seed, "endorse").random
+        mean, n_endorsers = endorse.value, cfg.n_endorsers
+        log, expm1 = math.log, math.expm1
+        try:
+            done = [a + -mean * log(-expm1(log(random()) / n_endorsers)) for a in at]
+        except ValueError:
+            rng_endorse = make_stream(seed, "endorse")
+            done = [a + endorse.sample_max(rng_endorse, n_endorsers) for a in at]
+
+    # The endorsements in delivery order: a Transaction for each one a lean
+    # front keeps, and its channel's marker for each other one.
+    m = len(done)
+    if n_channels == 1:
+        delivered = [-1] * m
+    else:
+        delivered = [-1 - channel[k] for k in served]
+    transactions = []
+    kept = range(m) if record else itertools.compress(range(m), map(is_target.__getitem__, served))
+    for i in kept:
+        k = served[i]
+        pid = k + 1
+        tx = Transaction(pid, TARGET_KEY if is_target[k] else pid, channel[k], gen_times[k], at[i])
+        tx.endorse_done = done[i]
+        transactions.append(tx)
+        delivered[i] = tx
+
+    # Endorse-done order: by time, and at a tie in delivery order, the order
+    # of the seqs the delivering slot dispatches took.
+    order = sorted(range(m), key=done.__getitem__)
+    done.sort()  # the same stable sort
+    return Front([delivered[i] for i in order], array("d", done),
+                 array("i", order if by is served else [by[i] for i in order]),  # by[i] == i
+                 slot_time, slot_sched, transactions, lost, n_generated, n_lost)
 
 
 def arrivals_front(arrivals):
@@ -259,7 +295,7 @@ def arrivals_front(arrivals):
     stream = sorted(transactions, key=lambda tx: tx.endorse_done)  # stable: ties in order
     n = len(stream)
     return Front(stream, array("d", [tx.endorse_done for tx in stream]), array("i", [-1]) * n,
-                 array("i", [0]) * n, array("d"), array("i"), transactions, [], n, 0)
+                 array("d"), array("i"), transactions, [], n, 0)
 
 
 def run_back(cfg, seed, front):
@@ -291,7 +327,7 @@ def run_back(cfg, seed, front):
     stream, done = front.stream, front.done
     if stream and done[0] < 0.0:  # the stream is in time order, from a clock at 0
         raise SimulationError(f"event at t={done[0]} behind clock t=0.0")
-    slot, n_before = front.slot, front.n_before
+    slot = front.slot
     ties = _Dispatches(front)
     times = ties.time
     add_time, add_parent = times.append, ties.parent.append
@@ -354,7 +390,7 @@ def run_back(cfg, seed, front):
         before the slot dispatch that delivered endorsement i."""
         d = deadline[c]
         if d != math.inf and (i is None or d < done[i]
-                              or d == done[i] and slot[i] >= n_before[first[c]]):
+                              or d == done[i] and slot[i] >= ties.slots_before(first[c])):
             add_time(d)
             add_parent(first[c])
             cut(c, d, -len(times))
@@ -464,20 +500,21 @@ class _Dispatches:
         """The number of slot dispatches before dispatch d."""
         front, time, parent = self.front, self.time, self.parent
         slot_time = front.slot_time
-        instants = []  # (lo, hi): the slot dispatches at each back dispatch's instant
-        while d < 0:
-            t = time[-1 - d]
+        instants = []  # (lo, hi): the slot dispatches at each dispatch's instant
+        while True:
+            t = front.done[d] if d >= 0 else time[-1 - d]
             lo = bisect_left(slot_time, t)
             hi = bisect_right(slot_time, t, lo)
             if lo == hi:
                 n = lo
                 break
             instants.append((lo, hi))
+            if d >= 0:  # an endorse-done, scheduled by slot dispatch slot[d]
+                n = front.slot[d]
+                break
             d = parent[-1 - d]
-        else:
-            n = front.n_before[d]
-        # a slot dispatch at a back dispatch's instant goes first iff the slot
-        # dispatch that scheduled it precedes the one that scheduled the back event
+        # a slot dispatch at a dispatch's instant goes first iff the slot
+        # dispatch that scheduled it precedes the one that scheduled that dispatch
         for lo, hi in reversed(instants):
             n = bisect_left(front.slot_sched, n, lo, hi)
         return n

@@ -42,8 +42,10 @@ transaction go when its block commits.  Outcomes are counted as blocks
 commit, in either mode.
 
 Runs that differ only in back fields (`config.BACK_FIELDS`) can share the
-front of the pipeline: `bcesim.frontback` splits a run in two and documents
-the tie rule that keeps the split run's event order equal to this loop's.
+front of the pipeline: `bcesim.frontback` splits a run in two.  Its front
+draws each random stream in a pass of its own, in the order this loop draws
+it, with no event loop; its docstring gives the tie rule that keeps the
+split run's event order equal to this loop's.
 
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would

@@ -6,7 +6,11 @@ commits the instant it arrives, so the transmitter queue alone sets the age
 (the M/D/1 and D/D/1 forms from the AoI literature).  With fixed delays
 throughout, the whole block pipeline is deterministic and its age follows
 from the MVCC first-writer-wins rule, whether blocks are cut by size or by
-the timeout.
+the timeout.  With Poisson proposals, no delay but a fixed endorsement and
+ordering, and blocks of one, MVCC first-wins makes the tracked key's valid
+updates an M/D/1/1 blocking queue.  Two of these forms run through the split
+run of a back-only sweep, so its front is checked against an answer from
+outside the simulator.
 """
 
 import math
@@ -16,6 +20,7 @@ import pytest
 
 from bcesim.config import parse_config
 from bcesim.experiments import run_replications, run_sweep
+from conftest import count_runs
 
 TRANSMITTER_ONLY = (
     "target_ratio = 1\nblock_size = 1\nendorse_time = fixed:0\nordering_base = 0\n"
@@ -29,6 +34,12 @@ def md1_average_aoi(rate, service):
     return service * (1 / (2 * (1 - rho)) + 0.5 + (1 - rho) * math.exp(rho) / rho)
 
 
+def _z(values, expected):
+    """How many standard errors the mean of `values` lies from `expected`."""
+    stderr = statistics.stdev(values) / math.sqrt(len(values))
+    return (statistics.mean(values) - expected) / stderr
+
+
 @pytest.mark.parametrize("rate", [2, 5, 8])  # rho = 0.2, 0.5, 0.8
 def test_md1_fcfs_average_aoi(rate):
     service = 0.1
@@ -38,9 +49,63 @@ def test_md1_fcfs_average_aoi(rate):
         "master_seed = 2012\n"
     )
     aois = [s.avg_aoi for s in run_replications(cfg)]
-    stderr = statistics.stdev(aois) / math.sqrt(len(aois))
-    z = (statistics.mean(aois) - md1_average_aoi(rate, service)) / stderr
-    assert abs(z) <= 4
+    assert abs(_z(aois, md1_average_aoi(rate, service))) <= 4
+
+
+def test_md1_fcfs_average_aoi_through_the_split_run(monkeypatch):
+    # A timeout sweep at block size 1 runs one front per replication and one
+    # back per value.  A block is cut by size the instant its proposal is
+    # endorsed, so no timeout fires and both rows are the M/D/1 queue.
+    rate, service = 5, 0.1
+    cfg = parse_config(
+        TRANSMITTER_ONLY + f"generation_mode = exponential\ntotal_rate = {rate}\n"
+        f"transmit_time = {service}\nhorizon = 2000\nwarmup = 100\nreplications = 6\n"
+        "master_seed = 2020\n"
+    )
+    calls = count_runs(monkeypatch)
+    _, [summaries, again] = run_sweep(cfg, "timeout", [1.0, 2.0])
+    assert (len(calls["run_front"]), len(calls["run_back"]), calls["run_once"]) == (6, 12, [])
+    assert summaries == again
+    assert abs(_z([s.avg_aoi for s in summaries], md1_average_aoi(rate, service))) <= 4
+
+
+def md11_blocking(rate, target_ratio, stp, endorse, order):
+    """Average AoI and MVCC-invalid fraction of the tracked key when Poisson
+    proposals at `rate` update it with probability target_ratio * stp, each
+    endorsed in `endorse` and ordered in `order`, with nothing else taking time.
+
+    Target updates arrive at mu = rate * target_ratio * stp.  An update is
+    MVCC-invalid iff it reads the version before the previous valid update
+    commits, so the valid ones are the accepted arrivals of an M/D/1/1
+    blocking queue (Costa, Codreanu & Ephremides, IEEE Trans. IT 2016): their
+    gaps are Y = order + Exp(mu).  Each valid update is e + o old when it
+    commits, so the average age is e + o + E[Y^2] / (2 E[Y]) (Kaul, Yates &
+    Gruteser, INFOCOM 2012), and the blocked ones, mu * o / E[Y] per second,
+    are the invalid fraction of `rate`.
+    """
+    mu = rate * target_ratio * stp
+    mean = order + 1 / mu
+    square = order**2 + 2 * order / mu + 2 / mu**2
+    return endorse + order + square / (2 * mean), mu * order / (rate * mean)
+
+
+def test_mvcc_first_wins_is_an_md11_blocking_queue(monkeypatch):
+    rate, target_ratio, stp, endorse = 10, 0.3, 0.5, 0.0125
+    cfg = parse_config(
+        "generation_mode = exponential\ncomm_latency = fixed:0\ntransmit_time = 0\n"
+        "validate_block_overhead = 0\nvalidate_per_tx = 0\nblock_size = 1\n"
+        f"total_rate = {rate}\ntarget_ratio = {target_ratio}\nstp = {stp}\n"
+        f"endorse_time = fixed:{endorse}\nordering_per_kafka = 0\n"
+        "horizon = 2000\nwarmup = 100\nreplications = 20\nmaster_seed = 2016\n"
+    )
+    calls = count_runs(monkeypatch)
+    orders = [0.05, 0.2]
+    _, per_value = run_sweep(cfg, "ordering_base", orders)
+    assert (len(calls["run_front"]), len(calls["run_back"])) == (20, 40)
+    for order, summaries in zip(orders, per_value):
+        aoi, invalid = md11_blocking(rate, target_ratio, stp, endorse, order)
+        assert abs(_z([s.avg_aoi for s in summaries], aoi)) <= 4, order
+        assert abs(_z([s.mvcc_invalid_frac for s in summaries], invalid)) <= 4, order
 
 
 # Dyadic values add up exactly in binary floating point, and each horizon

@@ -1,12 +1,14 @@
 import dataclasses
 import gc
-import heapq
+import itertools
 import re
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import bcesim.core
 import bcesim.frontback
+import bcesim.simulation
 from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
@@ -309,31 +311,100 @@ def test_front_and_back_match_the_one_loop_over_a_long_run(block_size):
     )
 
 
-def test_split_run_pushes_only_events_that_can_change_it(monkeypatch):
-    # Over 300 s the front hands nearly every endorse-done straight to the
-    # stream, and a back pushes nothing at all: it cuts, validates and commits
-    # in one pass over the stream.  Paper defaults at B = 1 (the validator's
-    # queue grows all run), 2 and 20 (cut by timeout), and the M/D/1 shape of
-    # the benchmark, where ordering and validation take no time.
-    pushed = []
-
-    def counting(heap, item):
-        pushed.append(item)
-        heapq.heappush(heap, item)
-
-    monkeypatch.setattr(bcesim.frontback, "heappush", counting)
-    cfg = paper_default().replace(horizon=300.0)
-    md1 = cfg.replace(
+# Two 300 s shapes with a transmitter: the benchmark's M/D/1 shape, where
+# every proposal queues, and a transmitter at capacity on dyadic delays, where
+# every transmit-complete falls due with the next generation.
+_TRANSMITTER_RUNS = {
+    "md1 fcfs": dict(
         generation_mode="exponential", total_rate=9.0, target_ratio=1.0, transmit_time=0.1,
         endorse_time=Delay("fixed", 0.0), ordering_base=0.0, validate_block_overhead=0.0,
         validate_per_tx=0.0, block_size=1,
+    ),
+    "dyadic ties": dict(
+        total_rate=8.0, transmit_time=0.125, endorse_time=Delay("fixed", 0.25), n_channels=2,
+        stp=0.5,
+    ),
+}
+_TRANSMITTER_RUNS["md1 lcfs"] = dict(_TRANSMITTER_RUNS["md1 fcfs"], discipline="lcfs")
+
+
+@pytest.mark.parametrize("name", sorted(_TRANSMITTER_RUNS))
+def test_front_and_back_match_the_one_loop_with_a_transmitter_over_a_long_run(name):
+    # The strategy above runs 60 s, at most 480 proposals, so no test there
+    # runs the front's slot pass over a long backlog or a long run of ties.
+    cfg = paper_default().replace(horizon=300.0, **_TRANSMITTER_RUNS[name])
+    front = run_front(cfg, 3, record=True)
+    if name == "dyadic ties":
+        assert len(set(front.slot_time)) < len(front.slot_time) * 0.6
+    else:
+        # a proposal waits behind ten others, and the queue drains after the horizon
+        assert max(tx.arrive_time - tx.gen_time for tx in front.transactions) > 1.0
+        assert front.slot_time[-1] > cfg.horizon
+    assert _record(run_back(cfg, 3, front)) == _record(run_once(cfg, 3))
+    assert _record(_front_and_back(cfg, 3, None, record=False)) == (
+        _record(run_once(cfg, 3, record=False))
     )
+
+
+def _zero_endorse_uniform(monkeypatch, draw):
+    """Make every endorse stream of both engines return 0.0 as its `draw`-th
+    uniform, before its own draws; return the list of the engines whose
+    streams return it, "one loop" or "front", one entry per zero."""
+    zeros = []
+
+    def patched(engine):
+        def make_stream(seed, stream_id):
+            rng = bcesim.core.make_stream(seed, stream_id)
+            if stream_id == "endorse":
+                uniform, calls = rng.random, itertools.count(1)
+
+                def random():
+                    if next(calls) == draw:
+                        zeros.append(engine)
+                        return 0.0
+                    return uniform()
+
+                rng.random = random
+            return rng
+        return make_stream
+
+    monkeypatch.setattr(bcesim.simulation, "make_stream", patched("one loop"))
+    monkeypatch.setattr(bcesim.frontback, "make_stream", patched("front"))
+    return zeros
+
+
+@pytest.mark.parametrize("n_endorsers", [1, 3])
+def test_a_zero_endorse_uniform_is_redrawn_in_both_engines(monkeypatch, n_endorsers):
+    # The front draws the endorsement maxima inline, where a zero uniform makes
+    # `log` raise; it then draws the stream again through `Delay.sample_max`,
+    # which redraws the zero, as the one loop does.  So the zero changes
+    # nothing, in either engine.
+    cfg = paper_default().replace(horizon=60.0, warmup=0.0, n_endorsers=n_endorsers)
+    plain, plain_lean = _record(run_once(cfg, 2)), _record(run_once(cfg, 2, record=False))
+    zeros = _zero_endorse_uniform(monkeypatch, 100)
+    assert _record(run_once(cfg, 2)) == plain and zeros == ["one loop"]
+    zeros.clear()
+    assert _record(_front_and_back(cfg, 2, None)) == plain and zeros == ["front", "front"]
+    zeros.clear()
+    assert _record(_front_and_back(cfg, 2, None, record=False)) == plain_lean
+    assert _record(run_once(cfg, 2, record=False)) == plain_lean
+    assert zeros == ["front", "front", "one loop"]
+
+
+def test_split_run_holds_no_event_heap():
+    # The front is passes over whole-run lists and the back one pass over the
+    # front's endorse-done stream, so neither half can push an event.  Over
+    # 300 s the backs still cut, validate and commit blocks: paper defaults at
+    # B = 1 (the validator's queue grows all run), 2 and 20 (cut by timeout),
+    # and the M/D/1 shape of the benchmark, where ordering and validation take
+    # no time.
+    assert not {"heappush", "heappop", "heapq"} & set(vars(bcesim.frontback))
+    cfg = paper_default().replace(horizon=300.0)
+    md1 = cfg.replace(**_TRANSMITTER_RUNS["md1 fcfs"])
     front = run_front(cfg, 3)
-    assert len(pushed) < len(front.stream) / 100
     backs = [(cfg.replace(block_size=block_size), front) for block_size in (1, 2, 20)]
     for back, shared in backs + [(md1, run_front(md1, 3))]:
-        pushed.clear()
-        assert run_back(back, 3, shared).blocks_committed > 100 and pushed == [], back.block_size
+        assert run_back(back, 3, shared).blocks_committed > 100, back.block_size
 
 
 def test_a_front_says_whether_it_holds_the_full_record():
@@ -351,7 +422,7 @@ def _front_fields(front):
         [x if isinstance(x, int) else
          (x.id, x.key, x.channel, x.gen_time, x.arrive_time, x.endorse_done)
          for x in front.stream],
-        front.done, front.slot, front.n_before, front.slot_time, front.slot_sched,
+        front.done, front.slot, front.slot_time, front.slot_sched,
         [tx.id for tx in front.transactions], front.lost, front.n_generated, front.n_lost,
     )
 
