@@ -1,6 +1,7 @@
 """Shared error types, the seeded RNG streams and the text of a number.
 
-The event loop itself lives in `bcesim.simulation._simulate`, called by `run_once`.
+A run is `bcesim.simulation.run_once`: the front and the back of
+`bcesim.frontback`, neither of which keeps an event heap.
 """
 
 import random

@@ -103,8 +103,9 @@ def _replicate(cfg, measures, trace=None, reps=None):
     and summarize it under every config in `measures`, which differ from cfg
     in measurement and back-only fields only.
 
-    A replication whose measures share one back config is one `run_once`;
-    otherwise it is one front and one back per distinct back config.
+    A replication is one front and one back per distinct back config: a
+    `run_once` where the measures share one back config, and otherwise one
+    `frontback.run_front` and a `run_back` per back config.
     Returns one summary list per measure, in replication order.  If `trace`
     is a text stream, each run keeps its per-transaction record and writes
     it there; otherwise each run is lean.  The cyclic collector stays paused

@@ -10,23 +10,23 @@ count or walk.
 
 
 class LedgerState:
-    __slots__ = ("_versions", "_gen_times")
+    __slots__ = ("versions", "gen_times")
 
     def __init__(self):
-        self._versions = {}  # key -> version
-        self._gen_times = {}  # key -> generation time of the last committed update
+        self.versions = {}  # key -> version
+        self.gen_times = {}  # key -> generation time of the last committed update
 
     def read_version(self, key):
-        return self._versions.get(key, 0)
+        return self.versions.get(key, 0)
 
     def apply_update(self, key, gen_time):
         """Commit one update; caller must have passed MVCC for this key."""
-        version = self._versions.get(key, 0) + 1
-        self._versions[key] = version
-        self._gen_times[key] = gen_time
+        version = self.versions.get(key, 0) + 1
+        self.versions[key] = version
+        self.gen_times[key] = gen_time
         return version
 
     def entries(self):
         """Snapshot of the full key -> (version, last_gen_time) map."""
-        gen_times = self._gen_times
-        return {key: (version, gen_times[key]) for key, version in self._versions.items()}
+        gen_times = self.gen_times
+        return {key: (version, gen_times[key]) for key, version in self.versions.items()}

@@ -131,13 +131,15 @@ class LatencyBreakdown:
 def latency_means(transactions, target_key):
     """Mean (comm, endorse, order, validate) latency of the valid target-key
     transactions, each summed in the given order; all None if there are none."""
-    sums = [0.0, 0.0, 0.0, 0.0]
+    comm = endorse = order = validate = 0.0
     n_target = 0
     for tx in transactions:
         if tx.key == target_key and tx.validity == VALID:
             n_target += 1
-            sums[0] += tx.arrive_time - tx.gen_time
-            sums[1] += tx.endorse_done - tx.arrive_time
-            sums[2] += tx.order_done - tx.endorse_done
-            sums[3] += tx.commit_time - tx.order_done
-    return [s / n_target for s in sums] if n_target else [None] * 4
+            comm += tx.arrive_time - tx.gen_time
+            endorse += tx.endorse_done - tx.arrive_time
+            order += tx.order_done - tx.endorse_done
+            validate += tx.commit_time - tx.order_done
+    if not n_target:
+        return [None] * 4
+    return [comm / n_target, endorse / n_target, order / n_target, validate / n_target]

@@ -9,8 +9,9 @@ A proposal joins the transmitter queue only at its own generation, so the
 queue holds its proposals in generation order, ties in insertion order.  A
 deque of them is therefore exact for both disciplines: FCFS serves its left
 end (the oldest, the first inserted of equal generation times) and LCFS its
-right end (the newest, the last inserted).  The engines keep a waiting
-proposal as the tuple ``(id, key, channel, gen_time)``.
+right end (the newest, the last inserted).  The front's slot pass keeps a
+waiting proposal as its number in generation order; under FCFS the delivery
+times need no queue at all (Lindley's recursion, see `bcesim.frontback`).
 """
 
 # The tracked ledger key. Background proposals use their own unique ids as

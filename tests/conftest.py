@@ -37,7 +37,8 @@ def parse_csv(text):
 
 def count_runs(monkeypatch):
     """Record the seed of every `run_once`, `run_front` and `run_back` call made
-    through bcesim.experiments from now on, as {function name: seeds}."""
+    through bcesim.experiments from now on, as {function name: seeds}; the
+    front and back of a `run_once` count too."""
     calls = {}
     for module, name in [(bcesim.experiments, "run_once"), (bcesim.frontback, "run_front"),
                          (bcesim.frontback, "run_back")]:

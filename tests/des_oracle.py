@@ -1,13 +1,16 @@
 """Reference event-heap engine that `bcesim.simulation.run_once` must match.
 
-Every event goes through one min-heap ordered by (time, seq), where seq is
+`run_once` is a front and a back (`bcesim.frontback`), passes over whole-run
+lists with no event heap.  This engine is the model they reproduce: every
+event goes through one min-heap ordered by (time, seq), where seq is
 assigned in scheduling order, each phase has its own handler method, and the
 transmitter queue pops by a linear scan.  Keys and generation times are drawn
 by helper functions, a block is validated in one pass and committed in a
 second, and the outcome counts and latency means are taken in a pass over
-the finished trace.  It draws every RNG stream in the same order as `run_once`, so both
-produce identical runs; the equivalence test in `test_simulation.py` holds
-them to that, field by field.
+the finished trace.  It draws every RNG stream in the same order as
+`run_once`, so both produce identical runs; the equivalence tests in
+`test_simulation.py` hold them to that, field by field, including the order
+of events due at one instant.
 """
 
 import enum

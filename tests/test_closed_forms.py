@@ -108,6 +108,44 @@ def test_mvcc_first_wins_is_an_md11_blocking_queue(monkeypatch):
         assert abs(_z([s.mvcc_invalid_frac for s in summaries], invalid)) <= 4, order
 
 
+def periodic_first_wins(rate, share, delay):
+    """Average AoI of the tracked key when periodic proposals at `rate`
+    update it with probability `share` = target_ratio * stp, each valid and
+    `delay` old when it commits, with no queue anywhere.
+
+    The gap between target updates is tau * Geometric(share), tau = 1/rate,
+    so the average age is delay + E[Y^2] / (2 E[Y]) = delay +
+    tau (2 - share) / (2 share) (Kaul, Yates & Gruteser, INFOCOM 2012).
+    """
+    return delay + (2 - share) / (2 * share * rate)
+
+
+@pytest.mark.parametrize("param, values, other", [
+    ("target_ratio", [0.3, 0.7], "stp = 0.5\n"),
+    ("stp", [0.4, 0.8], "target_ratio = 0.5\n"),
+])
+def test_periodic_first_wins_through_a_front_sweep(param, values, other):
+    # Blocks of one, endorsed in e, ordered in o and validated in v, with
+    # o + v below the generation period: each update commits e + o + v after
+    # its generation and before the next proposal reads the ledger, so none
+    # is MVCC-invalid and no queue forms.  A sweep over a front key runs
+    # every value whole.
+    rate, endorse, order, validate = 10, 0.0125, 0.05, 0.025
+    cfg = parse_config(
+        "generation_mode = periodic\ncomm_latency = fixed:0\ntransmit_time = 0\n"
+        f"block_size = 1\ntotal_rate = {rate}\nendorse_time = fixed:{endorse}\n"
+        f"ordering_base = {order}\nordering_per_kafka = 0\n"
+        f"validate_block_overhead = {validate}\nvalidate_per_tx = 0\n{other}"
+        "horizon = 1000\nwarmup = 100\nreplications = 10\nmaster_seed = 2012\n"
+    )
+    _, per_value = run_sweep(cfg, param, values)
+    for value, summaries in zip(values, per_value):
+        share = value * getattr(cfg, "stp" if param == "target_ratio" else "target_ratio")
+        aoi = periodic_first_wins(rate, share, endorse + order + validate)
+        assert abs(_z([s.avg_aoi for s in summaries], aoi)) <= 4, value
+        assert [s.mvcc_invalid_frac for s in summaries] == [0.0] * 10, value
+
+
 # Dyadic values add up exactly in binary floating point, and each horizon
 # lands on a reset, so the window holds whole periods of the sawtooth.
 @pytest.mark.parametrize(

@@ -160,9 +160,8 @@ def test_measurement_sweep_simulates_each_replication_once(quick_cfg, monkeypatc
     cfg = quick_cfg.replace(replications=3)
     calls = count_runs(monkeypatch)
     run_sweep(cfg, param, values)
-    assert calls == {
-        "run_once": [cfg.master_seed + k for k in range(3)], "run_front": [], "run_back": [],
-    }
+    seeds = [cfg.master_seed + k for k in range(3)]
+    assert calls == {"run_once": seeds, "run_front": seeds, "run_back": seeds}
 
 
 def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
@@ -173,10 +172,10 @@ def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
     assert calls == {
         "run_once": [], "run_front": seeds, "run_back": [s for s in seeds for _ in range(3)],
     }
-    # a front key: every value is simulated whole
+    # a front key: every value is simulated whole, a front and a back per run
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, "target_ratio", [0.2, 0.3, 0.5])
-    assert calls == {"run_once": seeds * 3, "run_front": [], "run_back": []}
+    assert calls == {"run_once": seeds * 3, "run_front": seeds * 3, "run_back": seeds * 3}
 
 
 # Swept values of each back-only key, on a coarse grid of fixed delays.

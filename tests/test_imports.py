@@ -78,12 +78,11 @@ def test_package_imports_only_the_standard_library(path):
 
 
 def test_a_run_without_a_back_sweep_never_loads_the_front_back_split():
-    # bcesim.frontback is loaded on first use, so that starting any other run
-    # does not pay for it.
+    # bcesim.frontback, the engine, is loaded at the first run, so that
+    # importing the package and parsing a config do not pay for it.
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import bcesim.cli; "
-        "from bcesim.config import paper_default; from bcesim.experiments import run_plain; "
-        "run_plain(paper_default().replace(horizon=20.0, warmup=0.0, replications=1)); "
+        "from bcesim.config import parse_config; parse_config('replications = 1\\n'); "
         "print('bcesim.frontback' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)

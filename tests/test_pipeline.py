@@ -2,13 +2,14 @@
 `frontback.arrivals_front`) so each case controls exactly which transactions
 enter the endorsing phase."""
 
+import dataclasses
+
 import pytest
 
 from bcesim.config import paper_default
 from bcesim.dists import Delay
 from bcesim.frontback import arrivals_front, run_back
-from bcesim.ledger import LedgerState
-from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, commit_block
+from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
 
@@ -95,51 +96,55 @@ def test_ordering_time_is_affine_in_kafka_count():
         assert result.transactions[0].order_done == pytest.approx(expected)
 
 
+def _updates(n):
+    """n updates of key "k", each endorsed after the previous one commits."""
+    return [(5.0 * i, 0.0, "k", 5.0 * i - 0.1) for i in range(1, n + 1)]
+
+
 def test_mvcc_valid_update_bumps_version():
-    ledger = LedgerState()
-    for _ in range(5):
-        ledger.apply_update("k", 0.0)
-    tx = Transaction(1, "k", 0, 0.0, 0.0)
-    tx.captured_version = 5
-    assert commit_block([tx], ledger, 1.0, 0.0, None) == ([tx], 0)
-    assert tx.validity == VALID
-    assert ledger.read_version("k") == 6
+    # the sixth update reads version 5, which is still current when it commits
+    result = _inject(_cfg(block_size=1, timeout=5.0), _updates(6))
+    tx = result.transactions[-1]
+    assert (tx.captured_version, tx.validity) == (5, VALID)
+    assert result.ledgers[0].read_version("k") == 6
 
 
 def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
-    ledger = LedgerState()
-    for _ in range(6):
-        ledger.apply_update("k", 0.0)
-    tx = Transaction(1, "k", 0, 0.0, 0.0)
-    tx.captured_version = 5
-    assert commit_block([tx], ledger, 1.0, 0.0, None) == ([], 1)
-    assert tx.validity == MVCC_INVALID
-    assert ledger.read_version("k") == 6
+    # two updates read version 5 before either commits; the first one's
+    # commit makes it 6, so the second one is invalid and changes nothing
+    arrivals = _updates(5) + [(30.0, 0.0, "k", 29.9), (30.01, 0.0, "k", 29.95)]
+    result = _inject(_cfg(block_size=1, timeout=5.0), arrivals)
+    first, second = result.transactions[-2:]
+    assert first.captured_version == second.captured_version == 5
+    assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
+    assert result.ledgers[0].entries() == {"k": (6, 29.9)}
 
 
 def test_first_wins_within_a_block():
-    ledger = LedgerState()
-    for _ in range(5):
-        ledger.apply_update("k", 0.0)
-    txs = []
-    for i in range(2):
-        tx = Transaction(i + 1, "k", 0, 0.0, 0.0)
-        tx.captured_version = 5
-        txs.append(tx)
-    assert commit_block(txs, ledger, 1.0, 0.0, None) == (txs[:1], 1)
-    assert [t.validity for t in txs] == [VALID, MVCC_INVALID]
-    assert ledger.read_version("k") == 6
+    # two updates that read version 5 are cut into one block: the first is
+    # valid, and the second conflicts with it
+    arrivals = _updates(5) + [(30.0, 0.0, "k", 29.9), (30.01, 0.0, "k", 29.95)]
+    result = _inject(_cfg(block_size=2, timeout=0.5), arrivals)
+    first, second = result.transactions[-2:]
+    assert first.commit_time == second.commit_time
+    assert first.captured_version == second.captured_version == 5
+    assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
+    assert result.ledgers[0].read_version("k") == 6
 
 
 def test_only_the_versioned_key_touches_the_ledger():
-    ledger = LedgerState()
-    background = Transaction(7, 7, 0, 0.0, 0.0)  # never read at endorsement
-    target = Transaction(8, TARGET_KEY, 0, 0.0, 0.0)
-    target.captured_version = 0
-    block = [background, target]
-    assert commit_block(block, ledger, 1.0, 0.0, None, TARGET_KEY) == ([background, target], 0)
-    assert [t.validity for t in block] == [VALID, VALID]
-    assert ledger.entries() == {TARGET_KEY: (1, 0.0)}
+    # A lean back stands a background endorsement in by its channel's marker:
+    # it never reads or writes the ledger, and is valid once it commits.
+    cfg = _cfg(block_size=2, timeout=5.0)
+    front = arrivals_front([(1.0, 0.0, 7, 0.9), (1.0, 0.0, TARGET_KEY, 0.95)])
+    full = run_back(cfg, 1, front)
+    assert [tx.validity for tx in full.transactions] == [VALID, VALID]
+    assert full.ledgers[0].entries() == {7: (1, 0.9), TARGET_KEY: (1, 0.95)}
+    lean = run_back(cfg, 1, dataclasses.replace(
+        front, stream=[-1, front.stream[1]], transactions=front.transactions[1:], lost=None,
+    ))
+    assert (lean.transactions, lean.ledgers) == (None, None)
+    assert lean.breakdown == full.breakdown and lean.path.resets == full.path.resets
 
 
 def test_cross_block_staleness_detected_end_to_end():

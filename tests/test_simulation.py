@@ -284,15 +284,12 @@ def _front_and_back(cfg, seed, arrivals, record=True):
 @settings(settings.get_profile("simulation"), max_examples=200)
 @given(_models(), st.integers(0, 1000))
 def test_front_and_back_match_the_one_loop(model, seed):
+    # The one loop is the event heap of the oracle, which handles every
+    # event in (time, seq) order.  A lean split run summarizes like the full
+    # one.
     cfg, _ = model  # injected arrivals are covered by the oracle test
-    assert _everything(_front_and_back, cfg, seed, None) == _everything(_run, cfg, seed, None)
-    try:
-        lean = run_once(cfg, seed, record=False)
-    except SimulationError as exc:
-        with pytest.raises(SimulationError, match=re.escape(str(exc))):
-            _front_and_back(cfg, seed, None, record=False)
-        return
-    assert summarize(cfg, _front_and_back(cfg, seed, None, record=False)) == summarize(cfg, lean)
+    assert _everything(_front_and_back, cfg, seed, None) == _everything(run_oracle, cfg, seed, None)
+    _assert_lean_summary_exact(cfg, seed, cfg)
 
 
 @pytest.mark.parametrize("block_size", [1, 2, 20])
@@ -302,13 +299,11 @@ def test_front_and_back_match_the_one_loop_over_a_long_run(block_size):
     # load is 1.025; at B = 20 blocks are cut by timeout.  The strategy above
     # runs 60 s with B <= 4 and never builds such a queue.
     cfg = paper_default().replace(horizon=300.0, block_size=block_size)
-    full = run_once(cfg, 3)
+    full = _front_and_back(cfg, 3, None)
     backlog = full.blocks_committed - len(full.block_times)  # blocks left at the horizon
     assert backlog > {1: 1000, 2: 30, 20: 0}[block_size]
-    assert _record(_front_and_back(cfg, 3, None)) == _record(full)
-    assert _record(_front_and_back(cfg, 3, None, record=False)) == (
-        _record(run_once(cfg, 3, record=False))
-    )
+    assert _record(full) == _record(run_oracle(cfg, 3, None))
+    _assert_lean_summary_exact(cfg, 3, cfg)
 
 
 # Two 300 s shapes with a transmitter: the benchmark's M/D/1 shape, where
@@ -334,42 +329,38 @@ def test_front_and_back_match_the_one_loop_with_a_transmitter_over_a_long_run(na
     # runs the front's slot pass over a long backlog or a long run of ties.
     cfg = paper_default().replace(horizon=300.0, **_TRANSMITTER_RUNS[name])
     front = run_front(cfg, 3, record=True)
+    slot_time = front.timeline()[0]
     if name == "dyadic ties":
-        assert len(set(front.slot_time)) < len(front.slot_time) * 0.6
+        assert len(set(slot_time)) < len(slot_time) * 0.6
     else:
         # a proposal waits behind ten others, and the queue drains after the horizon
         assert max(tx.arrive_time - tx.gen_time for tx in front.transactions) > 1.0
-        assert front.slot_time[-1] > cfg.horizon
-    assert _record(run_back(cfg, 3, front)) == _record(run_once(cfg, 3))
-    assert _record(_front_and_back(cfg, 3, None, record=False)) == (
-        _record(run_once(cfg, 3, record=False))
-    )
+        assert slot_time[-1] > cfg.horizon
+    assert _record(run_back(cfg, 3, front)) == _record(run_oracle(cfg, 3, None))
+    _assert_lean_summary_exact(cfg, 3, cfg)
 
 
 def _zero_endorse_uniform(monkeypatch, draw):
-    """Make every endorse stream of both engines return 0.0 as its `draw`-th
-    uniform, before its own draws; return the list of the engines whose
-    streams return it, "one loop" or "front", one entry per zero."""
+    """Make every endorse stream of the front return 0.0 as its `draw`-th
+    uniform, before its own draws; return the list that gets one entry per
+    zero returned."""
     zeros = []
 
-    def patched(engine):
-        def make_stream(seed, stream_id):
-            rng = bcesim.core.make_stream(seed, stream_id)
-            if stream_id == "endorse":
-                uniform, calls = rng.random, itertools.count(1)
+    def make_stream(seed, stream_id):
+        rng = bcesim.core.make_stream(seed, stream_id)
+        if stream_id == "endorse":
+            uniform, calls = rng.random, itertools.count(1)
 
-                def random():
-                    if next(calls) == draw:
-                        zeros.append(engine)
-                        return 0.0
-                    return uniform()
+            def random():
+                if next(calls) == draw:
+                    zeros.append(draw)
+                    return 0.0
+                return uniform()
 
-                rng.random = random
-            return rng
-        return make_stream
+            rng.random = random
+        return rng
 
-    monkeypatch.setattr(bcesim.simulation, "make_stream", patched("one loop"))
-    monkeypatch.setattr(bcesim.frontback, "make_stream", patched("front"))
+    monkeypatch.setattr(bcesim.frontback, "make_stream", make_stream)
     return zeros
 
 
@@ -377,18 +368,13 @@ def _zero_endorse_uniform(monkeypatch, draw):
 def test_a_zero_endorse_uniform_is_redrawn_in_both_engines(monkeypatch, n_endorsers):
     # The front draws the endorsement maxima inline, where a zero uniform makes
     # `log` raise; it then draws the stream again through `Delay.sample_max`,
-    # which redraws the zero, as the one loop does.  So the zero changes
-    # nothing, in either engine.
+    # which redraws the zero, as the oracle's event loop would.  So the zero
+    # changes nothing, in a full or a lean run.
     cfg = paper_default().replace(horizon=60.0, warmup=0.0, n_endorsers=n_endorsers)
     plain, plain_lean = _record(run_once(cfg, 2)), _record(run_once(cfg, 2, record=False))
     zeros = _zero_endorse_uniform(monkeypatch, 100)
-    assert _record(run_once(cfg, 2)) == plain and zeros == ["one loop"]
-    zeros.clear()
-    assert _record(_front_and_back(cfg, 2, None)) == plain and zeros == ["front", "front"]
-    zeros.clear()
-    assert _record(_front_and_back(cfg, 2, None, record=False)) == plain_lean
-    assert _record(run_once(cfg, 2, record=False)) == plain_lean
-    assert zeros == ["front", "front", "one loop"]
+    assert _record(run_once(cfg, 2)) == plain and len(zeros) == 2  # inline, then redrawn
+    assert _record(run_once(cfg, 2, record=False)) == plain_lean and len(zeros) == 4
 
 
 def test_split_run_holds_no_event_heap():
@@ -398,7 +384,8 @@ def test_split_run_holds_no_event_heap():
     # B = 1 (the validator's queue grows all run), 2 and 20 (cut by timeout),
     # and the M/D/1 shape of the benchmark, where ordering and validation take
     # no time.
-    assert not {"heappush", "heappop", "heapq"} & set(vars(bcesim.frontback))
+    for module in (bcesim.frontback, bcesim.simulation):
+        assert not {"heappush", "heappop", "heapq"} & set(vars(module)), module
     cfg = paper_default().replace(horizon=300.0)
     md1 = cfg.replace(**_TRANSMITTER_RUNS["md1 fcfs"])
     front = run_front(cfg, 3)
@@ -422,7 +409,7 @@ def _front_fields(front):
         [x if isinstance(x, int) else
          (x.id, x.key, x.channel, x.gen_time, x.arrive_time, x.endorse_done)
          for x in front.stream],
-        front.done, front.slot, front.slot_time, front.slot_sched,
+        front.done, list(front.proposal), front.timeline(),
         [tx.id for tx in front.transactions], front.lost, front.n_generated, front.n_lost,
     )
 
@@ -445,7 +432,7 @@ def test_back_fields_leave_the_front_unchanged(quick_cfg, key):
     cfg = quick_cfg.replace(n_channels=2, stp=0.6, discipline="lcfs", transmit_time=0.08)
     front = run_front(cfg, 5)
     assert {x for x in front.stream if isinstance(x, int)} == {-1, -2}
-    assert front.n_lost > 0 and len(front.slot_time) > front.n_generated
+    assert front.n_lost > 0 and len(front.timeline()[0]) > front.n_generated
     assert _front_fields(run_front(cfg.replace(**{key: _OTHER_BACK_VALUE[key]}), 5)) == (
         _front_fields(front)
     )
