@@ -461,7 +461,8 @@ def test_lean_latency_means_are_summed_in_delivery_order(seed):
     _assert_lean_summary_exact(cfg, seed, cfg)
 
 
-# Three ways to run: the one loop, full and lean, and a lean front and back.
+# Three ways to run: `run_once` (named for the one loop it once ran), full and
+# lean, and a lean front and back called directly.
 _RUNS = {
     "one loop": run_once,
     "lean one loop": lambda cfg, seed: run_once(cfg, seed, record=False),
