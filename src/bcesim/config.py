@@ -196,12 +196,7 @@ def parse_config(text):
             overrides[key] = _PARSERS[key](raw_value.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
-    cfg = SimConfig(**overrides)
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        raise ConfigError(f"{exc}") from None
-    return cfg
+    return SimConfig(**overrides).validate()
 
 
 def paper_default():

@@ -3,12 +3,12 @@
 Each scenario sweeps one parameter of a preset configuration and writes one
 aggregated row per swept value.  Replication k derives its streams from
 master_seed + k, so re-running any scenario with the same config and seed
-reproduces the output byte for byte.  A sweep over a measurement field
-(target_aoi, warmup) simulates each replication once and measures that one
-sample path under every swept value.  A sweep over a back-only field
-(`config.BACK_FIELDS`) simulates each replication's front once and runs its
-back once per swept value.  Only a run that writes a trace keeps its
-per-transaction record; every other run keeps what the CSV needs.
+reproduces the output byte for byte.  One rule decides what configs share:
+configs that differ in back fields (`config.BACK_FIELDS`) and measurement
+fields (`config.MEASUREMENT_FIELDS`) alone share each replication's front,
+and those that differ in measurement fields alone also share its back, whose
+result is summarized under each of them.  Only a run that writes a trace
+keeps its per-transaction record; every other run keeps what the CSV needs.
 """
 
 import gc
@@ -20,7 +20,6 @@ from .core import ConfigError, number_text
 from .config import BACK_FIELDS, MEASUREMENT_FIELDS, SWEEPABLE, paper_default
 from .dists import Delay
 from .metrics import average_aoi, violation_probability
-from .simulation import run_once
 
 CSV_HEADER = (
     "swept_param,value,rep_count,avg_aoi_mean,avg_aoi_std,comm_lat,endorse_lat,"
@@ -87,59 +86,63 @@ def summarize(cfg, result):
 
 def run_replication(cfg, k):
     """Run replication k of a config (seed master_seed + k)."""
-    [[summary]] = _replicate(cfg, [cfg], reps=[k])
+    [[summary]] = _replicate([cfg.replace(master_seed=cfg.master_seed + k, replications=1)])
     return summary
 
 
 def run_replications(cfg):
     """All replications of one config, in replication order."""
     cfg.validate()
-    [summaries] = _replicate(cfg, [cfg])
+    [summaries] = _replicate([cfg])
     return summaries
 
 
-def _replicate(cfg, measures, trace=None, reps=None):
-    """Simulate each replication of cfg (or only those numbered in `reps`)
-    and summarize it under every config in `measures`, which differ from cfg
-    in measurement and back-only fields only.
+# Every field but these is a front field, master_seed, replications and
+# horizon among them.
+_NOT_FRONT = BACK_FIELDS | MEASUREMENT_FIELDS
 
-    A replication is one front and one back per distinct back config: a
-    `run_once` where the measures share one back config, and otherwise one
-    `frontback.run_front` and a `run_back` per back config.
-    Returns one summary list per measure, in replication order.  If `trace`
-    is a text stream, each run keeps its per-transaction record and writes
-    it there; otherwise each run is lean.  The cyclic collector stays paused
-    over the loop: each result is summarized, traced and dropped, and each
-    front dropped, before the next replication starts, so the collector
-    never walks their objects.
+
+def _replicate(measures, trace=None):
+    """Simulate each config in `measures`, returning one summary list per
+    config in replication order.
+
+    The configs are grouped by their front fields, and each front group by
+    its back fields.  Each replication of a front group is one
+    `frontback.run_front`, then one `run_back` per back group, whose result
+    is summarized under every config of that group.  If `trace` is a text
+    stream, `measures` holds one config (a full-record front serves one
+    back), whose runs keep their record and write it there; otherwise every
+    run is lean.  The cyclic collector stays paused over the loop, and each
+    front is dropped after its last back and each result after its summaries
+    and trace, so the collector never walks their objects.
     """
-    backs = {}  # back-only field values -> indices of the measures with them
+    # imported at the first run, so that importing bcesim compiles none of it
+    from .frontback import run_back, run_front
+
+    fronts = {}  # front field values -> back field values -> indices of the measures
     for j, measure in enumerate(measures):
-        backs.setdefault(tuple(getattr(measure, key) for key in BACK_FIELDS), []).append(j)
+        front_key = tuple(value for key, value in vars(measure).items() if key not in _NOT_FRONT)
+        back_key = tuple(getattr(measure, key) for key in BACK_FIELDS)
+        fronts.setdefault(front_key, {}).setdefault(back_key, []).append(j)
     per_measure = [[] for _ in measures]
-
-    def add_summaries(group, result):
-        for j in group:
-            per_measure[j].append(summarize(measures[j], result))
-
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for k in range(cfg.replications) if reps is None else reps:
-            seed = cfg.master_seed + k
-            if len(backs) > 1:
-                from .frontback import run_back, run_front
-
-                front = run_front(cfg, seed)
-                for group in backs.values():
-                    add_summaries(group, run_back(measures[group[0]], seed, front))
-                del front
-            else:
-                result = run_once(cfg, seed, record=trace is not None)
-                add_summaries(range(len(measures)), result)
-                if trace is not None:
-                    _write_trace(trace, k, result)
-                del result
+        for backs in fronts.values():
+            groups = list(backs.values())
+            cfg = measures[groups[0][0]]
+            for k in range(cfg.replications):
+                seed = cfg.master_seed + k
+                front = run_front(cfg, seed, record=trace is not None)
+                for group in groups:
+                    result = run_back(measures[group[0]], seed, front)
+                    if group is groups[-1]:
+                        del front  # so that a full-record front is gone before its trace
+                    for j in group:
+                        per_measure[j].append(summarize(measures[j], result))
+                    if trace is not None:
+                        _write_trace(trace, k, result)
+                    del result
     finally:
         if collecting:
             gc.enable()
@@ -188,11 +191,7 @@ def run_sweep(base, param, values):
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter '{param}'")
     configs = [base.replace(**{param: value}) for value in values]  # validate first
-    if param in MEASUREMENT_FIELDS or param in BACK_FIELDS:
-        # every value measures the same sample paths, or runs the same fronts
-        per_value = _replicate(configs[0], configs) if configs else []
-    else:
-        per_value = (run_replications(cfg) for cfg in configs)
+    per_value = _replicate(configs)
     rows = []
     all_summaries = []
     for value, summaries in zip(values, per_value):
@@ -283,15 +282,12 @@ def _write_trace(out, k, result):
 
 def trace_csv(cfg):
     """Per-transaction debug trace over all replications of a config."""
-    out = io.StringIO()
-    out.write(TRACE_HEADER + "\n")
-    _replicate(cfg, [], out)
-    return out.getvalue()
+    return run_plain_traced(cfg)[1]
 
 
 def run_plain_traced(cfg):
     """(run_plain(cfg), trace_csv(cfg)), simulating each replication once."""
     out = io.StringIO()
     out.write(TRACE_HEADER + "\n")
-    [summaries] = _replicate(cfg, [cfg], out)
+    [summaries] = _replicate([cfg], out)
     return _plain_csv(summaries), out.getvalue()

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import settings
 
-import bcesim.experiments
 import bcesim.frontback
 from bcesim.config import paper_default
 
@@ -36,20 +35,18 @@ def parse_csv(text):
 
 
 def count_runs(monkeypatch):
-    """Record the seed of every `run_once`, `run_front` and `run_back` call made
-    through bcesim.experiments from now on, as {function name: seeds}; the
-    front and back of a `run_once` count too."""
+    """Record the seed of every `run_front` and `run_back` call from now on,
+    as {function name: seeds}."""
     calls = {}
-    for module, name in [(bcesim.experiments, "run_once"), (bcesim.frontback, "run_front"),
-                         (bcesim.frontback, "run_back")]:
-        real = getattr(module, name)
+    for name in ("run_front", "run_back"):
+        real = getattr(bcesim.frontback, name)
         seeds = calls[name] = []
 
         def counting(cfg, seed, *args, _real=real, _seeds=seeds, **kwargs):
             _seeds.append(seed)
             return _real(cfg, seed, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(bcesim.frontback, name, counting)
     return calls
 
 

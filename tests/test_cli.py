@@ -1,6 +1,5 @@
 import pytest
 
-import bcesim.experiments
 import bcesim.frontback
 from bcesim.cli import main
 from bcesim.config import parse_config
@@ -112,7 +111,8 @@ def test_trace_run_simulates_each_replication_once(tmp_path, monkeypatch):
     trace = tmp_path / "trace.csv"
     calls = count_runs(monkeypatch)
     assert main(["--config", str(cfg_path), "--out", str(out), "--trace", str(trace)]) == 0
-    assert len(calls["run_once"]) == cfg.replications
+    seeds = [cfg.master_seed + k for k in range(cfg.replications)]
+    assert calls == {"run_front": seeds, "run_back": seeds}
     assert out.read_text() == run_plain(cfg)
     assert trace.read_text() == trace_csv(cfg)
 
@@ -124,8 +124,8 @@ def test_trace_with_scenario_or_sweep_rejected_before_simulating(
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before rejecting --trace")
 
-    monkeypatch.setattr(bcesim.experiments, "run_once", no_simulation)
     monkeypatch.setattr(bcesim.frontback, "run_front", no_simulation)
+    monkeypatch.setattr(bcesim.frontback, "run_back", no_simulation)
     trace = tmp_path / "trace.csv"
     assert main(extra + ["--reps", "1", "--trace", str(trace)]) == 2
     assert "--trace" in capsys.readouterr().err
@@ -139,7 +139,7 @@ def test_unwritable_output_path_rejected_before_simulating(tmp_path, monkeypatch
     calls = count_runs(monkeypatch)
     assert main(["--config", str(cfg), option, str(tmp_path / "absent" / "x.csv")]) == 2
     assert capsys.readouterr().err.startswith("simulate: error: ")
-    assert calls == {"run_once": [], "run_front": [], "run_back": []}
+    assert calls == {"run_front": [], "run_back": []}
 
 
 def test_bad_sweep_value_rejected_before_opening_the_output(tmp_path):

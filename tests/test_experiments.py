@@ -145,8 +145,11 @@ MEASUREMENT_SWEEPS = [
     ("warmup", [0.0, 20.0, 55.5, 199.0]),
 ]
 
+# A front key with a repeated value: the two 0.2 configs share every run.
+REPEATED_FRONT_SWEEP = ("target_ratio", [0.2, 0.5, 0.2])
 
-@pytest.mark.parametrize("param, values", MEASUREMENT_SWEEPS)
+
+@pytest.mark.parametrize("param, values", MEASUREMENT_SWEEPS + [REPEATED_FRONT_SWEEP])
 def test_measurement_sweep_matches_separate_runs(quick_cfg, param, values):
     base = quick_cfg.replace(generation_mode="exponential", stp=0.8, target_aoi=1.0)
     rows, summaries = run_sweep(base, param, values)
@@ -161,7 +164,7 @@ def test_measurement_sweep_simulates_each_replication_once(quick_cfg, monkeypatc
     calls = count_runs(monkeypatch)
     run_sweep(cfg, param, values)
     seeds = [cfg.master_seed + k for k in range(3)]
-    assert calls == {"run_once": seeds, "run_front": seeds, "run_back": seeds}
+    assert calls == {"run_front": seeds, "run_back": seeds}
 
 
 def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
@@ -169,13 +172,14 @@ def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
     # a back-only key: one front per replication, one back per value
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, "block_size", [2, 5, 7])
-    assert calls == {
-        "run_once": [], "run_front": seeds, "run_back": [s for s in seeds for _ in range(3)],
-    }
-    # a front key: every value is simulated whole, a front and a back per run
+    assert calls == {"run_front": seeds, "run_back": [s for s in seeds for _ in range(3)]}
+    # a front key: a front and a back per distinct value and replication
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, "target_ratio", [0.2, 0.3, 0.5])
-    assert calls == {"run_once": seeds * 3, "run_front": seeds * 3, "run_back": seeds * 3}
+    assert calls == {"run_front": seeds * 3, "run_back": seeds * 3}
+    calls = count_runs(monkeypatch)
+    run_sweep(quick_cfg, *REPEATED_FRONT_SWEEP)
+    assert calls == {"run_front": seeds * 2, "run_back": seeds * 2}
 
 
 # Swept values of each back-only key, on a coarse grid of fixed delays.
@@ -235,8 +239,8 @@ def test_back_sweep_rows_equal_separate_runs(sweep):
 def _collections_during_replications(monkeypatch, call):
     """Generations of the collections the cyclic collector starts while
     `experiments._replicate` runs, over call().  Also asserts that call()
-    simulates and that the collector is paused at every run_once, run_front
-    and run_back call."""
+    simulates and that the collector is paused at every run_front and
+    run_back call."""
     started, paused = [], []
 
     def on_gc(phase, info):
@@ -251,13 +255,12 @@ def _collections_during_replications(monkeypatch, call):
             gc.callbacks.remove(on_gc)
 
     monkeypatch.setattr(bcesim.experiments, "_replicate", replicate)
-    for module, name in [(bcesim.experiments, "run_once"), (bcesim.frontback, "run_front"),
-                         (bcesim.frontback, "run_back")]:
-        def run(*args, _real=getattr(module, name), **kwargs):
+    for name in ("run_front", "run_back"):
+        def run(*args, _real=getattr(bcesim.frontback, name), **kwargs):
             paused.append(not gc.isenabled())
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, run)
+        monkeypatch.setattr(bcesim.frontback, name, run)
     assert gc.isenabled()
     gc.collect()
     call()

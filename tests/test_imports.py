@@ -78,15 +78,16 @@ def test_package_imports_only_the_standard_library(path):
 
 
 def test_a_run_without_a_back_sweep_never_loads_the_front_back_split():
-    # bcesim.frontback, the engine, is loaded at the first run, so that
-    # importing the package and parsing a config do not pay for it.
+    # bcesim.frontback, the engine, and bcesim.simulation, whose RunResult it
+    # builds, are loaded at the first run, so that importing the package and
+    # parsing a config do not pay for them.
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import bcesim.cli; "
         "from bcesim.config import parse_config; parse_config('replications = 1\\n'); "
-        "print('bcesim.frontback' in sys.modules)"
+        "print([m for m in ('bcesim.frontback', 'bcesim.simulation') if m in sys.modules])"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+    assert done.stdout == "[]\n"
 
 
 def definitions(source):

@@ -198,20 +198,16 @@ _TIE_MODELS = {
 
 def test_event_due_with_a_pending_one_waits_its_turn():
     # An event due at the instant of a pending one was scheduled after it, so
-    # it must go through the heap instead of being handled at once: in the one
-    # loop, and in the front and the back of a split run, full and lean.
+    # it must wait its turn as in the oracle's heap, in the front and the back
+    # of a run, and a lean run must summarize like the full one.
     base = paper_default().replace(
         horizon=20.0, warmup=0.0, generation_mode="periodic", target_ratio=1.0,
         comm_latency=Delay("fixed", 0.0), ordering_per_kafka=0.0, timeout=1.0,
     )
     for name, model in _TIE_MODELS.items():
         cfg = base.replace(**model)
-        expected = _everything(run_oracle, cfg, 1, None)
-        assert _everything(_run, cfg, 1, None) == expected, name
-        assert _everything(_front_and_back, cfg, 1, None) == expected, name
-        assert _record(_front_and_back(cfg, 1, None, record=False)) == (
-            _record(run_once(cfg, 1, record=False))
-        ), name
+        assert _everything(_run, cfg, 1, None) == _everything(run_oracle, cfg, 1, None), name
+        _assert_lean_summary_exact(cfg, 1, cfg)
 
 
 # One channel: the ties above that only two channels reach, or none does.
@@ -242,10 +238,8 @@ def test_a_one_channel_tie_waits_its_turn():
     )
     for name, model in _ONE_CHANNEL_TIES.items():
         cfg = base.replace(**model)
-        assert _everything(_front_and_back, cfg, 1, None) == _everything(run_oracle, cfg, 1, None), name
-        assert _record(_front_and_back(cfg, 1, None, record=False)) == (
-            _record(run_once(cfg, 1, record=False))
-        ), name
+        assert _everything(_run, cfg, 1, None) == _everything(run_oracle, cfg, 1, None), name
+        _assert_lean_summary_exact(cfg, 1, cfg)
 
 
 def _assert_lean_summary_exact(cfg, seed, measure):
@@ -277,21 +271,6 @@ def test_lean_run_summarizes_like_the_full_record(model, seed, warmup, target_ao
     _assert_lean_summary_exact(cfg, seed, cfg.replace(warmup=warmup, target_aoi=target_aoi))
 
 
-def _front_and_back(cfg, seed, arrivals, record=True):
-    return run_back(cfg, seed, run_front(cfg, seed, record=record))
-
-
-@settings(settings.get_profile("simulation"), max_examples=200)
-@given(_models(), st.integers(0, 1000))
-def test_front_and_back_match_the_one_loop(model, seed):
-    # The one loop is the event heap of the oracle, which handles every
-    # event in (time, seq) order.  A lean split run summarizes like the full
-    # one.
-    cfg, _ = model  # injected arrivals are covered by the oracle test
-    assert _everything(_front_and_back, cfg, seed, None) == _everything(run_oracle, cfg, seed, None)
-    _assert_lean_summary_exact(cfg, seed, cfg)
-
-
 @pytest.mark.parametrize("block_size", [1, 2, 20])
 def test_front_and_back_match_the_one_loop_over_a_long_run(block_size):
     # Paper defaults over 300 s.  At B = 1 the validator's load is 1.65, so its
@@ -299,7 +278,7 @@ def test_front_and_back_match_the_one_loop_over_a_long_run(block_size):
     # load is 1.025; at B = 20 blocks are cut by timeout.  The strategy above
     # runs 60 s with B <= 4 and never builds such a queue.
     cfg = paper_default().replace(horizon=300.0, block_size=block_size)
-    full = _front_and_back(cfg, 3, None)
+    full = _run(cfg, 3, None)
     backlog = full.blocks_committed - len(full.block_times)  # blocks left at the horizon
     assert backlog > {1: 1000, 2: 30, 20: 0}[block_size]
     assert _record(full) == _record(run_oracle(cfg, 3, None))
@@ -461,11 +440,10 @@ def test_lean_latency_means_are_summed_in_delivery_order(seed):
     _assert_lean_summary_exact(cfg, seed, cfg)
 
 
-# Three ways to run: `run_once` (named for the one loop it once ran), full and
-# lean, and a lean front and back called directly.
+# Two ways to run: `run_once` (named for the one loop it once ran), full, and
+# a lean front and back called directly.
 _RUNS = {
     "one loop": run_once,
-    "lean one loop": lambda cfg, seed: run_once(cfg, seed, record=False),
     "lean front and back": lambda cfg, seed: run_back(cfg, seed, run_front(cfg, seed)),
 }
 
