@@ -7,8 +7,10 @@ reproduces the output byte for byte.  One rule decides what configs share:
 configs that differ in back fields (`config.BACK_FIELDS`) and measurement
 fields (`config.MEASUREMENT_FIELDS`) alone share each replication's front,
 and those that differ in measurement fields alone also share its back, whose
-result is summarized under each of them.  Only a run that writes a trace
-keeps its per-transaction record; every other run keeps what the CSV needs.
+result is summarized under each of them.  The fronts of one replication share
+every pass that reads none of the fields they differ in (`frontback.Fronts`).
+Only a run that writes a trace keeps its per-transaction record; every other
+run keeps what the CSV needs.
 """
 
 import gc
@@ -107,33 +109,40 @@ def _replicate(measures, trace=None):
     config in replication order.
 
     The configs are grouped by their front fields, and each front group by
-    its back fields.  Each replication of a front group is one
-    `frontback.run_front`, then one `run_back` per back group, whose result
-    is summarized under every config of that group.  If `trace` is a text
-    stream, `measures` holds one config (a full-record front serves one
-    back), whose runs keep their record and write it there; otherwise every
-    run is lean.  The cyclic collector stays paused over the loop, and each
-    front is dropped after its last back and each result after its summaries
-    and trace, so the collector never walks their objects.
+    its back fields.  The loop runs over the seeds, and at each seed over the
+    front groups with a replication there: one front each, all built by one
+    `frontback.Fronts`, so they compute each pass they share once, then one
+    `run_back` per back group, whose result is summarized under every config
+    of that group.  If `trace` is a text stream, `measures` holds one config
+    (a full-record front serves one back), whose runs keep their record and
+    write it there; otherwise every run is lean.  The cyclic collector stays
+    paused over the loop, and each front is dropped after its last back and
+    each result after its summaries and trace, so the collector never walks
+    their objects.
     """
     # imported at the first run, so that importing bcesim compiles none of it
-    from .frontback import run_back, run_front
+    from .frontback import Fronts, run_back
 
     fronts = {}  # front field values -> back field values -> indices of the measures
     for j, measure in enumerate(measures):
         front_key = tuple(value for key, value in vars(measure).items() if key not in _NOT_FRONT)
         back_key = tuple(getattr(measure, key) for key in BACK_FIELDS)
         fronts.setdefault(front_key, {}).setdefault(back_key, []).append(j)
+    runs = {}  # seed -> (replication, the back groups of one front group) of each run there
+    for backs in fronts.values():
+        groups = list(backs.values())
+        cfg = measures[groups[0][0]]
+        for k in range(cfg.replications):
+            runs.setdefault(cfg.master_seed + k, []).append((k, groups))
     per_measure = [[] for _ in measures]
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for backs in fronts.values():
-            groups = list(backs.values())
-            cfg = measures[groups[0][0]]
-            for k in range(cfg.replications):
-                seed = cfg.master_seed + k
-                front = run_front(cfg, seed, record=trace is not None)
+        for seed in sorted(runs):  # so that each config's replications come in order
+            configs = [measures[groups[0][0]] for _, groups in runs[seed]]
+            shared = Fronts(seed, configs)
+            for cfg, (k, groups) in zip(configs, runs[seed]):
+                front = shared.front(cfg, record=trace is not None)
                 for group in groups:
                     result = run_back(measures[group[0]], seed, front)
                     if group is groups[-1]:
@@ -143,6 +152,7 @@ def _replicate(measures, trace=None):
                     if trace is not None:
                         _write_trace(trace, k, result)
                     del result
+            del shared  # the passes it kept are this replication's only
     finally:
         if collecting:
             gc.enable()

@@ -1,5 +1,6 @@
 """The engine: every run is a front and a back, so that runs differing only
-in back fields share one front.
+in back fields share one front, and the fronts of one replication share
+every pass that they read alike.
 
 Generation, key assignment, channel split, transmission, loss, comm latency
 and endorsement (the front) never depend on block cutting, ordering,
@@ -12,31 +13,52 @@ they reproduce the event-heap model of the pipeline (`tests/des_oracle.py`),
 which dispatches every event in (time, seq) order, with seq taken when the
 event is scheduled.
 
-The front has no event loop.  Each of its random streams is drawn in an
-order of its own (generation order or delivery order), so it draws each one
-in a pass over a whole-run list, as the event-heap model draws it, and
-merges them without a heap:
+The front has no event loop.  It is a chain of passes over whole-run lists.
+Each pass is a function of the seed, of the fields it reads and of the
+passes before it, and each random stream is drawn by one pass, in an order
+of its own (generation order or delivery order), as the event-heap model
+draws it:
 
-- Generation times are the running sum of the gaps, up to the horizon.  The
-  key uniforms and the channel-split draws (background keys only, with more
-  than one channel) follow in generation order.
-- Slot dispatches (generations and transmit-completes) are numbered 0, 1, ...
-  in dispatch order.  With no transmit time they are the generations, each
-  scheduled by the one before, and each delivers its own proposal.
-  Otherwise one loop over the generations and transmit-completes alone
-  (`_slot_pass`) numbers them and serves the waiting deque by discipline.
-  Two of them due at one instant go in the order of the dispatches that
-  scheduled them; a generation schedules the transmit-complete it starts
-  before the next generation.  Under FCFS the delivery times need no
-  numbers: a transmission starts at the later of its proposal's generation
-  and the previous transmit-complete (Lindley's recursion), and at a tie of
-  the two either order gives that time.  Only an exact tie in the back needs
-  the numbers, so there the loop runs at the first such tie
-  (`Front.timeline`).
-- Loss, comm latency and endorsement are drawn in delivery order.
-- Endorse-done order is a stable sort of the deliveries by time: at a tie the
-  endorsement delivered first took the smaller seq, since a slot dispatch
-  delivers at most one.
+- generation (`generation_mode`, `total_rate`, `horizon`): the generation
+  times, the running sum of the gaps up to the horizon;
+- labels (`target_ratio`, `n_channels`): a key uniform per generation, in
+  generation order, and a channel-split draw per background key with more
+  than one channel;
+- deliveries (`transmit_time`, `discipline`): the proposal each delivery
+  delivers and its time, in delivery order (see below);
+- loss (`stp`): a loss uniform per delivery, in delivery order;
+- comm (`comm_latency`): a comm draw per passed delivery;
+- endorsement (`endorse_time`, `n_endorsers`): an endorse uniform per passed
+  delivery, transformed into the maximum over the endorsers, and the
+  endorse-done order.  That is a stable sort of the deliveries by time: at a
+  tie the endorsement delivered first took the smaller seq, since a slot
+  dispatch delivers at most one.
+
+The front then labels each endorsement and puts them in endorse-done
+order.  A draw goes to its place in its pass's order whatever the other
+fields are: the j-th key uniform to the j-th generation, and the j-th comm
+and endorse draw to the j-th passed delivery, for every `stp`.  So two
+configs that agree in the fields a pass reads, and in those of the passes
+before it, have the same output of that pass, and those that differ in
+`stp` alone share one draw prefix of comm and endorse draws.
+`experiments._replicate` builds the fronts of one replication through one
+`Fronts`: each distinct pass is computed once and kept until its last use,
+and each draw prefix until the replication ends, never longer.  A
+`target_ratio` sweep pays the labels and the Transactions per value, and an
+`stp` sweep the loss, comm and endorsement passes.
+
+The deliveries: slot dispatches (generations and transmit-completes) are
+numbered 0, 1, ... in dispatch order.  With no transmit time they are the
+generations, each scheduled by the one before, and each delivers its own
+proposal.  Otherwise one loop over the generations and transmit-completes
+alone (`_slot_pass`) numbers them and serves the waiting deque by
+discipline.  Two of them due at one instant go in the order of the
+dispatches that scheduled them; a generation schedules the transmit-complete
+it starts before the next generation.  Under FCFS the delivery times need no
+numbers: a transmission starts at the later of its proposal's generation and
+the previous transmit-complete (Lindley's recursion), and at a tie of the two
+either order gives that time.  Only an exact tie in the back needs the
+numbers, so there the loop runs at the first such tie (`Front.timeline`).
 
 The back is one pass over the stream, with no event heap.  Per channel:
 
@@ -86,20 +108,20 @@ on every further value: the front is about half of a lean run at paper
 defaults with block size 10, and about 40% on the M/D/1 configs of the
 benchmark's md1_channel workload (medians over 6 seeds; Python 3.11).
 
-`arrivals_front` builds a front from a list of injected endorsements, so
-tests can drive the back with a known sub-workload.  `simulation.run_once`
-and `experiments._replicate` import this module at their first run, so that
-importing bcesim compiles none of it.
+`simulation.run_once` and `experiments._replicate` import this module at
+their first run, so that importing bcesim compiles none of it.
 """
 
+import functools
 import itertools
 import math
 import operator
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable
 from dataclasses import dataclass
+from random import Random
 
 from .core import SimulationError, make_stream
 from .ledger import LedgerState
@@ -148,6 +170,122 @@ class Front:
         return self.slots
 
 
+class Fronts:
+    """The fronts of one replication, at one seed, sharing their passes.
+
+    `front(cfg)` is `run_front(cfg, seed)`.  Each pass that the fronts of
+    `configs` share is computed at its first use and kept until its last, and
+    each draw prefix as long as this object; a pass that no two of them share
+    is not kept at all, nor is any prefix then.  A front of a config outside
+    `configs` is built the same way, and is the same.
+    """
+
+    __slots__ = ("seed", "uses", "kept", "prefixes")
+
+    def __init__(self, seed, configs=()):
+        self.seed = seed
+        uses = Counter(key for cfg in configs for key in _pass_keys(cfg))
+        self.uses = uses if max(uses.values(), default=0) > 1 else {}  # pass key -> fronts to read it
+        self.kept = {}  # pass key -> its output
+        self.prefixes = {}  # stream key -> its _Prefix
+
+    def front(self, cfg, record=False):
+        """Generation through endorsement of one run at this seed (see `run_front`)."""
+        cfg.validate()
+        generation, labels, deliveries, loss, comm, endorsement = _pass_keys(cfg)
+        gen_times = self.get(generation, _generation, self.seed, *generation[1:])
+        is_target, channel = self.get(labels, _labels, self, gen_times,
+                                      cfg.target_ratio, cfg.n_channels)
+        delivers, times, slots = self.get(deliveries, _deliveries, gen_times,
+                                          cfg.transmit_time, cfg.discipline)
+        served, at, passed = self.get(loss, _loss, self, delivers, times, cfg.stp)
+        at = self.get(comm, _comm, self, at, cfg.comm_latency)
+        done, order, ordered, proposal = self.get(endorsement, _endorsement, self, served, at,
+                                                  cfg.endorse_time, cfg.n_endorsers)
+
+        # The endorsements in delivery order: a Transaction for each one a lean
+        # front keeps, and its channel's marker for each other one.  A
+        # background key is its proposal's id, and a proposal that arrives at
+        # its generation has one float for both times, as in the event-heap model.
+        same = at is gen_times
+        if record or cfg.target_ratio == 1.0:  # every endorsement is kept
+            delivered = transactions = [
+                Transaction(pid := k + 1, TARGET_KEY if is_target[k] else pid, channel[k],
+                            a if same else gen_times[k], a, d)
+                for k, a, d in zip(served, at, done)
+            ]
+        else:
+            # every marker, then a Transaction in place of each target-key
+            # endorsement, which is on channel 0
+            delivered = ([-1] * len(served) if cfg.n_channels == 1
+                         else [-1 - channel[k] for k in served])
+            targets = is_target if served.__class__ is range else [is_target[k] for k in served]
+            transactions = []
+            keep = transactions.append
+            for i, k in itertools.compress(enumerate(served), targets):
+                g = gen_times[k]
+                delivered[i] = tx = Transaction(k + 1, TARGET_KEY, 0, g, g if same else at[i],
+                                                done[i])
+                keep(tx)
+        lost = None
+        if record:  # the lost proposals, in delivery order
+            dropped = (() if passed is None
+                       else itertools.compress(delivers, map(operator.not_, passed)))
+            lost = [(k + 1, TARGET_KEY if is_target[k] else k + 1, channel[k], gen_times[k])
+                    for k in dropped]
+        stream = delivered if order is None else [delivered[i] for i in order]
+        return Front(stream, ordered, proposal, slots, transactions, lost,
+                     len(gen_times), len(times) - len(at))
+
+    def get(self, key, compute, *args):
+        """The output of pass `key`, compute(*args) at its first use."""
+        kept = self.kept
+        value = kept.pop(key) if key in kept else compute(*args)
+        left = self.uses.get(key, 1) - 1
+        if left > 0:
+            self.uses[key] = left
+            kept[key] = value
+        return value
+
+    def prefix(self, key, more, *args):
+        """The draw prefix of stream `key`, made by more(*args) at its first use."""
+        prefix = self.prefixes.get(key)
+        if prefix is None:
+            prefix = _Prefix(more(*args))
+            if self.uses:
+                self.prefixes[key] = prefix
+        return prefix
+
+
+class _Prefix:
+    """The first values of one sequence of draws, drawn only as far as asked."""
+
+    __slots__ = ("more", "values")
+
+    def __init__(self, more):
+        self.more = more  # (start, stop) -> the values numbered start .. stop - 1
+        self.values = array("d")
+
+    def first(self, n):
+        """The first n values."""
+        values = self.values
+        if len(values) < n:
+            values.fromlist(self.more(len(values), n))
+        return values if len(values) == n else values[:n]
+
+
+def _pass_keys(cfg):
+    """The key of each pass of a config's front: the pass, the fields it
+    reads and the key of the pass it reads."""
+    generation = ("generation", cfg.generation_mode, cfg.total_rate, cfg.horizon)
+    labels = ("labels", generation, cfg.target_ratio, cfg.n_channels)
+    deliveries = ("deliveries", generation, cfg.transmit_time, cfg.discipline)
+    loss = ("loss", deliveries, cfg.stp)
+    comm = ("comm", loss, cfg.comm_latency)
+    endorsement = ("endorsement", comm, cfg.endorse_time, cfg.n_endorsers)
+    return generation, labels, deliveries, loss, comm, endorsement
+
+
 def run_front(cfg, seed, record=False):
     """Generation through endorsement of one run.
 
@@ -157,118 +295,129 @@ def run_front(cfg, seed, record=False):
     that model's result.  With `record` false it builds a Transaction for
     target-key endorsements only.
     """
-    cfg.validate()
-    horizon = cfg.horizon
-    rate = cfg.total_rate
-    n_channels = cfg.n_channels
-    stp = cfg.stp
-    transmit_time = cfg.transmit_time
-    comm = cfg.comm_latency
-    endorse = cfg.endorse_time
+    return Fronts(seed).front(cfg, record)
 
-    # Generation times: the running sum of the gaps, up to the horizon.
-    if cfg.generation_mode == "exponential":
-        expovariate = make_stream(seed, "generation").expovariate
+
+def _generation(seed, mode, rate, horizon):
+    """The generation times: the running sum of the gaps, up to the horizon."""
+    if mode == "exponential":
+        # `Random.expovariate(rate)` inline: the same floats
+        random, log = make_stream(seed, "generation").random, math.log
         gen_times = array("d")
-        t = expovariate(rate)
+        add = gen_times.append
+        t = -log(1.0 - random()) / rate
         while t <= horizon:
-            gen_times.append(t)
-            t += expovariate(rate)
-    else:
-        period = 1.0 / rate
-        gaps = itertools.repeat(period, int(horizon * rate) + 2)
-        gen_times = array("d", itertools.accumulate(gaps))  # the float sums of t + period
-        while gen_times[-1] <= horizon:
-            gen_times.append(gen_times[-1] + period)
-        del gen_times[bisect_right(gen_times, horizon):]
-    n_generated = len(gen_times)
+            add(t)
+            t += -log(1.0 - random()) / rate
+        return gen_times
+    period = 1.0 / rate
+    gaps = itertools.repeat(period, int(horizon * rate) + 2)
+    gen_times = array("d", itertools.accumulate(gaps))  # the float sums of t + period
+    while gen_times[-1] <= horizon:
+        gen_times.append(gen_times[-1] + period)
+    del gen_times[bisect_right(gen_times, horizon):]
+    return gen_times
 
-    # Keys, and channels for the background keys, in generation order.
-    key_random = make_stream(seed, "key-assign").random
-    target_ratio = cfg.target_ratio
-    is_target = [key_random() < target_ratio for _ in itertools.repeat(None, n_generated)]
+
+def _draws(seed, stream_id, draw):
+    """The draws draw(rng) of one stream, for a _Prefix."""
+    rng = make_stream(seed, stream_id)
+    return lambda start, stop: [draw(rng) for _ in itertools.repeat(None, stop - start)]
+
+
+def _labels(fronts, gen_times, target_ratio, n_channels):
+    """Whether each proposal is on the target key, and its channel, in
+    generation order: the target key stays on channel 0."""
+    keys = fronts.prefix("key-assign", _draws, fronts.seed, "key-assign", Random.random)
+    is_target = [u < target_ratio for u in keys.first(len(gen_times))]
     if n_channels == 1:
-        channel = array("i", [0]) * n_generated
-    else:
-        randrange = make_stream(seed, "channel-split").randrange
-        channel = array("i", [0 if target else randrange(n_channels) for target in is_target])
+        return is_target, array("i", [0]) * len(gen_times)
+    randrange = make_stream(fronts.seed, "channel-split").randrange
+    return is_target, array("i", [0 if target else randrange(n_channels) for target in is_target])
 
-    # The deliveries: the proposal each delivers (`served`) and its time
-    # (`at`), in delivery order.
+
+def _deliveries(gen_times, transmit_time, discipline):
+    """The proposal each delivery delivers (`served`), its time (`at`), in
+    delivery order, and the slot timeline or a function that builds it once."""
+    n_generated = len(gen_times)
     if transmit_time == 0.0:
         # each generation schedules the next, and delivers its own proposal
         served = range(n_generated)
-        at = gen_times
-        slots = (gen_times, range(-1, n_generated - 1), served)
-    else:
-        slots = lambda: _slot_pass(gen_times, transmit_time, cfg.discipline, True)[2]
-        if cfg.discipline == "fcfs":
-            # Lindley's recursion, with the float operations of the slot pass:
-            # a proposal's transmission starts at the later of its generation
-            # and the previous proposal's transmit-complete.
-            served = range(n_generated)
-            at = array("d")
-            add, d = at.append, -math.inf
-            for g in gen_times:
-                d = (g if g >= d else d) + transmit_time
-                add(d)
-        else:
-            served, at, _ = _slot_pass(gen_times, transmit_time, cfg.discipline, False)
+        return served, gen_times, (gen_times, range(-1, n_generated - 1), served)
+    slots = functools.cache(lambda: _slot_pass(gen_times, transmit_time, discipline, True)[2])
+    if discipline == "fcfs":
+        # Lindley's recursion, with the float operations of the slot pass: a
+        # proposal's transmission starts at the later of its generation and
+        # the previous proposal's transmit-complete.
+        at = array("d")
+        add, d = at.append, -math.inf
+        for g in gen_times:
+            d = (g if g >= d else d) + transmit_time
+            add(d)
+        return range(n_generated), at, slots
+    served, at, _ = _slot_pass(gen_times, transmit_time, discipline, False)
+    return served, at, slots
 
-    # Loss, comm latency and endorsement, in delivery order.
-    lost = [] if record else None
-    n_lost = 0
-    if stp < 1.0:
-        loss_random = make_stream(seed, "channel-loss").random
-        passed = [loss_random() < stp for _ in served]
-        n_lost = len(passed) - sum(passed)
-        if record:
-            lost = [(k + 1, TARGET_KEY if is_target[k] else k + 1, channel[k], gen_times[k])
-                    for k, ok in zip(served, passed) if not ok]
-        served = list(itertools.compress(served, passed))
-        at = list(itertools.compress(at, passed))
-    if comm.value != 0.0:
-        rng_comm = make_stream(seed, "comm-latency")
-        at = [t + comm.sample(rng_comm) for t in at]
+
+def _loss(fronts, served, at, stp):
+    """The deliveries that pass, in delivery order, and whether each
+    delivery passed (None if all do)."""
+    if stp >= 1.0:
+        return served, at, None
+    uniforms = fronts.prefix("channel-loss", _draws, fronts.seed, "channel-loss", Random.random)
+    passed = [u < stp for u in uniforms.first(len(served))]
+    return list(itertools.compress(served, passed)), list(itertools.compress(at, passed)), passed
+
+
+def _comm(fronts, at, comm):
+    """The arrival times: each passed delivery's time plus its comm latency."""
+    if comm.value == 0.0:
+        return at
+    if comm.kind == "fixed":
+        return [t + comm.value for t in at]
+    draws = fronts.prefix(("comm-latency", comm), _draws, fronts.seed, "comm-latency", comm.sample)
+    return [t + c for t, c in zip(at, draws.first(len(at)))]
+
+
+def _endorsement(fronts, served, at, endorse, n_endorsers):
+    """(done, order, ordered, proposal): the endorse-done times in delivery
+    order, the endorse-done order of the deliveries (None if it is theirs),
+    the times in that order, and each one's proposal in that order."""
     if endorse.kind == "fixed":
         done = [a + endorse.value for a in at]
     else:
-        # `Delay.sample_max` inline; its redraw of a zero uniform is not, so
-        # after a zero (log raises) the stream is drawn again through it
-        random = make_stream(seed, "endorse").random
-        mean, n_endorsers = endorse.value, cfg.n_endorsers
-        log, expm1 = math.log, math.expm1
-        try:
-            done = [a + -mean * log(-expm1(log(random()) / n_endorsers)) for a in at]
-        except ValueError:
-            rng_endorse = make_stream(seed, "endorse")
-            done = [a + endorse.sample_max(rng_endorse, n_endorsers) for a in at]
-
-    # The endorsements in delivery order: a Transaction for each one a lean
-    # front keeps, and its channel's marker for each other one.  A
-    # background key is its proposal's id, and a proposal that arrives at its
-    # generation has one float for both times, as in the event-heap model.
-    same = at is gen_times
-    delivered = [
-        Transaction(pid := k + 1, TARGET_KEY if is_target[k] else pid, channel[k],
-                    a if same else gen_times[k], a, d)
-        if record or is_target[k] else -1 - channel[k]
-        for k, a, d in zip(served, at, done)
-    ]
-    transactions = [x for x in delivered if x.__class__ is not int]
-
-    # Endorse-done order: by time, and at a tie in delivery order, the order
-    # of the seqs the delivering slot dispatches took.
+        delays = fronts.prefix(("endorse", endorse, n_endorsers), _endorse_delays,
+                               fronts.seed, endorse, n_endorsers)
+        done = [a + x for a, x in zip(at, delays.first(len(at)))]
     if all(map(operator.le, done, itertools.islice(done, 1, None))):
-        stream, proposal = delivered, served  # already in that order
-    else:
-        order = sorted(range(len(done)), key=done.__getitem__)
-        done.sort()  # the same stable sort
-        stream = [delivered[i] for i in order]
-        proposal = order if served.__class__ is range else [served[i] for i in order]
-    return Front(stream, array("d", done),
-                 proposal if proposal.__class__ is range else array("i", proposal),
-                 slots, transactions, lost, n_generated, n_lost)
+        return done, None, array("d", done), (served if served.__class__ is range
+                                              else array("i", served))
+    order = sorted(range(len(done)), key=done.__getitem__)  # stable: ties in delivery order
+    proposal = order if served.__class__ is range else [served[i] for i in order]
+    return done, order, array("d", sorted(done)), array("i", proposal)
+
+
+def _endorse_delays(seed, endorse, n_endorsers):
+    """The endorsement delays over n endorsers, for a _Prefix: each is
+    `Delay.sample_max` of the endorse stream, inline."""
+    random, log, expm1 = make_stream(seed, "endorse").random, math.log, math.expm1
+    mean = endorse.value
+    rng = None  # after a zero uniform, the stream drawn again through `sample_max`
+
+    def more(start, stop):
+        nonlocal rng
+        if rng is None:
+            try:
+                return [-mean * log(-expm1(log(random()) / n_endorsers))
+                        for _ in itertools.repeat(None, stop - start)]
+            except ValueError:
+                # a zero uniform (log raises), which `sample_max` redraws:
+                # draw the stream again, from its start, through it
+                rng = make_stream(seed, "endorse")
+                return [endorse.sample_max(rng, n_endorsers) for _ in range(stop)][start:]
+        return [endorse.sample_max(rng, n_endorsers) for _ in itertools.repeat(None, stop - start)]
+
+    return more
 
 
 def _slot_pass(gen_times, transmit_time, discipline, numbered):
@@ -317,20 +466,6 @@ def _slot_pass(gen_times, transmit_time, discipline, numbered):
         else:
             waiting.append(k)
     return served, at, (slot_time, slot_sched, by) if numbered else None
-
-
-def arrivals_front(arrivals):
-    """A full-record front whose endorsements are the injected arrivals, each
-    (arrive_time, endorse_delay, key, gen_time), on channel 0, ahead of every
-    back event at the same instant (they were all scheduled before the run).
-    Keys may repeat: a back over this full-record front versions every key."""
-    transactions = [Transaction(tid, key, 0, gen_time, arrive, arrive + delay)
-                    for tid, (arrive, delay, key, gen_time) in enumerate(arrivals, 1)]
-    stream = sorted(transactions, key=lambda tx: tx.endorse_done)  # stable: ties in order
-    n = len(stream)
-    # each arrival is its own proposal, delivered before the first slot dispatch
-    return Front(stream, array("d", [tx.endorse_done for tx in stream]), range(n),
-                 (array("d"), array("i"), array("i", [-1]) * n), transactions, [], n, 0)
 
 
 def run_back(cfg, seed, front):

@@ -8,6 +8,7 @@ reset the age: freshness is defined by the largest committed generation
 time seen so far.
 """
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -57,18 +58,6 @@ class AoISamplePath:
         return path
 
 
-def _segments(path):
-    """Linear pieces (seg_start, seg_end, age_at_seg_start) of the sawtooth.
-
-    Measurement runs from the first reset to the path end; the age in each
-    piece rises with slope exactly 1.
-    """
-    resets = path.resets
-    for i, (t_u, t_g) in enumerate(resets):
-        seg_end = resets[i + 1][0] if i + 1 < len(resets) else path.end
-        yield t_u, seg_end, t_u - t_g
-
-
 def _measured_time(path):
     """Length of [first reset, end], or None where no time average exists:
     the path has no reset, or that window has zero length."""
@@ -80,14 +69,25 @@ def _measured_time(path):
     return duration if duration > 0 else None
 
 
+def _piece_ends(path):
+    """The end of each linear piece of the sawtooth: the next reset's commit
+    time, or the path end for the last reset."""
+    return itertools.chain(map(_COMMIT_TIME, itertools.islice(path.resets, 1, None)), [path.end])
+
+
 def average_aoi(path):
-    """Time-average age over [first reset, end]; None when there is no such window."""
+    """Time-average age over [first reset, end]; None when there is no such window.
+
+    Measurement runs from the first reset to the path end; in the piece from
+    each reset to the next the age rises with slope exactly 1.
+    """
     duration = _measured_time(path)
     if duration is None:
         return None
     area = 0.0
-    for seg_start, seg_end, age in _segments(path):
-        length = seg_end - seg_start
+    for (t_u, t_g), seg_end in zip(path.resets, _piece_ends(path)):
+        age = t_u - t_g
+        length = seg_end - t_u
         area += (age + (age + length)) * 0.5 * length
     return area / duration
 
@@ -100,16 +100,12 @@ def violation_probability(path, target):
     if duration is None:
         return None
     above = 0.0
-    for seg_start, seg_end, age in _segments(path):
-        length = seg_end - seg_start
+    for (t_u, t_g), seg_end in zip(path.resets, _piece_ends(path)):
+        age = t_u - t_g
+        length = seg_end - t_u
         # slope 1: time above target within the piece
         above += min(length, max(0.0, age + length - target))
     return above / duration
-
-
-def aoi_ccdf(path, grid):
-    """Violation probabilities over a sorted copy of the grid; nonincreasing."""
-    return [violation_probability(path, g) for g in sorted(grid)]
 
 
 @dataclass

@@ -35,18 +35,22 @@ def parse_csv(text):
 
 
 def count_runs(monkeypatch):
-    """Record the seed of every `run_front` and `run_back` call from now on,
-    as {function name: seeds}."""
-    calls = {}
-    for name in ("run_front", "run_back"):
-        real = getattr(bcesim.frontback, name)
-        seeds = calls[name] = []
+    """Record the seed of every front built (`frontback.Fronts.front`, which
+    `run_front` calls too) and of every `run_back` call from now on, as
+    {"run_front": seeds, "run_back": seeds}."""
+    calls = {"run_front": [], "run_back": []}
+    real_front, real_back = bcesim.frontback.Fronts.front, bcesim.frontback.run_back
 
-        def counting(cfg, seed, *args, _real=real, _seeds=seeds, **kwargs):
-            _seeds.append(seed)
-            return _real(cfg, seed, *args, **kwargs)
+    def front(self, *args, **kwargs):
+        calls["run_front"].append(self.seed)
+        return real_front(self, *args, **kwargs)
 
-        monkeypatch.setattr(bcesim.frontback, name, counting)
+    def back(cfg, seed, *args, **kwargs):
+        calls["run_back"].append(seed)
+        return real_back(cfg, seed, *args, **kwargs)
+
+    monkeypatch.setattr(bcesim.frontback.Fronts, "front", front)
+    monkeypatch.setattr(bcesim.frontback, "run_back", back)
     return calls
 
 

@@ -15,14 +15,49 @@ of events due at one instant.
 
 import enum
 import heapq
+from array import array
 from collections import deque
 
 from bcesim.core import SimulationError, make_stream
+from bcesim.frontback import Front
 from bcesim.ledger import LedgerState
 from bcesim.metrics import AoISamplePath, LatencyBreakdown
 from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
 from bcesim.simulation import RunResult
 from bcesim.workload import TARGET_KEY
+
+
+def read_version(ledger, key):
+    """The version of `key` in a channel's ledger: 0 if it was never written."""
+    return ledger.versions.get(key, 0)
+
+
+def apply_update(ledger, key, gen_time):
+    """Commit one update; caller must have passed MVCC for this key."""
+    version = ledger.versions.get(key, 0) + 1
+    ledger.versions[key] = version
+    ledger.gen_times[key] = gen_time
+    return version
+
+
+def entries(ledger):
+    """Snapshot of the full key -> (version, last_gen_time) map."""
+    return {key: (version, ledger.gen_times[key]) for key, version in ledger.versions.items()}
+
+
+def arrivals_front(arrivals):
+    """A full-record front whose endorsements are the injected arrivals, each
+    (arrive_time, endorse_delay, key, gen_time), on channel 0, ahead of every
+    back event at the same instant (they were all scheduled before the run).
+    Keys may repeat: a back over this full-record front versions every key,
+    so tests can drive `bcesim.frontback.run_back` with a known sub-workload."""
+    transactions = [Transaction(tid, key, 0, gen_time, arrive, arrive + delay)
+                    for tid, (arrive, delay, key, gen_time) in enumerate(arrivals, 1)]
+    stream = sorted(transactions, key=lambda tx: tx.endorse_done)  # stable: ties in order
+    n = len(stream)
+    # each arrival is its own proposal, delivered before the first slot dispatch
+    return Front(stream, array("d", [tx.endorse_done for tx in stream]), range(n),
+                 (array("d"), array("i"), array("i", [-1]) * n), transactions, [], n, 0)
 
 
 class Proposal:
@@ -61,7 +96,7 @@ def validate_block(block, ledger, vscc_fail_prob, rng):
         if vscc_fail_prob > 0.0 and rng.random() < vscc_fail_prob:
             tx.validity = VSCC_INVALID
             continue
-        current = ledger.read_version(tx.key) + pending.get(tx.key, 0)
+        current = read_version(ledger, tx.key) + pending.get(tx.key, 0)
         if tx.captured_version == current:
             tx.validity = VALID
             pending[tx.key] = pending.get(tx.key, 0) + 1
@@ -110,7 +145,7 @@ def commit_block(block, ledger, completion):
     for tx in block.txs:
         tx.commit_time = completion
         if tx.validity == VALID:
-            ledger.apply_update(tx.key, tx.gen_time)
+            apply_update(ledger, tx.key, tx.gen_time)
             committed.append(tx)
     return committed
 
@@ -222,7 +257,7 @@ class ChannelState:
 
 class Simulator:
     """One run of a configuration and seed; `arrivals` as in
-    `bcesim.frontback.arrivals_front`."""
+    `arrivals_front`."""
 
     def __init__(self, cfg, seed, arrivals=None):
         cfg.validate()
@@ -335,7 +370,7 @@ class Simulator:
     def _on_endorse_complete(self, t, tx):
         ch = self.channels[tx.channel]
         tx.endorse_done = t
-        tx.captured_version = ch.ledger.read_version(tx.key)
+        tx.captured_version = read_version(ch.ledger, tx.key)
         block, deadline = ch.submit(tx, t)
         if block is not None:
             self._dispatch_block(block)

@@ -16,11 +16,12 @@ from aoi_oracle import grid_average_aoi, grid_violation_probability
 from bcesim.config import paper_default
 from bcesim.experiments import SCENARIO_SWEEPS, run_scenario, run_sweep
 from bcesim.ledger import LedgerState
-from bcesim.metrics import aoi_ccdf, average_aoi, violation_probability
+from bcesim.metrics import average_aoi, violation_probability
 from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
-from test_metrics import random_path
+from des_oracle import apply_update, entries, read_version
+from test_metrics import aoi_ccdf, random_path
 from test_workload import md1_transmitter, transmitter_replay
 
 
@@ -246,10 +247,10 @@ def test_criterion_09_mvcc_ledger_exactness():
         committed.sort(key=lambda tx: (tx.commit_time, tx.id))
         replay = LedgerState()
         for tx in committed:
-            replay.apply_update(tx.key, tx.gen_time)
-        gapless = replay.entries() == result.ledgers[0].entries()
+            apply_update(replay, tx.key, tx.gen_time)
+        gapless = entries(replay) == entries(result.ledgers[0])
         n_target = sum(1 for tx in committed if tx.key == TARGET_KEY)
-        versions_ok = result.ledgers[0].read_version(TARGET_KEY) == n_target
+        versions_ok = read_version(result.ledgers[0], TARGET_KEY) == n_target
         ok = ok and conserved and gapless and versions_ok
         details.append(f"seed {seed}: {bd.n_generated} proposals")
     check(9, "MVCC/ledger exactness", ok, "; ".join(details))

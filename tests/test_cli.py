@@ -124,7 +124,7 @@ def test_trace_with_scenario_or_sweep_rejected_before_simulating(
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before rejecting --trace")
 
-    monkeypatch.setattr(bcesim.frontback, "run_front", no_simulation)
+    monkeypatch.setattr(bcesim.frontback.Fronts, "front", no_simulation)
     monkeypatch.setattr(bcesim.frontback, "run_back", no_simulation)
     trace = tmp_path / "trace.csv"
     assert main(extra + ["--reps", "1", "--trace", str(trace)]) == 2

@@ -3,6 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bcesim.core
 import bcesim.experiments
 import bcesim.frontback
 from bcesim.config import BACK_FIELDS, paper_default
@@ -173,13 +174,16 @@ def test_model_sweep_simulates_every_value(quick_cfg, monkeypatch):
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, "block_size", [2, 5, 7])
     assert calls == {"run_front": seeds, "run_back": [s for s in seeds for _ in range(3)]}
-    # a front key: a front and a back per distinct value and replication
+    # a front key: a front and a back per distinct value and replication,
+    # every value's at one replication before the next replication's
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, "target_ratio", [0.2, 0.3, 0.5])
-    assert calls == {"run_front": seeds * 3, "run_back": seeds * 3}
+    per_value = [s for s in seeds for _ in range(3)]
+    assert calls == {"run_front": per_value, "run_back": per_value}
     calls = count_runs(monkeypatch)
     run_sweep(quick_cfg, *REPEATED_FRONT_SWEEP)
-    assert calls == {"run_front": seeds * 2, "run_back": seeds * 2}
+    per_value = [s for s in seeds for _ in range(2)]
+    assert calls == {"run_front": per_value, "run_back": per_value}
 
 
 # Swept values of each back-only key, on a coarse grid of fixed delays.
@@ -236,11 +240,90 @@ def test_back_sweep_rows_equal_separate_runs(sweep):
     assert rows == [aggregate_row(key, v, s) for v, s in zip(values, expected)]
 
 
+# Swept values of each front key.  Exponential delays make the comm and
+# endorse streams draw, so their prefixes are shared across values.
+_FRONT_VALUES = {
+    "target_ratio": st.sampled_from([0.3, 0.7, 1.0, 0.0]),
+    "stp": st.sampled_from([0.6, 0.3, 1.0]),
+    "n_endorsers": st.integers(1, 3),
+    "transmit_time": st.sampled_from([0.125, 0.25, 0.0]),
+    "discipline": st.sampled_from(["lcfs", "fcfs"]),
+    "comm_latency": st.sampled_from([Delay("exp", 0.05), Delay("fixed", 0.25), Delay("exp", 0.2)]),
+    "endorse_time": st.sampled_from([Delay("exp", 0.05), Delay("fixed", 0.25), Delay("exp", 0.3)]),
+    "total_rate": st.sampled_from([2.0, 4.0, 1.0]),
+    "n_channels": st.integers(1, 3),
+    "master_seed": st.integers(0, 3),  # replications at overlapping seeds share passes
+    "horizon": st.sampled_from([30.0, 45.0, 60.0]),
+    "replications": st.integers(1, 3),
+}
+
+
+@st.composite
+def _front_sweeps(draw, key):
+    """A base config and two or three values of front key `key` for it."""
+    base = paper_default().replace(
+        horizon=60.0,
+        warmup=4.0,
+        replications=2,
+        **{other: draw(values) for other, values in _FRONT_VALUES.items()
+           if other not in ("horizon", "replications")},
+        generation_mode=draw(st.sampled_from(["periodic", "exponential"])),
+        block_size=draw(st.integers(1, 4)),
+        timeout=draw(st.sampled_from([0.5, 1.0])),
+        ordering_base=draw(st.sampled_from([0.0, 0.5])),
+        validate_block_overhead=draw(st.sampled_from([0.125, 0.25])),
+        validate_per_tx=0.0,
+        vscc_fail_prob=draw(st.sampled_from([0.0, 0.3])),
+    )
+    if base.target_ratio == 0.0:  # no tracked update at all: most of the row is NA
+        base = base.replace(target_ratio=0.5)
+    return base, draw(st.lists(_FRONT_VALUES[key], min_size=2, max_size=3, unique=True))
+
+
+@pytest.mark.parametrize("key", sorted(_FRONT_VALUES))
+@settings(settings.get_profile("simulation"), max_examples=12)
+@given(data=st.data())
+def test_front_sweep_rows_equal_separate_runs(key, data):
+    # The values' fronts share every pass that reads none of the swept key,
+    # and draw prefixes across stp values: each must give what it gives alone.
+    base, values = data.draw(_front_sweeps(key))
+    rows, summaries = run_sweep(base, key, values)
+    expected = [run_replications(base.replace(**{key: v})) for v in values]
+    assert summaries == expected
+    assert rows == [aggregate_row(key, v, s) for v, s in zip(values, expected)]
+
+
+@pytest.mark.parametrize("param, values", [
+    ("target_ratio", [0.2, 0.5, 0.8]),
+    ("stp", [0.4, 0.7, 1.0]),
+    ("transmit_time", [0.0, 0.05, 0.1]),
+    ("endorse_time", [Delay("exp", 0.05), Delay("fixed", 0.1)]),
+])
+def test_a_front_sweep_draws_the_generation_stream_once_per_replication(
+    quick_cfg, monkeypatch, param, values
+):
+    cfg = quick_cfg.replace(generation_mode="exponential", replications=3)
+    seeds = []
+
+    def make_stream(seed, stream_id):
+        if stream_id == "generation":
+            seeds.append(seed)
+        return bcesim.core.make_stream(seed, stream_id)
+
+    monkeypatch.setattr(bcesim.frontback, "make_stream", make_stream)
+    once = [cfg.master_seed + k for k in range(3)]
+    run_sweep(cfg, param, values)
+    assert seeds == once
+    # the passes shared in one call are gone after it
+    run_sweep(cfg, param, values)
+    assert seeds == once * 2
+
+
 def _collections_during_replications(monkeypatch, call):
     """Generations of the collections the cyclic collector starts while
     `experiments._replicate` runs, over call().  Also asserts that call()
-    simulates and that the collector is paused at every run_front and
-    run_back call."""
+    simulates and that the collector is paused at every front built and
+    every run_back call."""
     started, paused = [], []
 
     def on_gc(phase, info):
@@ -255,12 +338,12 @@ def _collections_during_replications(monkeypatch, call):
             gc.callbacks.remove(on_gc)
 
     monkeypatch.setattr(bcesim.experiments, "_replicate", replicate)
-    for name in ("run_front", "run_back"):
-        def run(*args, _real=getattr(bcesim.frontback, name), **kwargs):
+    for owner, name in ((bcesim.frontback.Fronts, "front"), (bcesim.frontback, "run_back")):
+        def run(*args, _real=getattr(owner, name), **kwargs):
             paused.append(not gc.isenabled())
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(bcesim.frontback, name, run)
+        monkeypatch.setattr(owner, name, run)
     assert gc.isenabled()
     gc.collect()
     call()

@@ -1,5 +1,5 @@
 """Pipeline phase tests, driven by injected arrivals (a back over
-`frontback.arrivals_front`) so each case controls exactly which transactions
+`des_oracle.arrivals_front`) so each case controls exactly which transactions
 enter the endorsing phase."""
 
 import dataclasses
@@ -8,10 +8,11 @@ import pytest
 
 from bcesim.config import paper_default
 from bcesim.dists import Delay
-from bcesim.frontback import arrivals_front, run_back
+from bcesim.frontback import run_back
 from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
+from des_oracle import arrivals_front, entries, read_version
 
 
 def _inject(cfg, arrivals):
@@ -106,7 +107,7 @@ def test_mvcc_valid_update_bumps_version():
     result = _inject(_cfg(block_size=1, timeout=5.0), _updates(6))
     tx = result.transactions[-1]
     assert (tx.captured_version, tx.validity) == (5, VALID)
-    assert result.ledgers[0].read_version("k") == 6
+    assert read_version(result.ledgers[0], "k") == 6
 
 
 def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
@@ -117,7 +118,7 @@ def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
     first, second = result.transactions[-2:]
     assert first.captured_version == second.captured_version == 5
     assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
-    assert result.ledgers[0].entries() == {"k": (6, 29.9)}
+    assert entries(result.ledgers[0]) == {"k": (6, 29.9)}
 
 
 def test_first_wins_within_a_block():
@@ -129,7 +130,7 @@ def test_first_wins_within_a_block():
     assert first.commit_time == second.commit_time
     assert first.captured_version == second.captured_version == 5
     assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
-    assert result.ledgers[0].read_version("k") == 6
+    assert read_version(result.ledgers[0], "k") == 6
 
 
 def test_only_the_versioned_key_touches_the_ledger():
@@ -139,7 +140,7 @@ def test_only_the_versioned_key_touches_the_ledger():
     front = arrivals_front([(1.0, 0.0, 7, 0.9), (1.0, 0.0, TARGET_KEY, 0.95)])
     full = run_back(cfg, 1, front)
     assert [tx.validity for tx in full.transactions] == [VALID, VALID]
-    assert full.ledgers[0].entries() == {7: (1, 0.9), TARGET_KEY: (1, 0.95)}
+    assert entries(full.ledgers[0]) == {7: (1, 0.9), TARGET_KEY: (1, 0.95)}
     lean = run_back(cfg, 1, dataclasses.replace(
         front, stream=[-1, front.stream[1]], transactions=front.transactions[1:], lost=None,
     ))
@@ -153,7 +154,7 @@ def test_cross_block_staleness_detected_end_to_end():
     arrivals = [(1.0, 0.0, TARGET_KEY, 0.9), (1.01, 0.0, TARGET_KEY, 1.0)]
     result = _inject(cfg, arrivals)
     assert [tx.validity for tx in result.transactions] == [VALID, MVCC_INVALID]
-    assert result.ledgers[0].read_version(TARGET_KEY) == 1
+    assert read_version(result.ledgers[0], TARGET_KEY) == 1
 
 
 def test_committed_same_key_updates_count_versions():
@@ -162,14 +163,14 @@ def test_committed_same_key_updates_count_versions():
     arrivals = [(5.0 * i, 0.0, TARGET_KEY, 5.0 * i - 0.1) for i in range(1, 9)]
     result = _inject(cfg, arrivals)
     assert all(tx.validity == VALID for tx in result.transactions)
-    assert result.ledgers[0].read_version(TARGET_KEY) == 8
+    assert read_version(result.ledgers[0], TARGET_KEY) == 8
 
 
 def test_vscc_failure_blocks_ledger_update():
     cfg = _cfg(block_size=1, timeout=5.0, vscc_fail_prob=1.0)
     result = _inject(cfg, [(1.0, 0.0, TARGET_KEY, 0.9)])
     assert result.transactions[0].validity == VSCC_INVALID
-    assert result.ledgers[0].read_version(TARGET_KEY) == 0
+    assert read_version(result.ledgers[0], TARGET_KEY) == 0
 
 
 def test_block_size_bound_and_timeout_wait():

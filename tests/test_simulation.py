@@ -13,12 +13,19 @@ from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
 from bcesim.experiments import summarize
-from bcesim.frontback import arrivals_front, run_back, run_front
+from bcesim.frontback import run_back, run_front
 from bcesim.metrics import AoISamplePath, average_aoi
 from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
-from des_oracle import latency_breakdown, run_oracle
+from des_oracle import (
+    apply_update,
+    arrivals_front,
+    entries,
+    latency_breakdown,
+    read_version,
+    run_oracle,
+)
 
 
 def _trace(result):
@@ -43,7 +50,7 @@ def _record(result):
         result.block_times,
         result.blocks_committed,
         result.breakdown,
-        None if result.ledgers is None else [ledger.entries() for ledger in result.ledgers],
+        None if result.ledgers is None else [entries(ledger) for ledger in result.ledgers],
     )
 
 
@@ -530,7 +537,7 @@ def test_committed_version_sequence_is_gapless(quick_cfg):
         for tx in result.transactions
         if tx.key == TARGET_KEY and tx.validity == VALID
     )
-    assert result.ledgers[0].read_version(TARGET_KEY) == n_target_commits > 0
+    assert read_version(result.ledgers[0], TARGET_KEY) == n_target_commits > 0
 
 
 def test_ledger_replay_matches_final_state(quick_cfg):
@@ -541,8 +548,8 @@ def test_ledger_replay_matches_final_state(quick_cfg):
     committed.sort(key=lambda tx: (tx.commit_time, tx.id))
     replay = LedgerState()
     for tx in committed:
-        replay.apply_update(tx.key, tx.gen_time)
-    assert replay.entries() == result.ledgers[0].entries()
+        apply_update(replay, tx.key, tx.gen_time)
+    assert entries(replay) == entries(result.ledgers[0])
 
 
 def test_warmup_only_affects_the_measured_window():
