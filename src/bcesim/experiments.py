@@ -278,16 +278,34 @@ def run_plain(cfg):
 
 def _write_trace(out, k, result):
     # The run is drained, so every delivered transaction has each time stamped
-    # and `_fmt`'s NA never applies; ".10g" is its format.
+    # and `_fmt`'s NA never applies; ".10g" is its format.  Formatting the
+    # times is most of the trace's cost, so a shared time is formatted once:
+    # the transactions of a block carry the same `order_done` and
+    # `commit_time` objects (`run_back` stamps them from one pair), so a line
+    # whose time is the previous line's object reuses its text, and a proposal
+    # that arrives at its generation carries one float for `gen_time` and
+    # `arrive_time`.  The test is identity, never equality: -0.0 == 0.0, yet
+    # the two print differently.
+    lines = []
+    add = lines.append
+    order = commit = None
     for tx in result.transactions:
-        out.write(
-            f"{k},{tx.id},{tx.key},{tx.channel},{tx.gen_time:.10g},"
-            f"{tx.arrive_time:.10g},{tx.endorse_done:.10g},"
-            f"{tx.captured_version},{tx.order_done:.10g},"
-            f"{tx.commit_time:.10g},{tx.validity}\n"
+        gen, arrive = tx.gen_time, tx.arrive_time
+        gen_text = format(gen, ".10g")
+        if tx.order_done is not order:
+            order = tx.order_done
+            order_text = format(order, ".10g")
+        if tx.commit_time is not commit:
+            commit = tx.commit_time
+            commit_text = format(commit, ".10g")
+        add(
+            f"{k},{tx.id},{tx.key},{tx.channel},{gen_text},"
+            f"{gen_text if arrive is gen else format(arrive, '.10g')},{tx.endorse_done:.10g},"
+            f"{tx.captured_version},{order_text},{commit_text},{tx.validity}\n"
         )
     for pid, key, channel, gen_time in result.lost:
-        out.write(f"{k},{pid},{key},{channel},{gen_time:.10g},NA,NA,NA,NA,NA,lost\n")
+        add(f"{k},{pid},{key},{channel},{gen_time:.10g},NA,NA,NA,NA,NA,lost\n")
+    out.write("".join(lines))
 
 
 def trace_csv(cfg):

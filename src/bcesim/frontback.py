@@ -640,18 +640,15 @@ def run_back(cfg, seed, front):
             c = x.channel
             if deadline[c] <= t:
                 timeout_cut(c, i)
-            if record or x.key == TARGET_KEY:
-                # it reads the ledger as every block that completes before it
-                # left it, so every cut due before it is made first
-                if n_channels > 1:
-                    for other in range(n_channels):
-                        timeout_cut(other, i)
-                if next_end <= t:
-                    commit_before(i)
-                x.captured_version = ledgers[c].versions.get(x.key, 0)
-                holds[c] = True
-            else:
-                x = -1 - c  # a lean back keeps and versions the target key only
+            # it reads the ledger as every block that completes before it left
+            # it, so every cut due before it is made first
+            if n_channels > 1:
+                for other in range(n_channels):
+                    timeout_cut(other, i)
+            if next_end <= t:
+                commit_before(i)
+            x.captured_version = ledgers[c].versions.get(x.key, 0)
+            holds[c] = True
         batch = batches[c]
         batch.append(x)
         n = len(batch)

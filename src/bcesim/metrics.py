@@ -103,8 +103,10 @@ def violation_probability(path, target):
     for (t_u, t_g), seg_end in zip(path.resets, _piece_ends(path)):
         age = t_u - t_g
         length = seg_end - t_u
-        # slope 1: time above target within the piece
-        above += min(length, max(0.0, age + length - target))
+        # slope 1: time above target within the piece, at most its length
+        over = age + length - target
+        if over > 0.0:
+            above += over if over < length else length
     return above / duration
 
 

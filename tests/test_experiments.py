@@ -141,6 +141,40 @@ def test_trace_csv_covers_every_proposal(quick_cfg):
     assert outcomes.count("lost") == len(result.lost)
 
 
+_TIME_FIELDS = ("gen_time", "arrive_time", "endorse_done", "order_done", "commit_time")
+
+
+@pytest.mark.parametrize("overrides", [
+    # a comm latency: every proposal arrives after its generation
+    {"comm_latency": Delay("exp", 0.05), "stp": 0.7},
+    # a queue at the transmitter: most arrive after their generation, some at it
+    {"discipline": "lcfs", "transmit_time": 0.08, "stp": 0.6},
+    # blocks of two channels interleave in delivery order
+    {"n_channels": 2, "block_size": 3, "vscc_fail_prob": 0.2},
+    {"n_channels": 3, "comm_latency": Delay("exp", 0.02), "vscc_fail_prob": 0.1, "stp": 0.5},
+])
+def test_trace_cells_equal_the_record(quick_cfg, overrides):
+    from bcesim.simulation import run_once
+
+    cfg = quick_cfg.replace(horizon=60.0, warmup=0.0, **overrides)
+    header, *lines = trace_csv(cfg).rstrip("\n").split("\n")
+    columns = header.split(",")
+    expected = []
+    for k in range(cfg.replications):
+        result = run_once(cfg, cfg.master_seed + k)
+        for tx in result.transactions:
+            expected.append([str(k)] + [
+                format(getattr(tx, name), ".10g") if name in _TIME_FIELDS
+                else str(getattr(tx, name))
+                for name in columns[1:]
+            ])
+        for pid, key, channel, gen_time in result.lost:
+            expected.append([str(k), str(pid), str(key), str(channel),
+                             format(gen_time, ".10g")] + ["NA"] * 5 + ["lost"])
+    assert [line.split(",") for line in lines] == expected
+    assert any(cells[-1] == "lost" for cells in expected) == (cfg.stp < 1.0)
+
+
 MEASUREMENT_SWEEPS = [
     ("target_aoi", [0.0, 0.5, 2.0, 40.0]),
     ("warmup", [0.0, 20.0, 55.5, 199.0]),
@@ -200,7 +234,8 @@ _BACK_VALUES = {
 
 
 @st.composite
-def _back_sweeps(draw):
+def _back_sweeps(draw, key):
+    """A base config and two or three values of back key `key` for it."""
     exact = st.sampled_from([0.0, 0.5, 1.0])
     base = paper_default().replace(
         horizon=60.0,
@@ -225,15 +260,14 @@ def _back_sweeps(draw):
         vscc_fail_prob=draw(st.sampled_from([0.0, 0.3])),
         master_seed=draw(st.integers(0, 1000)),
     )
-    key = draw(st.sampled_from(sorted(BACK_FIELDS)))
-    values = draw(st.lists(_BACK_VALUES[key], min_size=2, max_size=3))
-    return base, key, values
+    return base, draw(st.lists(_BACK_VALUES[key], min_size=2, max_size=3))
 
 
-@settings(settings.get_profile("simulation"), max_examples=60)
-@given(_back_sweeps())
-def test_back_sweep_rows_equal_separate_runs(sweep):
-    base, key, values = sweep
+@pytest.mark.parametrize("key", sorted(BACK_FIELDS))
+@settings(settings.get_profile("simulation"), max_examples=8)
+@given(data=st.data())
+def test_back_sweep_rows_equal_separate_runs(key, data):
+    base, values = data.draw(_back_sweeps(key))
     rows, summaries = run_sweep(base, key, values)
     expected = [run_replications(base.replace(**{key: v})) for v in values]
     assert summaries == expected

@@ -70,6 +70,34 @@ def test_violation_extremes():
         violation_probability(path, -1.0)
 
 
+def _min_max_violation(path, target):
+    """violation_probability with the time above target of each piece taken as
+    min(length, max(0, age + length - target))."""
+    ends = [t_u for t_u, _ in path.resets[1:]] + [path.end]
+    above = 0.0
+    for (t_u, t_g), seg_end in zip(path.resets, ends):
+        age = t_u - t_g
+        length = seg_end - t_u
+        above += min(length, max(0.0, age + length - target))
+    return above / (path.end - path.resets[0][0])
+
+
+def test_violation_equals_min_max_expression_bit_for_bit():
+    rng = random.Random(12)
+    paths = [random_path(rng) for _ in range(300)]
+    # zero-length pieces: two blocks committing at one instant
+    paths.append(path_from([(1.0, 0.5), (2.0, 1.0), (2.0, 1.5), (3.0, 2.0), (3.0, 2.5)]))
+    for path in paths:
+        ages = [t_u - t_g for t_u, t_g in path.resets]
+        # target 0, targets at a reset age and at a piece's end age (where the
+        # time above is the whole piece or none of it), and a spread of others
+        targets = [0.0, ages[0], ages[-1] + (path.end - path.resets[-1][0])]
+        targets += [rng.uniform(0.0, 2.0 * max(ages)) for _ in range(5)]
+        for target in targets:
+            expected = _min_max_violation(path, target)
+            assert violation_probability(path, target).hex() == expected.hex()
+
+
 def test_ccdf_matches_violation_and_sorts_grid():
     path = path_from([(2.0, 1.0), (5.0, 4.5)], end=6.0)
     assert aoi_ccdf(path, [3.0]) == [pytest.approx(0.25)]
