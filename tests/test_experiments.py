@@ -266,7 +266,7 @@ def _back_sweeps(draw, key):
 @pytest.mark.parametrize("key", sorted(BACK_FIELDS))
 @settings(settings.get_profile("simulation"), max_examples=8)
 @given(data=st.data())
-def test_back_sweep_rows_equal_separate_runs(key, data):
+def test_back_key_sweep_rows_equal_separate_runs(key, data):
     base, values = data.draw(_back_sweeps(key))
     rows, summaries = run_sweep(base, key, values)
     expected = [run_replications(base.replace(**{key: v})) for v in values]
