@@ -83,8 +83,7 @@ def main(argv=None):
                 rows, _ = run_sweep(cfg, *sweep)
                 csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
             elif trace is not None:
-                csv_text, trace_text = run_plain_traced(cfg)
-                trace.write(trace_text)
+                csv_text = run_plain_traced(cfg, trace)
             else:
                 csv_text = run_plain(cfg)
         except (ConfigError, OSError) as exc:

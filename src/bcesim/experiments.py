@@ -281,7 +281,7 @@ def _write_trace(out, k, result):
     # and `_fmt`'s NA never applies; ".10g" is its format.  Formatting the
     # times is most of the trace's cost, so a shared time is formatted once:
     # the transactions of a block carry the same `order_done` and
-    # `commit_time` objects (`run_back` stamps them from one pair), so a line
+    # `commit_time` objects (`run_back` builds them from one pair), so a line
     # whose time is the previous line's object reuses its text, and a proposal
     # that arrives at its generation carries one float for `gen_time` and
     # `arrive_time`.  The test is identity, never equality: -0.0 == 0.0, yet
@@ -310,12 +310,15 @@ def _write_trace(out, k, result):
 
 def trace_csv(cfg):
     """Per-transaction debug trace over all replications of a config."""
-    return run_plain_traced(cfg)[1]
-
-
-def run_plain_traced(cfg):
-    """(run_plain(cfg), trace_csv(cfg)), simulating each replication once."""
     out = io.StringIO()
+    run_plain_traced(cfg, out)
+    return out.getvalue()
+
+
+def run_plain_traced(cfg, out):
+    """run_plain(cfg), writing trace_csv(cfg) to the text stream `out` as it
+    goes: each replication's lines as soon as that replication is run, so no
+    more than one replication's trace is held in memory."""
     out.write(TRACE_HEADER + "\n")
     [summaries] = _replicate([cfg], out)
-    return _plain_csv(summaries), out.getvalue()
+    return _plain_csv(summaries)

@@ -34,8 +34,12 @@ draws it:
   tie the endorsement delivered first took the smaller seq, since a slot
   dispatch delivers at most one.
 
-The front then labels each endorsement and puts them in endorse-done
-order.  A draw goes to its place in its pass's order whatever the other
+The front then numbers the endorsements it keeps in delivery order: every
+one in a full front, the target-key ones in a lean front.  Its stream holds
+those numbers in endorse-done order, and a channel marker for each other
+endorsement; beside it go columns of the kept endorsements' times (`Front`).
+No Transaction is built for a lean run at all.  A draw goes to its place in
+its pass's order whatever the other
 fields are: the j-th key uniform to the j-th generation, and the j-th comm
 and endorse draw to the j-th passed delivery, for every `stp`.  So two
 configs that agree in the fields a pass reads, and in those of the passes
@@ -44,7 +48,7 @@ before it, have the same output of that pass, and those that differ in
 `experiments._replicate` builds the fronts of one replication through one
 `Fronts`: each distinct pass is computed once and kept until its last use,
 and each draw prefix until the replication ends, never longer.  A
-`target_ratio` sweep pays the labels and the Transactions per value, and an
+`target_ratio` sweep pays the labels and the numbering per value, and an
 `stp` sweep the loss, comm and endorsement passes.
 
 The deliveries: slot dispatches (generations and transmit-completes) are
@@ -60,7 +64,12 @@ the previous transmit-complete (Lindley's recursion), and at a tie of the two
 either order gives that time.  Only an exact tie in the back needs the
 numbers, so there the loop runs at the first such tie (`Front.timeline`).
 
-The back is one pass over the stream, with no event heap.  Per channel:
+The back is one pass over the stream, with no event heap.  What it stamps
+on a kept endorsement (the version it read, its order and commit times, its
+validity) goes into columns of its own, indexed by the endorsement's number,
+so one front serves any number of backs.  The latency means are summed over
+those columns in delivery order.  Only a full-record back builds
+Transactions, once, when the run is drained.  Per channel:
 
 - A batch is cut when it reaches `block_size`, or at its deadline
   t0 + timeout (t0 its first endorsement) if that passes before the
@@ -104,9 +113,10 @@ two times are exactly equal (`_Dispatches`):
   and the previous block's validation-complete.
 
 A sweep over back fields pays the front once per replication and saves it
-on every further value: the front is about half of a lean run at paper
-defaults with block size 10, and about 40% on the M/D/1 configs of the
-benchmark's md1_channel workload (medians over 6 seeds; Python 3.11).
+on every further value: the front is about two thirds of a lean run at paper
+defaults with block size 10, and a quarter (FCFS) to a third (LCFS) on the
+M/D/1 configs of the benchmark's md1_channel workload, where every
+endorsement is a block of its own (medians over 6 seeds; Python 3.11).
 
 `simulation.run_once` and `experiments._replicate` import this module at
 their first run, so that importing bcesim compiles none of it.
@@ -125,7 +135,7 @@ from random import Random
 
 from .core import SimulationError, make_stream
 from .ledger import LedgerState
-from .metrics import AoISamplePath, LatencyBreakdown, latency_means
+from .metrics import AoISamplePath, LatencyBreakdown
 from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
 from .simulation import RunResult
 from .workload import TARGET_KEY
@@ -136,20 +146,30 @@ class Front:
     """The endorsements of one run, in endorse-done dispatch order, with what
     a back needs to merge them with its own events exactly.
 
-    `stream[i]` is endorsement i's Transaction, with `endorse_done` stamped;
-    in a lean front a background endorsement is its channel marker
-    -1 - channel instead.  `done[i]` is its endorse-done time and
-    `proposal[i]` the number of its proposal in generation order.
-    `transactions` and `lost` are as in RunResult; a lean front keeps the
-    target-key transactions only, and no `lost`.  `slots` is the slot
-    timeline, or a function that builds it (see `timeline`).
+    The front numbers the endorsements it keeps 0, 1, ... in delivery order:
+    every one in a full front, the target-key ones in a lean front (every
+    one at `target_ratio` 1).  `stream[i]` is endorsement i's number, or, for
+    one a lean front does not keep, its channel marker -1 - channel.
+    `done[i]` is its endorse-done time and `proposal[i]` the number of its
+    proposal in generation order.  `gen_time`, `arrive_time` and
+    `endorse_done` are columns over the kept endorsements, by number;
+    `arrive_time` is `gen_time` itself where every endorsement arrives at its
+    generation.  A full front adds the `id`, `key` and `channel` columns and
+    `lost`, as in RunResult; a lean front keeps them None, since each
+    endorsement it keeps is on the target key and channel 0.  `slots` is the
+    slot timeline, or a function that builds it (see `timeline`).
     """
 
-    stream: list
+    stream: list | range
     done: array
     proposal: array | range
     slots: tuple | Callable
-    transactions: list
+    gen_time: array | list
+    arrive_time: array | list
+    endorse_done: array | list
+    id: list | None
+    key: list | None
+    channel: array | None
     lost: list | None
     n_generated: int
     n_lost: int
@@ -203,39 +223,45 @@ class Fronts:
         done, order, ordered, proposal = self.get(endorsement, _endorsement, self, served, at,
                                                   cfg.endorse_time, cfg.n_endorsers)
 
-        # The endorsements in delivery order: a Transaction for each one a lean
-        # front keeps, and its channel's marker for each other one.  A
-        # background key is its proposal's id, and a proposal that arrives at
-        # its generation has one float for both times, as in the event-heap model.
-        same = at is gen_times
-        if record or cfg.target_ratio == 1.0:  # every endorsement is kept
-            delivered = transactions = [
-                Transaction(pid := k + 1, TARGET_KEY if is_target[k] else pid, channel[k],
-                            a if same else gen_times[k], a, d)
-                for k, a, d in zip(served, at, done)
-            ]
+        # The endorsements the front keeps, numbered in delivery order, and a
+        # column of each of their times.  A background key is its proposal's
+        # id, and a proposal that arrives at its generation has one float for
+        # both times, as in the event-heap model.
+        n = len(served)
+        if record:
+            # one float per generation, which the run's ledgers, path and
+            # Transactions share
+            numbers = range(n)
+            gen = [gen_times[k] for k in served]
+            arrive, endorse_done = gen if at is gen_times else at, done
+        elif cfg.target_ratio == 1.0:  # every endorsement is kept
+            numbers = range(n)
+            gen = (gen_times if served.__class__ is range
+                   else array("d", [gen_times[k] for k in served]))
+            arrive, endorse_done = at, done
         else:
-            # every marker, then a Transaction in place of each target-key
-            # endorsement, which is on channel 0
-            delivered = ([-1] * len(served) if cfg.n_channels == 1
-                         else [-1 - channel[k] for k in served])
-            targets = is_target if served.__class__ is range else [is_target[k] for k in served]
-            transactions = []
-            keep = transactions.append
-            for i, k in itertools.compress(enumerate(served), targets):
-                g = gen_times[k]
-                delivered[i] = tx = Transaction(k + 1, TARGET_KEY, 0, g, g if same else at[i],
-                                                done[i])
-                keep(tx)
-        lost = None
-        if record:  # the lost proposals, in delivery order
+            # every marker, then the number of each target-key endorsement,
+            # which is on channel 0
+            numbers = [-1] * n if cfg.n_channels == 1 else [-1 - channel[k] for k in served]
+            kept = (list(itertools.compress(served, is_target)) if served.__class__ is range
+                    else [i for i, k in enumerate(served) if is_target[k]])
+            for j, i in enumerate(kept):
+                numbers[i] = j
+            gen = array("d", [gen_times[served[i]] for i in kept])
+            arrive = gen if at is gen_times else array("d", [at[i] for i in kept])
+            endorse_done = array("d", [done[i] for i in kept])
+        tid = key = on = lost = None
+        if record:
+            tid = [k + 1 for k in served]
+            key = [TARGET_KEY if is_target[k] else pid for k, pid in zip(served, tid)]
+            on = channel if served.__class__ is range else array("i", [channel[k] for k in served])
             dropped = (() if passed is None
                        else itertools.compress(delivers, map(operator.not_, passed)))
             lost = [(k + 1, TARGET_KEY if is_target[k] else k + 1, channel[k], gen_times[k])
                     for k in dropped]
-        stream = delivered if order is None else [delivered[i] for i in order]
-        return Front(stream, ordered, proposal, slots, transactions, lost,
-                     len(gen_times), len(times) - len(at))
+        stream = numbers if order is None else [numbers[i] for i in order]
+        return Front(stream, ordered, proposal, slots, gen, arrive, endorse_done, tid, key, on,
+                     lost, len(gen_times), len(times) - len(at))
 
     def get(self, key, compute, *args):
         """The output of pass `key`, compute(*args) at its first use."""
@@ -292,8 +318,8 @@ def run_front(cfg, seed, record=False):
     It makes every draw of the generation, key-assign, channel-split,
     channel-loss, comm-latency and endorse streams that the event-heap model
     of the pipeline makes, in the same order, so `run_back` over it gives
-    that model's result.  With `record` false it builds a Transaction for
-    target-key endorsements only.
+    that model's result.  With `record` false it keeps the target-key
+    endorsements only.
     """
     return Fronts(seed).front(cfg, record)
 
@@ -382,16 +408,16 @@ def _comm(fronts, at, comm):
 def _endorsement(fronts, served, at, endorse, n_endorsers):
     """(done, order, ordered, proposal): the endorse-done times in delivery
     order, the endorse-done order of the deliveries (None if it is theirs),
-    the times in that order, and each one's proposal in that order."""
+    the times in that order (`done` itself then), and each one's proposal in
+    that order."""
     if endorse.kind == "fixed":
-        done = [a + endorse.value for a in at]
+        done = array("d", [a + endorse.value for a in at])
     else:
         delays = fronts.prefix(("endorse", endorse, n_endorsers), _endorse_delays,
                                fronts.seed, endorse, n_endorsers)
-        done = [a + x for a, x in zip(at, delays.first(len(at)))]
+        done = array("d", [a + x for a, x in zip(at, delays.first(len(at)))])
     if all(map(operator.le, done, itertools.islice(done, 1, None))):
-        return done, None, array("d", done), (served if served.__class__ is range
-                                              else array("i", served))
+        return done, None, done, (served if served.__class__ is range else array("i", served))
     order = sorted(range(len(done)), key=done.__getitem__)  # stable: ties in delivery order
     proposal = order if served.__class__ is range else [served[i] for i in order]
     return done, order, array("d", sorted(done)), array("i", proposal)
@@ -424,7 +450,7 @@ def _slot_pass(gen_times, transmit_time, discipline, numbered):
     """The deliveries of a run with a transmitter, in delivery order: the
     proposal each transmit-complete delivers and its time.  And if
     `numbered`, the slot timeline (see `Front.timeline`), else None."""
-    served, at = [], []
+    served, at = [], array("d")
     add_served, add_at = served.append, at.append
     # 32-bit counts: a run past 2**31 slot dispatches raises OverflowError.
     slot_time, slot_sched = array("d"), array("i")
@@ -472,12 +498,11 @@ def run_back(cfg, seed, front):
     """Batching through commit of one run over a front of the same seed and
     of a config that differs from `cfg` in back fields only.
 
-    The result is `run_once(cfg, seed, record=front.record)`'s.  A
-    full-record back stamps its front's Transactions, so a full-record front
-    serves one back.  A lean front serves any number of backs: each back
-    rewrites `captured_version`, `order_done`, `commit_time` and `validity`
-    of every kept Transaction, since every endorsement is committed in the
-    drained run, and a lean RunResult holds none of them.
+    The result is `run_once(cfg, seed, record=front.record)`'s.  The back
+    keeps what it stamps on each kept endorsement (`captured_version`,
+    `order_done`, `commit_time`, `validity`) in columns of its own, so a
+    front serves any number of backs.  Only a full-record back builds
+    Transactions, once, when the run is drained.
     """
     record = front.record
     cfg.validate()
@@ -486,6 +511,7 @@ def run_back(cfg, seed, front):
 
     n_channels = cfg.n_channels
     ledgers = [LedgerState() for _ in range(n_channels)]
+    versions_of = [ledger.versions for ledger in ledgers]
     path = AoISamplePath(0.0, horizon)
 
     block_size = cfg.block_size
@@ -493,6 +519,7 @@ def run_back(cfg, seed, front):
     order_time = ordering_delay(cfg)
     overhead, per_tx = cfg.validate_block_overhead, cfg.validate_per_tx
     vscc_fail_prob = cfg.vscc_fail_prob
+    vscc = vscc_fail_prob > 0.0
 
     stream, done = front.stream, front.done
     if stream and done[0] < 0.0:  # the stream is in time order, from a clock at 0
@@ -501,7 +528,18 @@ def run_back(cfg, seed, front):
     times = ties.time
     add_time, add_parent = times.append, ties.parent.append
 
-    # Per channel: its batch, whether the batch holds a kept Transaction,
+    # Per kept endorsement, by number: the front's key and channel (None in
+    # a lean front: the target key on channel 0) and generation time, and
+    # what the back stamps on it.  Every kept endorsement commits in the
+    # drained run, so each one's stamps are all set at the end.
+    keys, channels, gen_time = front.key, front.channel, front.gen_time
+    n_kept = len(gen_time)
+    captured = [0] * n_kept
+    order_done = [None] * n_kept
+    commit_time = [None] * n_kept
+    validity = [None] * n_kept
+
+    # Per channel: its batch, whether the batch holds a kept endorsement,
     # when the batch's timeout falls due (inf while it has none) and the
     # endorsement that started it, when its validator frees and that
     # validation-complete (a dispatch of `ties`), the completion times of its
@@ -516,13 +554,13 @@ def run_back(cfg, seed, front):
     ends = [[] for _ in range(n_channels)]
     pending = [deque() for _ in range(n_channels)]
     next_end = math.inf  # the earliest completion of a block awaiting commit
-    n_valid = n_mvcc_invalid = blocks_committed = 0
+    n_vscc_invalid = n_mvcc_invalid = blocks_committed = 0
 
     def cut(c, t, cause, bound):
         """Cut channel c's batch at t by dispatch `cause` and queue the block
         at the channel's validator; `bound` is the time of the next
         endorsement (inf if none)."""
-        nonlocal next_end, n_valid, blocks_committed
+        nonlocal next_end, blocks_committed
         batch = batches[c]
         batches[c] = []
         deadline[c] = math.inf
@@ -534,13 +572,15 @@ def run_back(cfg, seed, front):
         if end <= horizon:
             ends[c].append(end)
         blocks_committed += 1  # every block commits in the drained run
-        queued = holds[c] or vscc_fail_prob > 0.0
+        queued = holds[c] or vscc
         holds[c] = False
-        if queued and next_end == math.inf and end < bound and end < min(deadline):
+        if (queued and next_end == math.inf and end < bound
+                and (n_channels == 1 or end < min(deadline))):
             # No block awaits commit, and this one completes before the next
-            # endorsement and every pending timeout, so nothing comes between
-            # its validation-complete and its commit.  Nor can a tie reach
-            # those two dispatches: the channel's next block is ready after it.
+            # endorsement and every pending timeout (with one channel there is
+            # none: its own was just cleared), so nothing comes between its
+            # validation-complete and its commit.  Nor can a tie reach those
+            # two dispatches: the channel's next block is ready after it.
             commit(c, ready, end, batch)
             return
         # Record the block-ready and the validation-complete for the ties.  At
@@ -556,12 +596,12 @@ def run_back(cfg, seed, front):
         add_time(end)
         add_parent(parent)
         vc = last_vc[c] = -len(times)
+        # a block of background endorsements only, with no VSCC, is valid
+        # whenever it commits
         if queued:
             pending[c].append((vc, ready, batch))
             if end < next_end:
                 next_end = end
-        else:  # background only and no VSCC: every one is valid, whenever it commits
-            n_valid += len(batch)
 
     def timeout_cut(c, i):
         """Cut channel c's batch by its timeout if that falls due before
@@ -579,27 +619,26 @@ def run_back(cfg, seed, front):
         """Commit channel c's block, ready at `ready`, as its validation
         completes at `end`: VSCC first, then MVCC against the ledger, which
         already holds this block's earlier commits."""
-        nonlocal n_valid, n_mvcc_invalid
-        versions, gen_times = ledgers[c].versions, ledgers[c].gen_times
-        for tx in batch:
-            if vscc_fail_prob > 0.0 and rng_vscc.random() < vscc_fail_prob:
-                if tx.__class__ is not int:
-                    tx.order_done, tx.commit_time, tx.validity = ready, end, VSCC_INVALID
-            elif tx.__class__ is int:  # background the back does not keep
-                n_valid += 1
-            else:
-                tx.order_done, tx.commit_time = ready, end
-                key = tx.key
-                version = tx.captured_version
+        nonlocal n_vscc_invalid, n_mvcc_invalid
+        versions, gen_times = versions_of[c], ledgers[c].gen_times
+        for x in batch:
+            if vscc and rng_vscc.random() < vscc_fail_prob:
+                n_vscc_invalid += 1
+                if x >= 0:
+                    order_done[x], commit_time[x], validity[x] = ready, end, VSCC_INVALID
+            elif x >= 0:  # background the back does not keep is valid
+                order_done[x] = ready
+                commit_time[x] = end
+                key = TARGET_KEY if keys is None else keys[x]
+                version = captured[x]
                 if version == versions.get(key, 0):
-                    tx.validity = VALID
+                    validity[x] = VALID
                     versions[key] = version + 1
-                    gen_times[key] = tx.gen_time
-                    n_valid += 1
+                    gen_times[key] = g = gen_time[x]
                     if key == TARGET_KEY and end <= horizon:
-                        path.record_commit(end, tx.gen_time)
+                        path.record_commit(end, g)
                 else:
-                    tx.validity = MVCC_INVALID
+                    validity[x] = MVCC_INVALID
                     n_mvcc_invalid += 1
 
     def commit_before(i):
@@ -632,12 +671,12 @@ def run_back(cfg, seed, front):
 
     later = itertools.chain(itertools.islice(done, 1, None), [math.inf])
     for i, x, t, t_next in zip(itertools.count(), stream, done, later):
-        if x.__class__ is int:
+        if x < 0:
             c = -1 - x
             if deadline[c] <= t:
                 timeout_cut(c, i)
         else:
-            c = x.channel
+            c = 0 if channels is None else channels[x]
             if deadline[c] <= t:
                 timeout_cut(c, i)
             # it reads the ledger as every block that completes before it left
@@ -647,7 +686,7 @@ def run_back(cfg, seed, front):
                     timeout_cut(other, i)
             if next_end <= t:
                 commit_before(i)
-            x.captured_version = ledgers[c].versions.get(x.key, 0)
+            captured[x] = versions_of[c].get(TARGET_KEY if keys is None else keys[x], 0)
             holds[c] = True
         batch = batches[c]
         batch.append(x)
@@ -662,20 +701,46 @@ def run_back(cfg, seed, front):
     commit_before(None)
     block_times = ends[0] if n_channels == 1 else sorted(itertools.chain(*ends))
 
+    # The latency means of the valid target-key endorsements, each summed in
+    # delivery order, as the event-heap model's post-pass sums them.
+    counted = map(operator.is_, validity, itertools.repeat(VALID))
+    if keys is not None:
+        counted = map(operator.and_, counted, map(operator.eq, keys, itertools.repeat(TARGET_KEY)))
+    comm = endorse = order = validate = 0.0
+    n_target = 0
+    for g, a, e, o, m in itertools.compress(
+        zip(gen_time, front.arrive_time, front.endorse_done, order_done, commit_time), counted
+    ):
+        n_target += 1
+        comm += a - g
+        endorse += e - a
+        order += o - e
+        validate += m - o
+    means = ([comm / n_target, endorse / n_target, order / n_target, validate / n_target]
+             if n_target else [None] * 4)
+
+    transactions = None
+    if record:
+        # one (order_done, commit_time) pair of objects per block, and the
+        # front's generation floats, which serve as arrival times too where
+        # the front has one column for both
+        transactions = list(map(Transaction, front.id, keys, channels, gen_time,
+                                front.arrive_time, front.endorse_done, captured, order_done,
+                                commit_time, validity))
     n_delivered = front.n_generated - front.n_lost  # the drained run resolved every delivery
     return RunResult(
         path=path,
         block_times=block_times,
         blocks_committed=blocks_committed,
         breakdown=LatencyBreakdown(
-            *latency_means(front.transactions, TARGET_KEY),
+            *means,
             n_generated=front.n_generated,
-            n_valid=n_valid,
+            n_valid=n_delivered - n_mvcc_invalid - n_vscc_invalid,
             n_mvcc_invalid=n_mvcc_invalid,
-            n_vscc_invalid=n_delivered - n_valid - n_mvcc_invalid,
+            n_vscc_invalid=n_vscc_invalid,
             n_lost=front.n_lost,
         ),
-        transactions=front.transactions if record else None,
+        transactions=transactions,
         lost=front.lost,
         ledgers=ledgers if record else None,
     )

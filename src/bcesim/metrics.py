@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import ConfigError, SimulationError
-from .pipeline import VALID
 
 
 _COMMIT_TIME = itemgetter(0)  # t_u of a reset
@@ -124,20 +123,3 @@ class LatencyBreakdown:
     n_mvcc_invalid: int
     n_vscc_invalid: int
     n_lost: int
-
-
-def latency_means(transactions, target_key):
-    """Mean (comm, endorse, order, validate) latency of the valid target-key
-    transactions, each summed in the given order; all None if there are none."""
-    comm = endorse = order = validate = 0.0
-    n_target = 0
-    for tx in transactions:
-        if tx.key == target_key and tx.validity == VALID:
-            n_target += 1
-            comm += tx.arrive_time - tx.gen_time
-            endorse += tx.endorse_done - tx.arrive_time
-            order += tx.order_done - tx.endorse_done
-            validate += tx.commit_time - tx.order_done
-    if not n_target:
-        return [None] * 4
-    return [comm / n_target, endorse / n_target, order / n_target, validate / n_target]

@@ -9,13 +9,15 @@ then the MVCC version comparison against the channel ledger, where earlier
 commits within the same block already count (first writer wins).
 """
 
-PENDING = "pending"
 VALID = "valid"
 MVCC_INVALID = "mvcc_invalid"
 VSCC_INVALID = "vscc_invalid"
 
 
 class Transaction:
+    """One delivered update, as the full record keeps it: built after the
+    run, with every field stamped."""
+
     __slots__ = (
         "id",
         "key",
@@ -29,17 +31,18 @@ class Transaction:
         "validity",
     )
 
-    def __init__(self, tid, key, channel, gen_time, arrive_time, endorse_done=None):
+    def __init__(self, tid, key, channel, gen_time, arrive_time, endorse_done,
+                 captured_version, order_done, commit_time, validity):
         self.id = tid
         self.key = key
         self.channel = channel
         self.gen_time = gen_time
         self.arrive_time = arrive_time
         self.endorse_done = endorse_done
-        self.captured_version = None
-        self.order_done = None
-        self.commit_time = None
-        self.validity = PENDING
+        self.captured_version = captured_version
+        self.order_done = order_done
+        self.commit_time = commit_time
+        self.validity = validity
 
 
 def ordering_delay(cfg):

@@ -20,11 +20,12 @@ A run's caller says whether it needs the per-transaction record.  A full
 run keeps every delivered transaction, every lost proposal and each
 channel's ledger.  A lean run (``record=False``) keeps only what `summarize`
 reads: the AoI resets, the block commit times, the outcome counts and the
-target-key transactions, in delivery order, from which the latency means are
-summed in the same order as from the full record.  A background key is its
-proposal's unique id, never written before, so its MVCC check always passes:
-a lean run neither reads nor writes it in the ledger.  Outcomes are counted
-as blocks commit, in either mode.
+latency means.  Its front keeps the target-key endorsements only, as numbers
+with a column per time, and its back sums the latency means over those
+columns in delivery order, the order of the full record; it builds no
+Transaction.  A background key is its proposal's unique id, never written
+before, so its MVCC check always passes: a lean run neither reads nor writes
+it in the ledger.  Outcomes are counted as blocks commit, in either mode.
 
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would

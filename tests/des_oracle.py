@@ -51,13 +51,25 @@ def arrivals_front(arrivals):
     back event at the same instant (they were all scheduled before the run).
     Keys may repeat: a back over this full-record front versions every key,
     so tests can drive `bcesim.frontback.run_back` with a known sub-workload."""
-    transactions = [Transaction(tid, key, 0, gen_time, arrive, arrive + delay)
-                    for tid, (arrive, delay, key, gen_time) in enumerate(arrivals, 1)]
-    stream = sorted(transactions, key=lambda tx: tx.endorse_done)  # stable: ties in order
-    n = len(stream)
+    n = len(arrivals)
+    arrive = array("d", [a for a, _, _, _ in arrivals])
+    endorse_done = array("d", [a + delay for a, delay, _, _ in arrivals])
+    stream = sorted(range(n), key=endorse_done.__getitem__)  # stable: ties in order
     # each arrival is its own proposal, delivered before the first slot dispatch
-    return Front(stream, array("d", [tx.endorse_done for tx in stream]), range(n),
-                 (array("d"), array("i"), array("i", [-1]) * n), transactions, [], n, 0)
+    return Front(stream, array("d", [endorse_done[i] for i in stream]), range(n),
+                 (array("d"), array("i"), array("i", [-1]) * n),
+                 array("d", [g for _, _, _, g in arrivals]), arrive, endorse_done,
+                 list(range(1, n + 1)), [key for _, _, key, _ in arrivals], array("i", [0]) * n,
+                 [], n, 0)
+
+
+# The validity of a transaction that has not committed yet.
+PENDING = "pending"
+
+
+def _pending(tid, key, channel, gen_time, arrive_time):
+    """A delivered transaction before its endorsement, ordering and commit."""
+    return Transaction(tid, key, channel, gen_time, arrive_time, None, None, None, None, PENDING)
 
 
 class Proposal:
@@ -296,7 +308,7 @@ class Simulator:
                 queue.schedule(first, EventKind.GENERATION)
         else:
             for arrive, delay, key, gen_time in self.arrivals:
-                tx = Transaction(self._next_id, key, 0, gen_time, arrive)
+                tx = _pending(self._next_id, key, 0, gen_time, arrive)
                 self._next_id += 1
                 self.n_generated += 1
                 self.transactions.append(tx)
@@ -358,7 +370,7 @@ class Simulator:
             arrive = t
             if cfg.comm_latency.value != 0.0:
                 arrive += cfg.comm_latency.sample(self.rng_comm)
-            tx = Transaction(prop.id, prop.key, prop.channel, prop.gen_time, arrive)
+            tx = _pending(prop.id, prop.key, prop.channel, prop.gen_time, arrive)
             self.transactions.append(tx)
             delay = cfg.endorse_time.sample_max(self.rng_endorse, cfg.n_endorsers)
             self.queue.schedule(arrive + delay, EventKind.ENDORSE_COMPLETE, tx)

@@ -1,5 +1,6 @@
 import pytest
 
+import bcesim.cli
 import bcesim.frontback
 from bcesim.cli import main
 from bcesim.config import parse_config
@@ -110,9 +111,18 @@ def test_trace_run_simulates_each_replication_once(tmp_path, monkeypatch):
     out = tmp_path / "out.csv"
     trace = tmp_path / "trace.csv"
     calls = count_runs(monkeypatch)
+    streams = []  # the trace stream of each run_plain_traced call, open at the time
+    real = bcesim.cli.run_plain_traced
+
+    def run_plain_traced(cfg, stream):
+        streams.append((stream.name, stream.closed))
+        return real(cfg, stream)
+
+    monkeypatch.setattr(bcesim.cli, "run_plain_traced", run_plain_traced)
     assert main(["--config", str(cfg_path), "--out", str(out), "--trace", str(trace)]) == 0
     seeds = [cfg.master_seed + k for k in range(cfg.replications)]
     assert calls == {"run_front": seeds, "run_back": seeds}
+    assert streams == [(str(trace), False)]  # written to the trace file as it runs
     assert out.read_text() == run_plain(cfg)
     assert trace.read_text() == trace_csv(cfg)
 

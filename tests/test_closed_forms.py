@@ -14,7 +14,9 @@ outside the simulator.  With Poisson proposals, exponential endorsements and
 nothing else but a fixed communication latency taking time, each update
 commits at its own endorse-done and an overtaken one is obsolete: the M/G/inf
 form, run through front sweeps, checks the endorsement, loss and channel-split
-passes and the endorse-done order they share.
+passes and the endorse-done order they share.  With periodic proposals in the
+same setting, the D/G/inf form checks the lean back's numbers and channel
+markers over a stream that endorsement has reordered.
 """
 
 import math
@@ -342,3 +344,58 @@ def test_endorsement_reordering_is_an_mg_infinity_system(param, values, other):
         assert abs(_z([s.avg_aoi for s in summaries], aoi)) <= 4, value
         # each update reads the version its predecessors' commits left
         assert [s.mvcc_invalid_frac for s in summaries] == [0.0] * 20, value
+
+
+def dg_infinity_average_aoi(rate, share, cdf, steps=16):
+    """Average AoI of the tracked key when proposals are generated
+    periodically at `rate`, each is a tracked update with probability
+    `share` = target_ratio * stp, and each update commits a delay with CDF
+    `cdf` after its generation, with an overtaken update obsolete.
+
+    Given the time u in (0, tau] since the last generation, tau = 1/rate,
+    the generations before it are u + j tau old, and the age exceeds x iff
+    none of those younger than x is an update that has committed:
+    P(age > x | u) = prod_{j >= 0, u + j tau < x} (1 - share G(u + j tau)).
+    The product is constant between those ages, so its integral over x is
+    u + tau sum_{k >= 1} P_k(u), with P_k(u) = prod_{j < k} (1 - share G(u + j tau)),
+    and averaging over u uniform on (0, tau] gives
+    tau / 2 + integral_0^tau sum_k P_k(u) du (Simpson's rule in u).
+    """
+    tau = 1 / rate
+
+    def series(u):
+        total, p, j = 0.0, 1.0, 0
+        while p > 1e-16:
+            p *= 1 - share * cdf(u + j * tau)
+            total += p
+            j += 1
+        return total
+
+    h = tau / steps
+    weights = [1] + [4 if i % 2 else 2 for i in range(1, steps)] + [1]
+    return tau / 2 + h / 3 * sum(w * series(i * h) for i, w in enumerate(weights))
+
+
+def test_dg_infinity_form_is_the_periodic_first_wins_form_at_a_fixed_delay():
+    # A fixed delay D is a step CDF, and then no update overtakes another.
+    # Simpson's rule is only first-order across the step, hence the grid.
+    for rate, share, delay in [(10.0, 0.3, 0.0875), (4.0, 1.0, 0.6), (2.0, 0.5, 1.3)]:
+        aoi = dg_infinity_average_aoi(rate, share, lambda s: float(s >= delay), steps=4096)
+        assert aoi == pytest.approx(periodic_first_wins(rate, share, delay), rel=1e-3)
+
+
+@pytest.mark.parametrize("target_ratio", [0.3, 1.0])
+def test_periodic_endorsement_reordering_is_a_dg_infinity_system(target_ratio):
+    # Periodic proposals, endorsed as in ENDORSEMENT_ONLY.  At target_ratio 1
+    # a lean front keeps every endorsement, and its stream is the endorse-done
+    # order of their numbers; below it, background endorsements are their
+    # channel's marker in that stream.
+    cfg = parse_config(ENDORSEMENT_ONLY.replace("exponential", "periodic")
+                       + f"target_ratio = {target_ratio}\n")
+    mean = cfg.endorse_time.value
+    _, per_value = run_sweep(cfg, "n_endorsers", [1, 3])
+    for n, summaries in zip([1, 3], per_value):
+        aoi = dg_infinity_average_aoi(cfg.total_rate, target_ratio * cfg.stp,
+                                      lambda s: (-math.expm1(-s / mean)) ** n)
+        assert abs(_z([s.avg_aoi for s in summaries], aoi)) <= 4, n
+        assert [s.mvcc_invalid_frac for s in summaries] == [0.0] * 20, n

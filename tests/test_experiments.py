@@ -1,4 +1,5 @@
 import gc
+import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +140,28 @@ def test_trace_csv_covers_every_proposal(quick_cfg):
     outcomes = [line.split(",")[-1] for line in data]
     assert set(outcomes) <= {"valid", "mvcc_invalid", "vscc_invalid", "lost"}
     assert outcomes.count("lost") == len(result.lost)
+
+
+def test_a_traced_run_writes_each_replication_before_the_next_runs(monkeypatch, quick_cfg):
+    # The trace goes to its stream replication by replication, so at most one
+    # replication's text is held in memory.
+    cfg = quick_cfg.replace(replications=3, horizon=60.0, warmup=0.0)
+    out = io.StringIO()
+    written = []  # (seed, trace lines in `out`) as each replication's front is built
+    real_front = bcesim.frontback.Fronts.front
+
+    def front(self, *args, **kwargs):
+        written.append((self.seed, out.getvalue().count("\n")))
+        return real_front(self, *args, **kwargs)
+
+    monkeypatch.setattr(bcesim.frontback.Fronts, "front", front)
+    plain = run_plain_traced(cfg, out)
+    reps = [int(line.split(",", 1)[0]) for line in out.getvalue().splitlines()[1:]]
+    before = [1 + sum(rep < k for rep in reps) for k in range(cfg.replications)]
+    assert written == list(zip(range(cfg.master_seed, cfg.master_seed + 3), before))
+    assert before[1] > 1 + 100  # replication 0's lines, header aside
+    monkeypatch.undo()
+    assert plain == run_plain(cfg) and out.getvalue() == trace_csv(cfg)
 
 
 _TIME_FIELDS = ("gen_time", "arrive_time", "endorse_done", "order_done", "commit_time")
@@ -393,6 +416,6 @@ def test_collector_never_wakes_during_replications(monkeypatch, quick_cfg, workl
         "replication": lambda: run_replication(quick_cfg, 0),
         "target_aoi sweep": lambda: run_sweep(quick_cfg, "target_aoi", [0.5, 1.0, 2.0]),
         "block_size sweep": lambda: run_sweep(quick_cfg, "block_size", [2, 5, 7]),
-        "plain traced": lambda: run_plain_traced(quick_cfg),
+        "plain traced": lambda: run_plain_traced(quick_cfg, io.StringIO()),
     }[workload]
     assert _collections_during_replications(monkeypatch, call) == []

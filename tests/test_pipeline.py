@@ -141,8 +141,10 @@ def test_only_the_versioned_key_touches_the_ledger():
     full = run_back(cfg, 1, front)
     assert [tx.validity for tx in full.transactions] == [VALID, VALID]
     assert entries(full.ledgers[0]) == {7: (1, 0.9), TARGET_KEY: (1, 0.95)}
+    # the lean front keeps the target-key endorsement only, as its number 0
     lean = run_back(cfg, 1, dataclasses.replace(
-        front, stream=[-1, front.stream[1]], transactions=front.transactions[1:], lost=None,
+        front, stream=[-1, 0], gen_time=front.gen_time[1:], arrive_time=front.arrive_time[1:],
+        endorse_done=front.endorse_done[1:], id=None, key=None, channel=None, lost=None,
     ))
     assert (lean.transactions, lean.ledgers) == (None, None)
     assert lean.breakdown == full.breakdown and lean.path.resets == full.path.resets

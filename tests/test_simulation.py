@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import operator
 import re
 
 import pytest
@@ -12,10 +13,10 @@ import bcesim.simulation
 from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
-from bcesim.experiments import summarize
+from bcesim.experiments import run_sweep, summarize
 from bcesim.frontback import run_back, run_front
 from bcesim.metrics import AoISamplePath, average_aoi
-from bcesim.pipeline import VALID
+from bcesim.pipeline import VALID, Transaction
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
 from des_oracle import (
@@ -320,7 +321,7 @@ def test_front_and_back_match_the_one_loop_with_a_transmitter_over_a_long_run(na
         assert len(set(slot_time)) < len(slot_time) * 0.6
     else:
         # a proposal waits behind ten others, and the queue drains after the horizon
-        assert max(tx.arrive_time - tx.gen_time for tx in front.transactions) > 1.0
+        assert max(map(operator.sub, front.arrive_time, front.gen_time)) > 1.0
         assert slot_time[-1] > cfg.horizon
     assert _record(run_back(cfg, 3, front)) == _record(run_oracle(cfg, 3, None))
     _assert_lean_summary_exact(cfg, 3, cfg)
@@ -380,9 +381,47 @@ def test_split_run_holds_no_event_heap():
         assert run_back(back, 3, shared).blocks_committed > 100, back.block_size
 
 
+def test_only_a_full_record_builds_transactions(monkeypatch):
+    # A lean run keeps its endorsements as numbers and columns, so it builds
+    # no Transaction at all; a full run builds one per delivered endorsement,
+    # once, and those are its record.
+    built = []
+
+    class Counted(Transaction):
+        __slots__ = ()
+
+        def __init__(self, *fields):
+            built.append(self)
+            super().__init__(*fields)
+
+    monkeypatch.setattr(bcesim.frontback, "Transaction", Counted)
+    cfg = paper_default().replace(horizon=100.0, warmup=10.0, replications=2, n_channels=2,
+                                  stp=0.8, transmit_time=0.02)
+    run_sweep(cfg, "target_ratio", [0.3, 1.0])
+    run_sweep(cfg.replace(target_ratio=1.0), "block_size", [1, 5])
+    assert built == []
+    result = run_once(cfg, 1)
+    assert result.transactions == built
+    assert len(built) == result.breakdown.n_generated - result.breakdown.n_lost > 100
+
+
+def test_a_full_record_shares_one_float_per_time_it_repeats():
+    # The trace formats a time once when a line's time is the very object of
+    # the line before, so the record shares them: one (order_done,
+    # commit_time) pair of objects per block, and one float for the
+    # generation and arrival of a proposal that arrives at its generation.
+    cfg = paper_default().replace(horizon=100.0, warmup=0.0)
+    txs = run_once(cfg, 1).transactions
+    assert all(tx.arrive_time is tx.gen_time for tx in txs)
+    blocks = {tx.commit_time for tx in txs}  # one channel: one block per commit time
+    assert 30 < len(blocks) < len(txs)
+    assert len({id(tx.commit_time) for tx in txs}) == len(blocks)
+    assert len({id(tx.order_done) for tx in txs}) == len({tx.order_done for tx in txs})
+
+
 def test_a_front_says_whether_it_holds_the_full_record():
     # A back takes its record mode from its front.  A lean front keeps only
-    # the target-key transactions and stands each background one in by its
+    # the target-key endorsements and stands each background one in by its
     # channel's marker, which a full-record back would version in the ledger
     # as if it were a real key.
     cfg = paper_default().replace(horizon=60.0, warmup=0.0)
@@ -390,14 +429,13 @@ def test_a_front_says_whether_it_holds_the_full_record():
 
 
 def _front_fields(front):
-    """Every field of a front, with each Transaction as its fields."""
-    return (
-        [x if isinstance(x, int) else
-         (x.id, x.key, x.channel, x.gen_time, x.arrive_time, x.endorse_done)
-         for x in front.stream],
-        front.done, list(front.proposal), front.timeline(),
-        [tx.id for tx in front.transactions], front.lost, front.n_generated, front.n_lost,
-    )
+    """Every field of a front, each column as a list and the slot timeline
+    built."""
+    front.timeline()
+    return [
+        value if value is None or isinstance(value, int) else list(value)
+        for value in (getattr(front, field.name) for field in dataclasses.fields(front))
+    ]
 
 
 # A value other than quick_cfg's for each back-only key.
@@ -417,7 +455,7 @@ _OTHER_BACK_VALUE = {
 def test_back_fields_leave_the_front_unchanged(quick_cfg, key):
     cfg = quick_cfg.replace(n_channels=2, stp=0.6, discipline="lcfs", transmit_time=0.08)
     front = run_front(cfg, 5)
-    assert {x for x in front.stream if isinstance(x, int)} == {-1, -2}
+    assert {x for x in front.stream if x < 0} == {-1, -2} and front.gen_time
     assert front.n_lost > 0 and len(front.timeline()[0]) > front.n_generated
     assert _front_fields(run_front(cfg.replace(**{key: _OTHER_BACK_VALUE[key]}), 5)) == (
         _front_fields(front)
