@@ -23,7 +23,8 @@ draws it:
   times, the running sum of the gaps up to the horizon;
 - labels (`target_ratio`, `n_channels`): a key uniform per generation, in
   generation order, and a channel-split draw per background key with more
-  than one channel;
+  than one channel (no draw at `target_ratio` 1, where every key uniform
+  would give the target key);
 - deliveries (`transmit_time`, `discipline`): the proposal each delivery
   delivers and its time, in delivery order (see below);
 - loss (`stp`): a loss uniform per delivery, in delivery order;
@@ -87,6 +88,11 @@ Transactions, once, when the run is drained.  Per channel:
   pending timeout.  In a lean back without VSCC a block of background
   endorsements only is never queued for commit: each of them is valid
   whenever it commits.
+- The pass itself makes each size cut and commits a block at its cut,
+  appending the age reset to the path's list, so where every block commits
+  so (the M/D/1 configs, each endorsement a block of its own) it makes no
+  call per block.  Timeout cuts, the blocks queued for commit and the ties
+  go through calls.
 
 The pass resolves the (time, seq) order of same-instant events only where
 two times are exactly equal (`_Dispatches`):
@@ -114,9 +120,10 @@ two times are exactly equal (`_Dispatches`):
 
 A sweep over back fields pays the front once per replication and saves it
 on every further value: the front is about two thirds of a lean run at paper
-defaults with block size 10, and a quarter (FCFS) to a third (LCFS) on the
-M/D/1 configs of the benchmark's md1_channel workload, where every
-endorsement is a block of its own (medians over 6 seeds; Python 3.11).
+defaults with block size 10, and three tenths (FCFS) to two fifths (LCFS) on
+the M/D/1 configs of the benchmark's md1_channel workload, where every
+endorsement is a block of its own (medians over 6 seeds of the fastest of 7;
+Python 3.11).
 
 `simulation.run_once` and `experiments._replicate` import this module at
 their first run, so that importing bcesim compiles none of it.
@@ -315,10 +322,12 @@ def _pass_keys(cfg):
 def run_front(cfg, seed, record=False):
     """Generation through endorsement of one run.
 
-    It makes every draw of the generation, key-assign, channel-split,
-    channel-loss, comm-latency and endorse streams that the event-heap model
-    of the pipeline makes, in the same order, so `run_back` over it gives
-    that model's result.  With `record` false it keeps the target-key
+    It draws the generation, key-assign, channel-split, channel-loss,
+    comm-latency and endorse streams in the order of the event-heap model of
+    the pipeline, and reads every draw that the model reads, so `run_back`
+    over it gives that model's result.  At `target_ratio` 1 it draws no key
+    uniform: every one would put its proposal on the target key, and no
+    other draw follows from it.  With `record` false it keeps the target-key
     endorsements only.
     """
     return Fronts(seed).front(cfg, record)
@@ -354,6 +363,8 @@ def _draws(seed, stream_id, draw):
 def _labels(fronts, gen_times, target_ratio, n_channels):
     """Whether each proposal is on the target key, and its channel, in
     generation order: the target key stays on channel 0."""
+    if target_ratio == 1.0:  # u < 1 for every key uniform, so none is drawn
+        return [True] * len(gen_times), array("i", [0]) * len(gen_times)
     keys = fronts.prefix("key-assign", _draws, fronts.seed, "key-assign", Random.random)
     is_target = [u < target_ratio for u in keys.first(len(gen_times))]
     if n_channels == 1:
@@ -502,7 +513,9 @@ def run_back(cfg, seed, front):
     keeps what it stamps on each kept endorsement (`captured_version`,
     `order_done`, `commit_time`, `validity`) in columns of its own, so a
     front serves any number of backs.  Only a full-record back builds
-    Transactions, once, when the run is drained.
+    Transactions, once, when the run is drained.  It keeps the path's last
+    commit and freshest generation in hand and calls
+    `AoISamplePath.record_commit` only to raise its error.
     """
     record = front.record
     cfg.validate()
@@ -554,35 +567,16 @@ def run_back(cfg, seed, front):
     ends = [[] for _ in range(n_channels)]
     pending = [deque() for _ in range(n_channels)]
     next_end = math.inf  # the earliest completion of a block awaiting commit
-    n_vscc_invalid = n_mvcc_invalid = blocks_committed = 0
+    n_vscc_invalid = n_mvcc_invalid = 0
+    n_timeouts = timed_out = 0  # the blocks cut by timeout and their endorsements
+    last_commit = freshest = -math.inf  # the path's, kept here until the run ends
+    add_reset = path.resets.append
 
-    def cut(c, t, cause, bound):
-        """Cut channel c's batch at t by dispatch `cause` and queue the block
-        at the channel's validator; `bound` is the time of the next
-        endorsement (inf if none)."""
-        nonlocal next_end, blocks_committed
-        batch = batches[c]
-        batches[c] = []
-        deadline[c] = math.inf
-        ready = t + order_time
-        prev = free_at[c]
-        # the later of the block-ready and the last validation-complete starts it
-        start = ready if ready >= prev else prev
-        end = free_at[c] = start + (overhead + per_tx * len(batch))  # the event-heap model's sum
-        if end <= horizon:
-            ends[c].append(end)
-        blocks_committed += 1  # every block commits in the drained run
-        queued = holds[c] or vscc
-        holds[c] = False
-        if (queued and next_end == math.inf and end < bound
-                and (n_channels == 1 or end < min(deadline))):
-            # No block awaits commit, and this one completes before the next
-            # endorsement and every pending timeout (with one channel there is
-            # none: its own was just cleared), so nothing comes between its
-            # validation-complete and its commit.  Nor can a tie reach those
-            # two dispatches: the channel's next block is ready after it.
-            commit(c, ready, end, batch)
-            return
+    def queue(c, ready, prev, end, batch, queued, cause):
+        """Record channel c's block, cut by dispatch `cause`, ready at `ready`
+        and completing at `end` after the validator frees at `prev`, and
+        queue it for commit if `queued`."""
+        nonlocal next_end
         # Record the block-ready and the validation-complete for the ties.  At
         # a tie of the two, both start the validation at `ready`.
         if ready < prev:
@@ -608,19 +602,38 @@ def run_back(cfg, seed, front):
         endorsement i (or at all, if i is None).  At a tie the timeout goes
         first iff it was scheduled first: by the batch's first endorsement,
         before the slot dispatch that delivered endorsement i."""
+        nonlocal n_timeouts, timed_out
         d = deadline[c]
         if d != math.inf and (i is None or d < done[i]
                               or d == done[i] and ties.slot(i) >= ties.slots_before(first[c])):
             add_time(d)
             add_parent(first[c])
-            cut(c, d, -len(times), math.inf if i is None else done[i])
+            batch = batches[c]
+            batches[c] = []
+            deadline[c] = math.inf
+            n_timeouts += 1
+            timed_out += len(batch)
+            # as a size cut (see the loop below), with d for its time
+            ready = d + order_time
+            prev = free_at[c]
+            start = ready if ready >= prev else prev
+            end = free_at[c] = start + (overhead + per_tx * len(batch))
+            if end <= horizon:
+                ends[c].append(end)
+            queued = holds[c] or vscc
+            holds[c] = False
+            if (queued and next_end == math.inf and (i is None or end < done[i])
+                    and (n_channels == 1 or end < min(deadline))):
+                commit(c, ready, end, batch)
+            else:
+                queue(c, ready, prev, end, batch, queued, -len(times))
 
     def commit(c, ready, end, batch):
         """Commit channel c's block, ready at `ready`, as its validation
         completes at `end`: VSCC first, then MVCC against the ledger, which
         already holds this block's earlier commits."""
-        nonlocal n_vscc_invalid, n_mvcc_invalid
-        versions, gen_times = versions_of[c], ledgers[c].gen_times
+        nonlocal n_vscc_invalid, n_mvcc_invalid, last_commit, freshest
+        versions = versions_of[c]
         for x in batch:
             if vscc and rng_vscc.random() < vscc_fail_prob:
                 n_vscc_invalid += 1
@@ -634,9 +647,19 @@ def run_back(cfg, seed, front):
                 if version == versions.get(key, 0):
                     validity[x] = VALID
                     versions[key] = version + 1
-                    gen_times[key] = g = gen_time[x]
+                    g = gen_time[x]
+                    if record:  # a lean back's ledgers are dropped
+                        ledgers[c].gen_times[key] = g
                     if key == TARGET_KEY and end <= horizon:
-                        path.record_commit(end, g)
+                        # `path.record_commit(end, g)`, with the path's last
+                        # commit and freshest generation in hand
+                        if end < last_commit or end <= g:
+                            path._last_commit = last_commit
+                            path.record_commit(end, g)  # raises
+                        last_commit = end
+                        if g > freshest:
+                            add_reset((end, g))
+                            freshest = g
                 else:
                     validity[x] = MVCC_INVALID
                     n_mvcc_invalid += 1
@@ -669,12 +692,14 @@ def run_back(cfg, seed, front):
             if queue and times[-1 - queue[0][0]] < next_end:
                 next_end = times[-1 - queue[0][0]]
 
-    later = itertools.chain(itertools.islice(done, 1, None), [math.inf])
+    inf = math.inf
+    later = itertools.chain(itertools.islice(done, 1, None), [inf])
     for i, x, t, t_next in zip(itertools.count(), stream, done, later):
         if x < 0:
             c = -1 - x
             if deadline[c] <= t:
                 timeout_cut(c, i)
+            queued = holds[c] or vscc
         else:
             c = 0 if channels is None else channels[x]
             if deadline[c] <= t:
@@ -687,18 +712,72 @@ def run_back(cfg, seed, front):
             if next_end <= t:
                 commit_before(i)
             captured[x] = versions_of[c].get(TARGET_KEY if keys is None else keys[x], 0)
-            holds[c] = True
+            queued = holds[c] = True
         batch = batches[c]
         batch.append(x)
         n = len(batch)
-        if n == block_size:
-            cut(c, t, i, t_next)
-        elif n == 1:
-            deadline[c] = t + timeout
-            first[c] = i
+        if n < block_size:
+            if n == 1:
+                deadline[c] = t + timeout
+                first[c] = i
+            continue
+        # The size cut, made here: its block is ready at cut + ordering delay,
+        # and the later of that and the last validation-complete starts it.
+        ready = t + order_time
+        prev = free_at[c]
+        start = ready if ready >= prev else prev
+        end = free_at[c] = start + (overhead + per_tx * n)  # the event-heap model's sum
+        if end <= horizon:
+            ends[c].append(end)
+        deadline[c] = inf
+        holds[c] = False
+        if not (queued and next_end == inf and end < t_next
+                and (n_channels == 1 or end < min(deadline))):
+            batches[c] = []
+            queue(c, ready, prev, end, batch, queued, i)
+            continue
+        # No block awaits commit, and this one completes before the next
+        # endorsement and every pending timeout (with one channel there is
+        # none: its own was just cleared), so nothing comes between its
+        # validation-complete and its commit.  Nor can a tie reach those two
+        # dispatches: the channel's next block is ready after it.  So it
+        # commits here, as `commit` would.
+        versions = versions_of[c]
+        for x in batch:
+            if vscc and rng_vscc.random() < vscc_fail_prob:
+                n_vscc_invalid += 1
+                if x >= 0:
+                    order_done[x], commit_time[x], validity[x] = ready, end, VSCC_INVALID
+            elif x >= 0:
+                order_done[x] = ready
+                commit_time[x] = end
+                key = TARGET_KEY if keys is None else keys[x]
+                version = captured[x]
+                if version == versions.get(key, 0):
+                    validity[x] = VALID
+                    versions[key] = version + 1
+                    g = gen_time[x]
+                    if record:
+                        ledgers[c].gen_times[key] = g
+                    if key == TARGET_KEY and end <= horizon:
+                        if end < last_commit or end <= g:
+                            path._last_commit = last_commit
+                            path.record_commit(end, g)  # raises
+                        last_commit = end
+                        if g > freshest:
+                            add_reset((end, g))
+                            freshest = g
+                else:
+                    validity[x] = MVCC_INVALID
+                    n_mvcc_invalid += 1
+        batch.clear()
     for c in range(n_channels):
         timeout_cut(c, None)
     commit_before(None)
+    path._last_commit, path.freshest_gen = last_commit, freshest
+    # every endorsement is in one block, which commits in the drained run,
+    # and a size cut holds `block_size` of them
+    blocks_committed = n_timeouts + (len(stream) - timed_out) // block_size
     block_times = ends[0] if n_channels == 1 else sorted(itertools.chain(*ends))
 
     # The latency means of the valid target-key endorsements, each summed in

@@ -3,10 +3,12 @@
 enter the endorsing phase."""
 
 import dataclasses
+import re
 
 import pytest
 
 from bcesim.config import paper_default
+from bcesim.core import SimulationError
 from bcesim.dists import Delay
 from bcesim.frontback import run_back
 from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID
@@ -148,6 +150,25 @@ def test_only_the_versioned_key_touches_the_ledger():
     ))
     assert (lean.transactions, lean.ledgers) == (None, None)
     assert lean.breakdown == full.breakdown and lean.path.resets == full.path.resets
+
+
+@pytest.mark.parametrize("where", ["at its cut", "after waiting its turn"])
+def test_a_commit_at_its_generation_instant_is_an_error(where):
+    # Nothing after the transmitter takes time, so an update endorsed at its
+    # generation instant commits at that instant, which the back must refuse.
+    # Alone at that instant its block commits at its cut; with a second
+    # endorsement due then, the block waits for commit behind it.
+    cfg = _cfg(transmit_time=0.1, endorse_time=Delay("fixed", 0.0), ordering_base=0.0,
+               ordering_per_kafka=0.0, validate_block_overhead=0.0, validate_per_tx=0.0,
+               block_size=1)
+    late = (1.0, 0.0, TARGET_KEY, 1.0)
+    arrivals = {
+        "at its cut": [(0.5, 0.25, TARGET_KEY, 0.25), late],
+        "after waiting its turn": [late, (1.0, 0.0, 7, 0.5)],
+    }[where]
+    with pytest.raises(SimulationError,
+                       match=re.escape("commit time 1.0 not after generation time 1.0")):
+        _inject(cfg, arrivals)
 
 
 def test_cross_block_staleness_detected_end_to_end():

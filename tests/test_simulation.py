@@ -364,6 +364,39 @@ def test_a_zero_endorse_uniform_is_redrawn_in_both_engines(monkeypatch, n_endors
     assert _record(run_once(cfg, 2, record=False)) == plain_lean and len(zeros) == 4
 
 
+def _uniforms_drawn(rng, seed, stream_id):
+    """How many uniforms `rng`, the stream `stream_id` at `seed`, has drawn."""
+    fresh = bcesim.core.make_stream(seed, stream_id)
+    for n in range(10**5):
+        if fresh.getstate() == rng.getstate():
+            return n
+        fresh.random()
+    raise AssertionError(f"{stream_id} is not a stream of uniforms")
+
+
+def test_a_front_at_target_ratio_one_draws_no_key_uniform(monkeypatch):
+    # At `target_ratio` 1 every key uniform would put its proposal on the
+    # target key, and no other draw follows from one, so the front draws
+    # none, where the event-heap model draws one per generation.  Below 1 it
+    # draws one per generation, as the model does.
+    made = []
+
+    def make_stream(seed, stream_id):
+        rng = bcesim.core.make_stream(seed, stream_id)
+        if stream_id == "key-assign":
+            made.append(rng)
+        return rng
+
+    monkeypatch.setattr(bcesim.frontback, "make_stream", make_stream)
+    cfg = paper_default().replace(horizon=60.0, warmup=0.0, target_ratio=1.0, n_channels=2,
+                                  stp=0.5, transmit_time=0.05)
+    assert _record(run_once(cfg, 2)) == _record(run_oracle(cfg, 2, None))
+    _assert_lean_summary_exact(cfg, 2, cfg)
+    assert made == []
+    below = run_once(cfg.replace(target_ratio=0.7), 2)
+    assert [_uniforms_drawn(rng, 2, "key-assign") for rng in made] == [below.breakdown.n_generated]
+
+
 def test_split_run_holds_no_event_heap():
     # The front is passes over whole-run lists and the back one pass over the
     # front's endorse-done stream, so neither half can push an event.  Over
@@ -403,6 +436,26 @@ def test_only_a_full_record_builds_transactions(monkeypatch):
     result = run_once(cfg, 1)
     assert result.transactions == built
     assert len(built) == result.breakdown.n_generated - result.breakdown.n_lost > 100
+
+
+@pytest.mark.parametrize("name", ["md1 fcfs", "md1 lcfs", "queued blocks"])
+def test_a_lean_back_resets_the_age_without_a_call(monkeypatch, name):
+    # The back keeps the path's last commit and freshest generation in hand
+    # and appends each reset itself: `record_commit` is called only to raise
+    # its error.  On the M/D/1 shape every block commits at its cut; at
+    # paper defaults with B = 5 each block completes after the next
+    # endorsement, so it waits for commit.
+    calls = []
+    record_commit = AoISamplePath.record_commit
+
+    def counted(path, t_u, t_g):
+        calls.append(t_u)
+        record_commit(path, t_u, t_g)
+
+    monkeypatch.setattr(AoISamplePath, "record_commit", counted)
+    model = _TRANSMITTER_RUNS.get(name, dict(block_size=5))
+    result = run_once(paper_default().replace(horizon=300.0, **model), 3, record=False)
+    assert calls == [] and len(result.path.resets) > 200
 
 
 def test_a_full_record_shares_one_float_per_time_it_repeats():
