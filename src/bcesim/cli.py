@@ -7,6 +7,7 @@ Exit code 0 on success; 2 with a diagnostic on configuration errors.
 """
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack
 
@@ -75,6 +76,10 @@ def main(argv=None):
             sweep = _parse_sweep(args.sweep, cfg) if args.sweep else None
             # open the output files before any run, so a bad path costs no simulation
             out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
+            if args.out and args.trace and os.path.exists(args.trace):
+                # one file for both would get the result CSV over the start of the trace
+                if os.path.samefile(args.out, args.trace):
+                    raise ConfigError("--out and --trace name the same file")
             trace = files.enter_context(open(args.trace, "w")) if args.trace is not None else None
 
             if args.scenario:

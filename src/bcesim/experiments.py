@@ -277,31 +277,33 @@ def run_plain(cfg):
 
 
 def _write_trace(out, k, result):
-    # The run is drained, so every delivered transaction has each time stamped
-    # and `_fmt`'s NA never applies; ".10g" is its format.  Formatting the
-    # times is most of the trace's cost, so a shared time is formatted once:
-    # the transactions of a block carry the same `order_done` and
-    # `commit_time` objects (`run_back` builds them from one pair), so a line
-    # whose time is the previous line's object reuses its text, and a proposal
-    # that arrives at its generation carries one float for `gen_time` and
-    # `arrive_time`.  The test is identity, never equality: -0.0 == 0.0, yet
-    # the two print differently.
+    # The lines come straight from the run's columns (`RunResult.columns`),
+    # so no Transaction is built.  The run is drained, so every delivered
+    # endorsement has each time stamped and `_fmt`'s NA never applies; ".10g"
+    # is its format.  Formatting the times is most of the trace's cost, so a
+    # shared time is formatted once: the endorsements of a block carry the
+    # same `order_done` and `commit_time` objects (`run_back` stamps them from
+    # one pair), so a line whose time is the previous line's object reuses its
+    # text, and a proposal that arrives at its generation carries one float
+    # for `gen_time` and `arrive_time` (the whole arrival column is the
+    # generation column where every proposal does).  The test is identity,
+    # never equality: -0.0 == 0.0, yet the two print differently.  A
+    # replication's lines are joined and written with one `write`.
     lines = []
     add = lines.append
     order = commit = None
-    for tx in result.transactions:
-        gen, arrive = tx.gen_time, tx.arrive_time
+    for tid, key, channel, gen, arrive, endorse, version, o, c, validity in zip(*result.columns):
         gen_text = format(gen, ".10g")
-        if tx.order_done is not order:
-            order = tx.order_done
-            order_text = format(order, ".10g")
-        if tx.commit_time is not commit:
-            commit = tx.commit_time
-            commit_text = format(commit, ".10g")
+        if o is not order:
+            order = o
+            order_text = format(o, ".10g")
+        if c is not commit:
+            commit = c
+            commit_text = format(c, ".10g")
         add(
-            f"{k},{tx.id},{tx.key},{tx.channel},{gen_text},"
-            f"{gen_text if arrive is gen else format(arrive, '.10g')},{tx.endorse_done:.10g},"
-            f"{tx.captured_version},{order_text},{commit_text},{tx.validity}\n"
+            f"{k},{tid},{key},{channel},{gen_text},"
+            f"{gen_text if arrive is gen else format(arrive, '.10g')},{endorse:.10g},"
+            f"{version},{order_text},{commit_text},{validity}\n"
         )
     for pid, key, channel, gen_time in result.lost:
         add(f"{k},{pid},{key},{channel},{gen_time:.10g},NA,NA,NA,NA,NA,lost\n")

@@ -39,13 +39,13 @@ The front then numbers the endorsements it keeps in delivery order: every
 one in a full front, the target-key ones in a lean front.  Its stream holds
 those numbers in endorse-done order, and a channel marker for each other
 endorsement; beside it go columns of the kept endorsements' times (`Front`).
-No Transaction is built for a lean run at all.  A draw goes to its place in
-its pass's order whatever the other
-fields are: the j-th key uniform to the j-th generation, and the j-th comm
-and endorse draw to the j-th passed delivery, for every `stp`.  So two
-configs that agree in the fields a pass reads, and in those of the passes
-before it, have the same output of that pass, and those that differ in
-`stp` alone share one draw prefix of comm and endorse draws.
+Neither half builds a Transaction.  A draw goes to its place in its pass's
+order whatever the other fields are: the j-th key uniform to the j-th
+generation, and the j-th comm and endorse draw to the j-th passed delivery,
+for every `stp`.  So two configs that agree in the fields a pass reads, and
+in those of the passes before it, have the same output of that pass, and
+those that differ in `stp` alone share one draw prefix of comm and endorse
+draws.
 `experiments._replicate` builds the fronts of one replication through one
 `Fronts`: each distinct pass is computed once and kept until its last use,
 and each draw prefix until the replication ends, never longer.  A
@@ -69,8 +69,10 @@ The back is one pass over the stream, with no event heap.  What it stamps
 on a kept endorsement (the version it read, its order and commit times, its
 validity) goes into columns of its own, indexed by the endorsement's number,
 so one front serves any number of backs.  The latency means are summed over
-those columns in delivery order.  Only a full-record back builds
-Transactions, once, when the run is drained.  Per channel:
+those columns in delivery order.  A full-record back hands its result the
+front's columns and its own (`RunResult.columns`): the trace is written from
+them, and `RunResult.transactions` is built from them only when read.  Per
+channel:
 
 - A batch is cut when it reaches `block_size`, or at its deadline
   t0 + timeout (t0 its first endorsement) if that passes before the
@@ -143,7 +145,7 @@ from random import Random
 from .core import SimulationError, make_stream
 from .ledger import LedgerState
 from .metrics import AoISamplePath, LatencyBreakdown
-from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
+from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID, ordering_delay
 from .simulation import RunResult
 from .workload import TARGET_KEY
 
@@ -512,10 +514,10 @@ def run_back(cfg, seed, front):
     The result is `run_once(cfg, seed, record=front.record)`'s.  The back
     keeps what it stamps on each kept endorsement (`captured_version`,
     `order_done`, `commit_time`, `validity`) in columns of its own, so a
-    front serves any number of backs.  Only a full-record back builds
-    Transactions, once, when the run is drained.  It keeps the path's last
-    commit and freshest generation in hand and calls
-    `AoISamplePath.record_commit` only to raise its error.
+    front serves any number of backs.  A full-record back's result holds
+    the ten columns of the record, the front's and its own, and no
+    Transaction.  It keeps the path's last commit and freshest generation in
+    hand and calls `AoISamplePath.record_commit` only to raise its error.
     """
     record = front.record
     cfg.validate()
@@ -705,8 +707,9 @@ def run_back(cfg, seed, front):
             if deadline[c] <= t:
                 timeout_cut(c, i)
             # it reads the ledger as every block that completes before it left
-            # it, so every cut due before it is made first
-            if n_channels > 1:
+            # it, so every cut due before it is made first; a deadline at its
+            # very instant goes to `timeout_cut`'s tie rule, hence `<=`
+            if n_channels > 1 and min(deadline) <= t:
                 for other in range(n_channels):
                     timeout_cut(other, i)
             if next_end <= t:
@@ -798,14 +801,12 @@ def run_back(cfg, seed, front):
     means = ([comm / n_target, endorse / n_target, order / n_target, validate / n_target]
              if n_target else [None] * 4)
 
-    transactions = None
-    if record:
-        # one (order_done, commit_time) pair of objects per block, and the
-        # front's generation floats, which serve as arrival times too where
-        # the front has one column for both
-        transactions = list(map(Transaction, front.id, keys, channels, gen_time,
-                                front.arrive_time, front.endorse_done, captured, order_done,
-                                commit_time, validity))
+    # The record is the front's columns and the back's, in `Transaction`'s
+    # field order: one (order_done, commit_time) pair of objects per block,
+    # and the front's generation floats, which serve as arrival times too
+    # where the front has one column for both.
+    columns = (front.id, keys, channels, gen_time, front.arrive_time, front.endorse_done,
+               captured, order_done, commit_time, validity) if record else None
     n_delivered = front.n_generated - front.n_lost  # the drained run resolved every delivery
     return RunResult(
         path=path,
@@ -819,7 +820,7 @@ def run_back(cfg, seed, front):
             n_vscc_invalid=n_vscc_invalid,
             n_lost=front.n_lost,
         ),
-        transactions=transactions,
+        columns=columns,
         lost=front.lost,
         ledgers=ledgers if record else None,
     )

@@ -15,8 +15,8 @@ VSCC_INVALID = "vscc_invalid"
 
 
 class Transaction:
-    """One delivered update, as the full record keeps it: built after the
-    run, with every field stamped."""
+    """One delivered update of a full record, with every field stamped:
+    built from the run's columns (`RunResult.transactions`)."""
 
     __slots__ = (
         "id",

@@ -18,14 +18,18 @@ fields (`config.BACK_FIELDS`) share one front.
 
 A run's caller says whether it needs the per-transaction record.  A full
 run keeps every delivered transaction, every lost proposal and each
-channel's ledger.  A lean run (``record=False``) keeps only what `summarize`
-reads: the AoI resets, the block commit times, the outcome counts and the
-latency means.  Its front keeps the target-key endorsements only, as numbers
-with a column per time, and its back sums the latency means over those
-columns in delivery order, the order of the full record; it builds no
-Transaction.  A background key is its proposal's unique id, never written
-before, so its MVCC check always passes: a lean run neither reads nor writes
-it in the ledger.  Outcomes are counted as blocks commit, in either mode.
+channel's ledger.  It keeps the transactions as ten columns, one per
+`Transaction` field in delivery order (`RunResult.columns`), which the trace
+is written from; `RunResult.transactions` builds the Transactions from them
+at its first access, for the callers that read a record one transaction at a
+time.  A lean run (``record=False``) keeps only what `summarize` reads: the
+AoI resets, the block commit times, the outcome counts and the latency means.
+Its front keeps the target-key endorsements only, as numbers with a column
+per time, and its back sums the latency means over those columns in delivery
+order, the order of the full record.  Neither builds a Transaction as it
+runs.  A background key is its proposal's unique id, never written before,
+so its MVCC check always passes: a lean run neither reads nor writes it in
+the ledger.  Outcomes are counted as blocks commit, in either mode.
 
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would
@@ -40,8 +44,10 @@ premise.
 
 import gc
 from dataclasses import dataclass
+from functools import cached_property
 
 from .metrics import AoISamplePath, LatencyBreakdown
+from .pipeline import Transaction
 
 
 @dataclass
@@ -50,17 +56,25 @@ class RunResult:
     block_times: list  # ascending commit times of the blocks committed by the horizon
     blocks_committed: int  # total over the drained run
     breakdown: LatencyBreakdown  # latency means and every outcome count
-    # `transactions`, `lost` and `ledgers` are None in a lean run.
-    transactions: list | None  # every delivered Transaction, in delivery order
+    # `columns`, `lost` and `ledgers` are None in a lean run.
+    columns: tuple | None  # one column per Transaction field, in delivery order
     lost: list | None  # (id, key, channel, gen_time) of dropped proposals
     ledgers: list | None  # final LedgerState per channel
+
+    @cached_property
+    def transactions(self):
+        """Every delivered Transaction, in delivery order (None in a lean
+        run): built from `columns` at the first access, and kept."""
+        if self.columns is None:
+            return None
+        return list(map(Transaction, *self.columns))
 
 
 def run_once(cfg, seed, record=True):
     """Single-threaded, deterministic run of one configuration and seed.
 
-    With `record` false the run is lean: `transactions`, `lost` and
-    `ledgers` are None, and every other field is as in a full run.
+    With `record` false the run is lean: `columns`, `transactions`, `lost`
+    and `ledgers` are None, and every other field is as in a full run.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -437,7 +437,8 @@ class Simulator:
             breakdown=latency_breakdown(
                 self.transactions, len(self.lost), self.n_generated, TARGET_KEY
             ),
-            transactions=self.transactions,
+            columns=tuple([getattr(tx, field) for tx in self.transactions]
+                          for field in Transaction.__slots__),
             lost=self.lost,
             ledgers=[ch.ledger for ch in self.channels],
         )

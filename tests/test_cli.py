@@ -152,6 +152,29 @@ def test_unwritable_output_path_rejected_before_simulating(tmp_path, monkeypatch
     assert calls == {"run_front": [], "run_back": []}
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_out_and_trace_naming_one_file_rejected_before_simulating(
+    tmp_path, monkeypatch, capsys, spelling
+):
+    # The result CSV is written after the trace, so one file for both would
+    # end up with the CSV over the start of the trace.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(QUICK)
+    out = tmp_path / "x.csv"
+    trace = {
+        "same": out,
+        "dotted": tmp_path / "." / "x.csv",
+        "symlink": tmp_path / "link.csv",
+    }[spelling]
+    if spelling == "symlink":
+        out.touch()
+        trace.symlink_to(out)
+    calls = count_runs(monkeypatch)
+    assert main(["--config", str(cfg), "--out", str(out), "--trace", str(trace)]) == 2
+    assert "--out and --trace name the same file" in capsys.readouterr().err
+    assert calls == {"run_front": [], "run_back": []}
+
+
 def test_bad_sweep_value_rejected_before_opening_the_output(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(QUICK)

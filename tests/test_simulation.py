@@ -13,7 +13,7 @@ import bcesim.simulation
 from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
-from bcesim.experiments import run_sweep, summarize
+from bcesim.experiments import run_sweep, summarize, trace_csv
 from bcesim.frontback import run_back, run_front
 from bcesim.metrics import AoISamplePath, average_aoi
 from bcesim.pipeline import VALID, Transaction
@@ -199,6 +199,15 @@ _TIE_MODELS = {
     "a timeout re-armed after a size cut": dict(
         total_rate=8.0, transmit_time=0.0, endorse_time=Delay("fixed", 0.0), ordering_base=0.75,
         validate_block_overhead=0.75, validate_per_tx=0.0, block_size=2, n_channels=2,
+        target_ratio=0.5, vscc_fail_prob=0.5,
+    ),
+    # Three channels and a timeout of four generation periods: a background
+    # channel's deadline falls due with a target-key endorsement, which must
+    # make every cut due at its instant that was scheduled before it, and
+    # the VSCC stream shows the order in which their blocks commit.
+    "three channels, deadlines due with endorsements": dict(
+        total_rate=4.0, transmit_time=0.0, endorse_time=Delay("fixed", 0.25), ordering_base=0.0,
+        validate_block_overhead=0.25, validate_per_tx=0.0, block_size=3, n_channels=3,
         target_ratio=0.5, vscc_fail_prob=0.5,
     ),
 }
@@ -415,27 +424,30 @@ def test_split_run_holds_no_event_heap():
 
 
 def test_only_a_full_record_builds_transactions(monkeypatch):
-    # A lean run keeps its endorsements as numbers and columns, so it builds
-    # no Transaction at all; a full run builds one per delivered endorsement,
-    # once, and those are its record.
+    # A run keeps its endorsements as numbers and columns, so neither a lean
+    # sweep nor the trace, which is written from the columns, builds a
+    # Transaction; a full record builds one per delivered endorsement at the
+    # first access to its `transactions`, and the same list after that.
     built = []
+    init = Transaction.__init__
 
-    class Counted(Transaction):
-        __slots__ = ()
+    def counted(tx, *fields):
+        built.append(tx)
+        init(tx, *fields)
 
-        def __init__(self, *fields):
-            built.append(self)
-            super().__init__(*fields)
-
-    monkeypatch.setattr(bcesim.frontback, "Transaction", Counted)
+    monkeypatch.setattr(Transaction, "__init__", counted)
     cfg = paper_default().replace(horizon=100.0, warmup=10.0, replications=2, n_channels=2,
                                   stp=0.8, transmit_time=0.02)
     run_sweep(cfg, "target_ratio", [0.3, 1.0])
     run_sweep(cfg.replace(target_ratio=1.0), "block_size", [1, 5])
+    assert trace_csv(cfg).count("\n") > 200
     assert built == []
     result = run_once(cfg, 1)
-    assert result.transactions == built
+    assert built == []
+    transactions = result.transactions
+    assert transactions == built
     assert len(built) == result.breakdown.n_generated - result.breakdown.n_lost > 100
+    assert result.transactions is transactions and len(built) == len(transactions)
 
 
 @pytest.mark.parametrize("name", ["md1 fcfs", "md1 lcfs", "queued blocks"])
