@@ -3,7 +3,9 @@
     simulate --config <path> [--scenario <name>] [--sweep <key>=<v1,v2,...>]
              [--seed <int>] [--reps <int>] [--out <path>] [--trace <path>]
 
-Exit code 0 on success; 2 with a diagnostic on configuration errors.
+Exit code 0 on success; 2 with a diagnostic on configuration errors.  Before
+any run, a config whose validator or transmitter is loaded to 1 or more gets
+a warning on stderr (`load_bounds`).
 """
 
 import argparse
@@ -15,6 +17,7 @@ from .core import ConfigError
 from .config import SWEEPABLE, parse_config, paper_default
 from .experiments import (
     CSV_HEADER,
+    SCENARIO_SWEEPS,
     SCENARIOS,
     run_plain,
     run_plain_traced,
@@ -35,6 +38,43 @@ def _parse_sweep(spec, cfg):
     for value in values:
         cfg.replace(**{key: value})
     return key, values
+
+
+def load_bounds(cfg):
+    """Lower bounds on the loads of a config's two queues: (validator,
+    transmitter).  At a load of 1 or more a queue has no steady state, so the
+    run's averages grow with the horizon.  Channel 0's validator, the
+    busiest, receives endorsements at rate total_rate * stp * (target_ratio +
+    (1 - target_ratio) / n_channels) and works a + b * size on each block of
+    at most B of them (a, b the validation overhead and per-transaction
+    time), so at least rate * (a / B + b) per second.  The transmitter works
+    transmit_time on every proposal."""
+    share = cfg.target_ratio + (1.0 - cfg.target_ratio) / cfg.n_channels
+    rate = cfg.total_rate * cfg.stp * share
+    return (rate * (cfg.validate_block_overhead / cfg.block_size + cfg.validate_per_tx),
+            cfg.total_rate * cfg.transmit_time)
+
+
+def _runs(cfg, scenario, sweep):
+    """(label, config) of each config a command runs."""
+    if scenario in SCENARIO_SWEEPS:
+        param, values, overrides = SCENARIO_SWEEPS[scenario]
+        cfg = cfg.replace(**overrides)
+    elif sweep:
+        param, values = sweep
+    else:  # a plain run, or the nodes scenario: node counts enter no load bound
+        return [("the config", cfg)]
+    return [(f"{param}={value}", cfg.replace(**{param: value})) for value in values]
+
+
+def _warn_overloaded(runs):
+    """One line on stderr for each config with a queue loaded to 1 or more."""
+    for label, cfg in runs:
+        loads = zip(("validator", "transmitter"), load_bounds(cfg))
+        over = [f"{queue} load >= {load:.4g}" for queue, load in loads if load >= 1.0]
+        if over:
+            print(f"simulate: warning: {label}: {' and '.join(over)}; no steady state, so "
+                  "its averages grow with the horizon", file=sys.stderr)
 
 
 def build_parser():
@@ -81,6 +121,7 @@ def main(argv=None):
                 if os.path.samefile(args.out, args.trace):
                     raise ConfigError("--out and --trace name the same file")
             trace = files.enter_context(open(args.trace, "w")) if args.trace is not None else None
+            _warn_overloaded(_runs(cfg, args.scenario, sweep))
 
             if args.scenario:
                 csv_text = run_scenario(args.scenario, base=cfg)

@@ -65,38 +65,35 @@ the previous transmit-complete (Lindley's recursion), and at a tie of the two
 either order gives that time.  Only an exact tie in the back needs the
 numbers, so there the loop runs at the first such tie (`Front.timeline`).
 
-The back is one pass over the stream, with no event heap.  What it stamps
-on a kept endorsement (the version it read, its order and commit times, its
-validity) goes into columns of its own, indexed by the endorsement's number,
-so one front serves any number of backs.  The latency means are summed over
-those columns in delivery order.  A full-record back hands its result the
-front's columns and its own (`RunResult.columns`): the trace is written from
-them, and `RunResult.transactions` is built from them only when read.  Per
-channel:
+The back has no event heap either.  It is two parts:
 
-- A batch is cut when it reaches `block_size`, or at its deadline
-  t0 + timeout (t0 its first endorsement) if that passes before the
-  channel's next endorsement.
-- A block is ready at cut + ordering delay.  The channel's validator is a
-  FIFO single server with deterministic service, so block k completes at
-  done_k = max(ready_k, done_{k-1}) + validation time (Lindley's recursion,
-  with the float operations of the event-heap model's dispatches).
-- Blocks commit in completion order, across channels, since the channels
-  share one VSCC stream: the blocks that complete before an endorsement that
-  reads the ledger (a target-key one in a lean back, every one in a full
-  back) commit just before it reads, and the rest at the end.  A block
-  commits at its cut when nothing can come between the two: no block awaits
-  commit, and it completes strictly before the next endorsement and every
-  pending timeout.  In a lean back without VSCC a block of background
-  endorsements only is never queued for commit: each of them is valid
-  whenever it commits.
-- The pass itself makes each size cut and commits a block at its cut,
-  appending the age reset to the path's list, so where every block commits
-  so (the M/D/1 configs, each endorsement a block of its own) it makes no
-  call per block.  Timeout cuts, the blocks queued for commit and the ties
-  go through calls.
+- The cut pass (`_cuts`) over each channel's part of the stream, which
+  reads no label.  At one channel a block is a contiguous run of the
+  stream, cut when it reaches `block_size` or at its deadline t0 + timeout
+  (t0 its first endorsement) if that passes before the channel's next
+  endorsement: a block shorter than `block_size` was cut by its deadline.
+- One loop over the reads, the endorsements that read the ledger (a kept
+  one in a lean back, every one in a full back).  Before each, it moves a
+  pointer over the blocks cut before it.  A block is ready at cut +
+  ordering delay, and the channel's validator is a FIFO single server with
+  deterministic service, so block k completes at done_k = max(ready_k,
+  done_{k-1}) + validation time (Lindley's recursion, with the float
+  operations of the event-heap model's dispatches).  Blocks commit in
+  completion order, across channels, since the channels share one VSCC
+  stream, which draws once per member, markers included.  A block that
+  completes before the read, with none awaiting commit, commits at once;
+  the rest wait in a queue and commit before the first read after they
+  complete.  In a lean back without VSCC a block with no kept endorsement
+  has nothing to commit: each member is valid whenever it commits.
 
-The pass resolves the (time, seq) order of same-instant events only where
+What the back stamps on a kept endorsement (the version it read, its order
+and commit times, its validity) goes into columns of its own, indexed by the
+endorsement's number, so one front serves any number of backs.  The latency
+means are summed over those columns in delivery order.  A full-record back
+hands its result the front's columns and its own (`RunResult.columns`), from
+which the trace is written and `RunResult.transactions` built when read.
+
+The back resolves the (time, seq) order of same-instant events only where
 two times are exactly equal (`_Dispatches`):
 
 - `Front.timeline` holds each slot dispatch's time and the number of the
@@ -118,14 +115,14 @@ two times are exactly equal (`_Dispatches`):
   validation-complete.  So two back events due at one instant go in the
   order of the dispatches that scheduled them, compared the same way.  The
   dispatch that starts a block's validation is the later of its block-ready
-  and the previous block's validation-complete.
+  and the previous block's validation-complete.  The back records none of
+  them: a tie reads them off the blocks.
 
 A sweep over back fields pays the front once per replication and saves it
-on every further value: the front is about two thirds of a lean run at paper
-defaults with block size 10, and three tenths (FCFS) to two fifths (LCFS) on
-the M/D/1 configs of the benchmark's md1_channel workload, where every
-endorsement is a block of its own (medians over 6 seeds of the fastest of 7;
-Python 3.11).
+on every further value: the front is about three quarters of a lean run at
+paper defaults (three fifths at block size 1), and three tenths (FCFS) to
+two fifths (LCFS) on the M/D/1 configs of the benchmark's md1_channel
+workload (medians over 6 seeds of the fastest of 7; Python 3.11).
 
 `simulation.run_once` and `experiments._replicate` import this module at
 their first run, so that importing bcesim compiles none of it.
@@ -507,281 +504,241 @@ def _slot_pass(gen_times, transmit_time, discipline, numbered):
     return served, at, (slot_time, slot_sched, by) if numbered else None
 
 
+def _cuts(done, block_size, timeout, joins):
+    """The stop of each block over one channel's endorse-done times `done`:
+    block k is done[stops[k - 1]:stops[k]], from 0 to len(done).
+
+    A block holds `block_size` endorsements, or fewer when its deadline (its
+    first endorsement's time plus `timeout`) passes before the next one or
+    the stream ends; one due at the very deadline goes first iff joins(it,
+    the block's first).  It reads no label.  Blocks [s, s + B), [s + B,
+    s + 2B), ... are size cuts up to the first whose last endorsement is not
+    before its first's deadline: such runs are found at C speed, over strided
+    views of `done`, and only the block that ends one is stepped.
+    """
+    n, s, step = len(done), 0, block_size
+    if step == 1:  # every endorsement is a block
+        return array("q", range(1, n + 1))
+    stops, view = array("q"), memoryview(done)
+    while s < n:
+        d = done[s] + timeout
+        last = s + step - 1
+        if last < n and done[last] < d:
+            lasts = view[last::step]
+            late = map(operator.ge, lasts,
+                       map(operator.add, view[s::step], itertools.repeat(timeout)))
+            run = next(itertools.compress(itertools.count(), late), len(lasts)) * step
+            stops.extend(range(s + step, s + run + 1, step))
+            s += run
+            if s == n:
+                break
+            d = done[s] + timeout
+            last = s + step - 1
+        stop = last + 1 if last < n else n
+        j = s + 1
+        while j < stop and (done[j] < d or done[j] == d and joins(j, s)):
+            j += 1
+        stops.append(j)
+        s = j
+    return stops
+
+
 def run_back(cfg, seed, front):
     """Batching through commit of one run over a front of the same seed and
     of a config that differs from `cfg` in back fields only.
 
-    The result is `run_once(cfg, seed, record=front.record)`'s.  The back
-    keeps what it stamps on each kept endorsement (`captured_version`,
-    `order_done`, `commit_time`, `validity`) in columns of its own, so a
-    front serves any number of backs.  A full-record back's result holds
-    the ten columns of the record, the front's and its own, and no
-    Transaction.  It keeps the path's last commit and freshest generation in
-    hand and calls `AoISamplePath.record_commit` only to raise its error.
+    The result is `run_once(cfg, seed, record=front.record)`'s: a full
+    record's holds the ten columns of the record, the front's and the back's
+    own, and no Transaction.  The back keeps its stamps in columns of its
+    own, so a front serves any number of backs.  It calls
+    `AoISamplePath.record_commit` only to raise its error.
     """
     record = front.record
     cfg.validate()
     horizon = cfg.horizon
     rng_vscc = make_stream(seed, "vscc")
-
     n_channels = cfg.n_channels
+    multi = n_channels > 1
     ledgers = [LedgerState() for _ in range(n_channels)]
     versions_of = [ledger.versions for ledger in ledgers]
     path = AoISamplePath(0.0, horizon)
-
-    block_size = cfg.block_size
-    timeout = cfg.timeout
+    block_size, timeout = cfg.block_size, cfg.timeout
     order_time = ordering_delay(cfg)
     overhead, per_tx = cfg.validate_block_overhead, cfg.validate_per_tx
-    vscc_fail_prob = cfg.vscc_fail_prob
-    vscc = vscc_fail_prob > 0.0
+    vscc = (vscc_fail_prob := cfg.vscc_fail_prob) > 0.0
 
     stream, done = front.stream, front.done
-    if stream and done[0] < 0.0:  # the stream is in time order, from a clock at 0
+    n = len(stream)
+    if n and done[0] < 0.0:  # the stream is in time order, from a clock at 0
         raise SimulationError(f"event at t={done[0]} behind clock t=0.0")
-    ties = _Dispatches(front)
-    times = ties.time
-    add_time, add_parent = times.append, ties.parent.append
+    ties = _Dispatches(front, block_size, timeout, order_time)
+    parts, joins = ties.parts, ties.joins
 
-    # Per kept endorsement, by number: the front's key and channel (None in
-    # a lean front: the target key on channel 0) and generation time, and
-    # what the back stamps on it.  Every kept endorsement commits in the
-    # drained run, so each one's stamps are all set at the end.
+    # The blocks, from a cut pass over each channel's part of the stream.
+    # Block g stops at `stops[g]` of its part and is taken up before the read
+    # at stream position `at[g]` or later (then n + 1 to end): the one after
+    # its last endorsement, at or before its cut.  A block taken up early
+    # waits for commit until it completes.
+    if multi:
+        on = ([-1 - x if x < 0 else 0 for x in stream] if front.channel is None
+              else list(map(front.channel.__getitem__, stream)))
+        blocks = []  # (at, channel, stop)
+        for c in range(n_channels):
+            pos = list(itertools.compress(itertools.count(),
+                                          map(operator.eq, on, itertools.repeat(c))))
+            part = array("d", map(done.__getitem__, pos))
+            cuts = _cuts(part, block_size, timeout, lambda j, s, pos=pos: joins(pos[j], pos[s]))
+            parts.append((pos, part, cuts, []))
+            blocks += [(pos[stop - 1] + 1, c, stop) for stop in cuts]
+        blocks.sort(key=operator.itemgetter(0))  # stable: each channel's in its order
+        at = array("q", [a for a, _, _ in blocks] + [n + 1])
+        chans = array("i", [c for _, c, _ in blocks])
+        stops = array("q", [stop for _, _, stop in blocks])
+        spaces = [list(map(stream.__getitem__, pos)) for pos, _, _, _ in parts]
+        starts, frees = [0] * n_channels, [-math.inf] * n_channels
+    else:
+        at = stops = _cuts(done, block_size, timeout, joins)
+        parts.append((None, done, stops, []))
+        stops.append(n + 1)
+
+    # The reads, by stream position, number and time.  What a block commits,
+    # from lo to hi: its reads (r, the count of reads before), where VSCC
+    # draws for none but them; else its channel's part, markers and all.
     keys, channels, gen_time = front.key, front.channel, front.gen_time
     n_kept = len(gen_time)
+    if n_kept == n:
+        positions, kept, times = range(n), stream, done
+    else:
+        positions = list(itertools.compress(itertools.count(),
+                                            map(operator.ge, stream, itertools.repeat(0))))
+        kept = list(map(stream.__getitem__, positions))
+        times = map(done.__getitem__, positions)
+    by_read = not (multi or n_kept == n or vscc)
+    if not multi:
+        spaces = [kept if by_read else stream]
+
+    # Per kept endorsement, by number: what the back stamps on it.  Every
+    # kept endorsement commits in the drained run, so each one's stamps are
+    # all set at the end.
     captured = [0] * n_kept
     order_done = [None] * n_kept
     commit_time = [None] * n_kept
     validity = [None] * n_kept
-
-    # Per channel: its batch, whether the batch holds a kept endorsement,
-    # when the batch's timeout falls due (inf while it has none) and the
-    # endorsement that started it, when its validator frees and that
-    # validation-complete (a dispatch of `ties`), the completion times of its
-    # blocks by the horizon, and its blocks awaiting commit, each as (its
-    # validation-complete, its ready time, its batch).
-    batches = [[] for _ in range(n_channels)]
-    holds = [False] * n_channels
-    deadline = [math.inf] * n_channels
-    first = [0] * n_channels
-    free_at = [-math.inf] * n_channels
-    last_vc = [None] * n_channels
-    ends = [[] for _ in range(n_channels)]
-    pending = [deque() for _ in range(n_channels)]
-    next_end = math.inf  # the earliest completion of a block awaiting commit
     n_vscc_invalid = n_mvcc_invalid = 0
-    n_timeouts = timed_out = 0  # the blocks cut by timeout and their endorsements
-    last_commit = freshest = -math.inf  # the path's, kept here until the run ends
+    # the path's last commit and freshest generation, and the target key's
+    # version in channel 0's ledger, kept here until the run ends
+    last_commit = freshest = -math.inf
+    version = 0
     add_reset = path.resets.append
 
-    def queue(c, ready, prev, end, batch, queued, cause):
-        """Record channel c's block, cut by dispatch `cause`, ready at `ready`
-        and completing at `end` after the validator frees at `prev`, and
-        queue it for commit if `queued`."""
-        nonlocal next_end
-        # Record the block-ready and the validation-complete for the ties.  At
-        # a tie of the two, both start the validation at `ready`.
-        if ready < prev:
-            parent = last_vc[c]
-        else:
-            add_time(ready)
-            add_parent(cause)
-            parent = -len(times)
-            if ready == prev and ties.precedes(parent, last_vc[c]):
-                parent = last_vc[c]
-        add_time(end)
-        add_parent(parent)
-        vc = last_vc[c] = -len(times)
-        # a block of background endorsements only, with no VSCC, is valid
-        # whenever it commits
-        if queued:
-            pending[c].append((vc, ready, batch))
-            if end < next_end:
-                next_end = end
-
-    def timeout_cut(c, i):
-        """Cut channel c's batch by its timeout if that falls due before
-        endorsement i (or at all, if i is None).  At a tie the timeout goes
-        first iff it was scheduled first: by the batch's first endorsement,
-        before the slot dispatch that delivered endorsement i."""
-        nonlocal n_timeouts, timed_out
-        d = deadline[c]
-        if d != math.inf and (i is None or d < done[i]
-                              or d == done[i] and ties.slot(i) >= ties.slots_before(first[c])):
-            add_time(d)
-            add_parent(first[c])
-            batch = batches[c]
-            batches[c] = []
-            deadline[c] = math.inf
-            n_timeouts += 1
-            timed_out += len(batch)
-            # as a size cut (see the loop below), with d for its time
-            ready = d + order_time
-            prev = free_at[c]
-            start = ready if ready >= prev else prev
-            end = free_at[c] = start + (overhead + per_tx * len(batch))
-            if end <= horizon:
-                ends[c].append(end)
-            queued = holds[c] or vscc
-            holds[c] = False
-            if (queued and next_end == math.inf and (i is None or end < done[i])
-                    and (n_channels == 1 or end < min(deadline))):
-                commit(c, ready, end, batch)
-            else:
-                queue(c, ready, prev, end, batch, queued, -len(times))
-
-    def commit(c, ready, end, batch):
-        """Commit channel c's block, ready at `ready`, as its validation
-        completes at `end`: VSCC first, then MVCC against the ledger, which
-        already holds this block's earlier commits."""
-        nonlocal n_vscc_invalid, n_mvcc_invalid, last_commit, freshest
-        versions = versions_of[c]
-        for x in batch:
-            if vscc and rng_vscc.random() < vscc_fail_prob:
-                n_vscc_invalid += 1
-                if x >= 0:
-                    order_done[x], commit_time[x], validity[x] = ready, end, VSCC_INVALID
-            elif x >= 0:  # background the back does not keep is valid
-                order_done[x] = ready
-                commit_time[x] = end
-                key = TARGET_KEY if keys is None else keys[x]
-                version = captured[x]
-                if version == versions.get(key, 0):
-                    validity[x] = VALID
-                    versions[key] = version + 1
-                    g = gen_time[x]
-                    if record:  # a lean back's ledgers are dropped
-                        ledgers[c].gen_times[key] = g
-                    if key == TARGET_KEY and end <= horizon:
-                        # `path.record_commit(end, g)`, with the path's last
-                        # commit and freshest generation in hand
-                        if end < last_commit or end <= g:
-                            path._last_commit = last_commit
-                            path.record_commit(end, g)  # raises
-                        last_commit = end
-                        if g > freshest:
-                            add_reset((end, g))
-                            freshest = g
-                else:
-                    validity[x] = MVCC_INVALID
-                    n_mvcc_invalid += 1
-
-    def commit_before(i):
-        """Commit, in completion order, every block awaiting commit whose
-        validation completes before endorsement i (or at all, if i is None)."""
-        nonlocal next_end
-        t = math.inf if i is None else done[i]
-        c = 0
-        while True:
-            if n_channels > 1:  # the channel whose next completion comes first
-                c = None
-                for other, queue in enumerate(pending):
-                    if queue and (c is None or ties.precedes(queue[0][0], pending[c][0][0])):
-                        c = other
-                if c is None:
-                    break
-            queue = pending[c]
-            if not queue:
-                break
-            vc, ready, batch = queue[0]
-            end = times[-1 - vc]
-            if end > t or end == t and not ties.precedes(vc, i):
-                break
-            queue.popleft()
-            commit(c, ready, end, batch)
-        next_end = math.inf
-        for queue in pending:
-            if queue and times[-1 - queue[0][0]] < next_end:
-                next_end = times[-1 - queue[0][0]]
-
+    # Before each read, and at the end of the stream: each block cut before
+    # it, through Lindley's recursion (one channel's state in locals), and
+    # each block that completes before it, committed in completion order.
+    # A block waits in `queue`, as (end, ready, channel, lo, hi, its
+    # validation-complete), unless it completes first and none waits.
     inf = math.inf
-    later = itertools.chain(itertools.islice(done, 1, None), [inf])
-    for i, x, t, t_next in zip(itertools.count(), stream, done, later):
-        if x < 0:
-            c = -1 - x
-            if deadline[c] <= t:
-                timeout_cut(c, i)
-            queued = holds[c] or vscc
-        else:
-            c = 0 if channels is None else channels[x]
-            if deadline[c] <= t:
-                timeout_cut(c, i)
-            # it reads the ledger as every block that completes before it left
-            # it, so every cut due before it is made first; a deadline at its
-            # very instant goes to `timeout_cut`'s tie rule, hence `<=`
-            if n_channels > 1 and min(deadline) <= t:
-                for other in range(n_channels):
-                    timeout_cut(other, i)
-            if next_end <= t:
-                commit_before(i)
-            captured[x] = versions_of[c].get(TARGET_KEY if keys is None else keys[x], 0)
-            queued = holds[c] = True
-        batch = batches[c]
-        batch.append(x)
-        n = len(batch)
-        if n < block_size:
-            if n == 1:
-                deadline[c] = t + timeout
-                first[c] = i
-            continue
-        # The size cut, made here: its block is ready at cut + ordering delay,
-        # and the later of that and the last validation-complete starts it.
-        ready = t + order_time
-        prev = free_at[c]
-        start = ready if ready >= prev else prev
-        end = free_at[c] = start + (overhead + per_tx * n)  # the event-heap model's sum
-        if end <= horizon:
-            ends[c].append(end)
-        deadline[c] = inf
-        holds[c] = False
-        if not (queued and next_end == inf and end < t_next
-                and (n_channels == 1 or end < min(deadline))):
-            batches[c] = []
-            queue(c, ready, prev, end, batch, queued, i)
-            continue
-        # No block awaits commit, and this one completes before the next
-        # endorsement and every pending timeout (with one channel there is
-        # none: its own was just cleared), so nothing comes between its
-        # validation-complete and its commit.  Nor can a tie reach those two
-        # dispatches: the channel's next block is ready after it.  So it
-        # commits here, as `commit` would.
-        versions = versions_of[c]
-        for x in batch:
-            if vscc and rng_vscc.random() < vscc_fail_prob:
-                n_vscc_invalid += 1
-                if x >= 0:
-                    order_done[x], commit_time[x], validity[x] = ready, end, VSCC_INVALID
-            elif x >= 0:
-                order_done[x] = ready
-                commit_time[x] = end
-                key = TARGET_KEY if keys is None else keys[x]
-                version = captured[x]
-                if version == versions.get(key, 0):
-                    validity[x] = VALID
-                    versions[key] = version + 1
-                    g = gen_time[x]
-                    if record:
-                        ledgers[c].gen_times[key] = g
-                    if key == TARGET_KEY and end <= horizon:
-                        if end < last_commit or end <= g:
-                            path._last_commit = last_commit
-                            path.record_commit(end, g)  # raises
-                        last_commit = end
-                        if g > freshest:
-                            add_reset((end, g))
-                            freshest = g
+    queue = deque()
+    _, part, _, ends = parts[0]
+    add_end = ends.append
+    c = g = start = mark = 0
+    a = at[0]
+    prev = -inf
+    reads = zip(itertools.count() if by_read else itertools.repeat(None),
+                itertools.chain(positions, [n]), itertools.chain(kept, [None]),
+                itertools.chain(times, [inf]))
+    for r, p, x, t in reads:
+        while True:
+            if a <= p:  # block g is taken up before this read
+                if multi:
+                    c, stop = chans[g], stops[g]
+                    _, part, _, ends = parts[c]
+                    start, prev, add_end = starts[c], frees[c], ends.append
                 else:
-                    validity[x] = MVCC_INVALID
-                    n_mvcc_invalid += 1
-        batch.clear()
-    for c in range(n_channels):
-        timeout_cut(c, None)
-    commit_before(None)
+                    stop = a
+                # ready at cut + ordering delay, and started by the later of
+                # that and the channel's last validation-complete
+                size = stop - start
+                ready = (part[stop - 1] if size == block_size else part[start] + timeout) + order_time
+                end = prev = (ready if ready >= prev else prev) + (overhead + per_tx * size)
+                add_end(end)
+                g += 1
+                a = at[g]
+                if by_read:
+                    lo = mark
+                    hi = mark = r
+                    start = stop
+                    if lo == hi:  # no read in it, and no VSCC: nothing to commit
+                        continue
+                else:
+                    lo, hi, start = start, stop, stop
+                    if multi:
+                        starts[c], frees[c] = stop, end
+                if queue or end >= t or multi:
+                    vc = -3 - 3 * ((len(ends) - 1) * n_channels + c if multi else g - 1)
+                    i = len(queue)
+                    while multi and i and (queue[i - 1][0] > end or queue[i - 1][0] == end
+                                           and ties.precedes(vc, queue[i - 1][5])):
+                        i -= 1
+                    queue.insert(i, (end, ready, c, lo, hi, vc))
+                    continue
+            elif queue and (queue[0][0] < t or queue[0][0] == t and ties.precedes(queue[0][5], p)):
+                end, ready, c, lo, hi, _ = queue.popleft()
+            else:
+                break
+            # The commit: VSCC first, then MVCC against the ledger, which
+            # already holds this block's earlier commits.
+            space = spaces[c]
+            while lo < hi:
+                y = space[lo]
+                lo += 1
+                if vscc and rng_vscc.random() < vscc_fail_prob:
+                    n_vscc_invalid += 1
+                    if y >= 0:
+                        order_done[y], commit_time[y], validity[y] = ready, end, VSCC_INVALID
+                    continue
+                if y < 0:  # background the back does not keep is valid
+                    continue
+                order_done[y] = ready
+                commit_time[y] = end
+                if keys is None or keys[y] == TARGET_KEY:  # on channel 0
+                    if captured[y] == version:
+                        validity[y] = VALID
+                        version += 1
+                        gen = gen_time[y]
+                        if record:  # a lean back's ledgers are dropped
+                            ledgers[0].gen_times[TARGET_KEY] = gen
+                        if end <= horizon:
+                            # `path.record_commit(end, gen)`, with the path's
+                            # last commit and freshest generation in hand
+                            if end < last_commit or end <= gen:
+                                path._last_commit = last_commit
+                                path.record_commit(end, gen)  # raises
+                            last_commit = end
+                            if gen > freshest:
+                                add_reset((end, gen))
+                                freshest = gen
+                        continue
+                elif captured[y] == versions_of[c].get(keys[y], 0):
+                    validity[y] = VALID
+                    versions_of[c][keys[y]] = captured[y] + 1
+                    ledgers[c].gen_times[keys[y]] = gen_time[y]
+                    continue
+                validity[y] = MVCC_INVALID
+                n_mvcc_invalid += 1
+        if p == n:
+            break
+        # it reads the ledger as every block that completed before it left it
+        captured[x] = (version if keys is None or keys[x] == TARGET_KEY
+                       else versions_of[channels[x]].get(keys[x], 0))
+    if version:
+        versions_of[0][TARGET_KEY] = version
     path._last_commit, path.freshest_gen = last_commit, freshest
-    # every endorsement is in one block, which commits in the drained run,
-    # and a size cut holds `block_size` of them
-    blocks_committed = n_timeouts + (len(stream) - timed_out) // block_size
-    block_times = ends[0] if n_channels == 1 else sorted(itertools.chain(*ends))
+    blocks_committed = 0
+    for _, _, _, ends in parts:  # every block commits in the drained run
+        blocks_committed += len(ends)
+        del ends[bisect_right(ends, horizon):]
+    block_times = (sorted(itertools.chain.from_iterable(map(operator.itemgetter(3), parts)))
+                   if multi else ends)
 
     # The latency means of the valid target-key endorsements, each summed in
     # delivery order, as the event-heap model's post-pass sums them.
@@ -790,11 +747,11 @@ def run_back(cfg, seed, front):
         counted = map(operator.and_, counted, map(operator.eq, keys, itertools.repeat(TARGET_KEY)))
     comm = endorse = order = validate = 0.0
     n_target = 0
-    for g, a, e, o, m in itertools.compress(
+    for gen, a, e, o, m in itertools.compress(
         zip(gen_time, front.arrive_time, front.endorse_done, order_done, commit_time), counted
     ):
         n_target += 1
-        comm += a - g
+        comm += a - gen
         endorse += e - a
         order += o - e
         validate += m - o
@@ -829,30 +786,68 @@ def run_back(cfg, seed, front):
 class _Dispatches:
     """The dispatches of one back, as far as an exact tie needs them.
 
-    A dispatch is an int: endorsement i of the front is i, and back dispatch
-    j (a timeout that cuts a batch, a block-ready, a validation-complete) is
-    -1 - j, with `time[j]` its time and `parent[j]` the dispatch that
-    scheduled it.
+    A dispatch is an int: endorsement i of the front is i, and block b (its
+    channel c's k-th, b = k * n_channels + c) has its timeout -1 - 3b, if its
+    deadline cut it, its block-ready -2 - 3b and its validation-complete
+    -3 - 3b.  A back dispatch's time, and the dispatch that scheduled it, are
+    read off its channel's blocks (`parts`) when a tie asks.
     """
 
-    __slots__ = ("front", "time", "parent")
+    __slots__ = ("front", "block_size", "timeout", "order_time", "parts", "known")
 
-    def __init__(self, front):
+    def __init__(self, front, block_size, timeout, order_time):
         self.front = front
-        self.time = array("d")
-        self.parent = array("q")
+        self.block_size, self.timeout, self.order_time = block_size, timeout, order_time
+        # per channel: its stream positions (None: every one), their
+        # endorse-done times, the stops of its blocks and their completions
+        # (a list of the floats that end as the run's `block_times`)
+        self.parts = []
+        self.known = {}  # validation-complete -> (its time, its parent)
 
     def slot(self, i):
         """The slot dispatch that delivered endorsement i."""
         return self.front.timeline()[2][self.front.proposal[i]]
 
+    def joins(self, j, s):
+        """Whether endorsement j goes before the deadline, due at its very
+        instant, of the batch that endorsement s began: iff j was delivered
+        before s's dispatch, which scheduled the deadline's timeout."""
+        return self.slot(j) < self.slots_before(s)
+
+    def event(self, d):
+        """(time, the dispatch that scheduled it) of back dispatch d."""
+        b, kind = divmod(-1 - d, 3)
+        n_channels = len(self.parts)
+        k, c = divmod(b, n_channels)
+        pos, part, stops, ends = self.parts[c]
+        start, stop = stops[k - 1] if k else 0, stops[k]
+        deadline = part[start] + self.timeout
+        if kind == 0:  # the timeout, scheduled by the batch's first endorsement
+            return deadline, start if pos is None else pos[start]
+        if kind == 1:  # the block-ready, scheduled by its cut
+            if stop - start < self.block_size:
+                return deadline + self.order_time, d + 1
+            return part[stop - 1] + self.order_time, stop - 1 if pos is None else pos[stop - 1]
+        # The validation-complete, scheduled by the later of the block-ready
+        # and the channel's last validation-complete, at a tie by the one
+        # dispatched second.  Kept: a run of ties asks for it at each step.
+        known = self.known.get(d)
+        if known is None:
+            ready = self.event(d + 1)[0]
+            prev = ends[k - 1] if k else -math.inf
+            last = d + 3 * n_channels
+            known = self.known[d] = (
+                ends[k], last if ready < prev or ready == prev and self.precedes(d + 1, last)
+                else d + 1)
+        return known
+
     def slots_before(self, d):
         """The number of slot dispatches before dispatch d."""
-        front, time, parent = self.front, self.time, self.parent
+        front = self.front
         slot_time, slot_sched, _ = front.timeline()
         instants = []  # (lo, hi): the slot dispatches at each dispatch's instant
         while True:
-            t = front.done[d] if d >= 0 else time[-1 - d]
+            t, parent = (front.done[d], None) if d >= 0 else self.event(d)
             lo = bisect_left(slot_time, t)
             hi = bisect_right(slot_time, t, lo)
             if lo == hi:
@@ -862,7 +857,7 @@ class _Dispatches:
             if d >= 0:  # an endorse-done, scheduled by the slot dispatch that delivered it
                 n = self.slot(d)
                 break
-            d = parent[-1 - d]
+            d = parent
         # a slot dispatch at a dispatch's instant goes first iff the slot
         # dispatch that scheduled it precedes the one that scheduled that dispatch
         for lo, hi in reversed(instants):
@@ -873,16 +868,15 @@ class _Dispatches:
         """Whether dispatch a comes before dispatch b, a different one, in the
         event-heap model's (time, seq) order."""
         done = self.front.done
-        time, parent = self.time, self.parent
         while True:
-            ta = done[a] if a >= 0 else time[-1 - a]
-            tb = done[b] if b >= 0 else time[-1 - b]
+            ta, pa = (done[a], None) if a >= 0 else self.event(a)
+            tb, pb = (done[b], None) if b >= 0 else self.event(b)
             if ta != tb:
                 return ta < tb
             if a >= 0:
                 if b >= 0:
                     return a < b
-                return self.slot(a) < self.slots_before(parent[-1 - b])
+                return self.slot(a) < self.slots_before(pb)
             if b >= 0:
-                return self.slot(b) >= self.slots_before(parent[-1 - a])
-            a, b = parent[-1 - a], parent[-1 - b]  # each dispatch schedules at most one back event
+                return self.slot(b) >= self.slots_before(pa)
+            a, b = pa, pb  # each dispatch schedules at most one back event

@@ -4,7 +4,7 @@ import bcesim.cli
 import bcesim.frontback
 from bcesim.cli import main
 from bcesim.config import parse_config
-from bcesim.experiments import run_plain, trace_csv
+from bcesim.experiments import run_plain, run_scenario, trace_csv
 from conftest import ZERO_LATENCY, count_runs, parse_csv
 
 QUICK = "horizon = 120\nwarmup = 20\nreplications = 2\n"
@@ -198,3 +198,32 @@ def test_delay_valued_sweep_prints_config_syntax(tmp_path, key, values):
     assert [line.split(",")[:3] for line in lines] == [
         [key, value, "1"] for value in values.split(",")
     ]
+
+
+def test_overloaded_configs_are_warned_before_any_run(tmp_path, capsys, monkeypatch):
+    # At paper defaults the validator's load bound is 10 * (0.125 / B + 0.04):
+    # 1.65 at B = 1 and 1.025 at B = 2, so fig2's first two rows grow with
+    # the horizon; at B = 3 it is 0.817.  The warnings go to stderr before
+    # the first run, and the CSV is the one the scenario gives without them.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon = 30\nwarmup = 0\nreplications = 1\n")
+    runs = count_runs(monkeypatch)
+    warn, warned = bcesim.cli._warn_overloaded, []
+
+    def counted(configs):
+        warned.append(list(runs["run_back"]))
+        warn(configs)
+
+    monkeypatch.setattr(bcesim.cli, "_warn_overloaded", counted)
+    assert main(["--config", str(cfg), "--scenario", "fig2"]) == 0
+    captured = capsys.readouterr()
+    assert warned == [[]]
+    assert [line.split(": ")[2] for line in captured.err.splitlines()] == [
+        "block_size=1", "block_size=2"]
+    assert "validator load >= 1.65;" in captured.err
+    assert captured.out == run_scenario("fig2", base=parse_config(cfg.read_text()))
+    # the transmitter's load is total_rate * transmit_time: 0.5, then 1
+    assert main(["--config", str(cfg), "--sweep", "transmit_time=0.05,0.1"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "simulate: warning: transmit_time=0.1: transmitter load >= 1; no steady state, so "
+        "its averages grow with the horizon"]

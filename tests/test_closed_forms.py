@@ -152,6 +152,19 @@ def test_periodic_first_wins_through_a_front_sweep(param, values, other):
         assert [s.mvcc_invalid_frac for s in summaries] == [0.0] * 10, value
 
 
+def _sawtooth_tail_is_exact(cfg, floor, period):
+    """Whether `violation_prob` at targets below, inside and above a
+    sawtooth of floor `floor` and period `period` is exactly the fraction of
+    time its age exceeds each target x: clamp((floor + period - x) / period,
+    0, 1).  With dyadic times and a window of whole periods the path's sums
+    are exact, and both sides round the one quotient."""
+    targets = [floor / 2, floor + period / 4, floor + period / 2, floor + 3 * period / 4,
+               floor + 2 * period]
+    _, per_target = run_sweep(cfg, "target_aoi", targets)
+    return [summary.violation_prob for [summary] in per_target] == [
+        min(max((floor + period - x) / period, 0.0), 1.0) for x in targets]
+
+
 # Dyadic values add up exactly in binary floating point, and each horizon
 # lands on a reset, so the window holds whole periods of the sawtooth.
 @pytest.mark.parametrize(
@@ -166,6 +179,7 @@ def test_dd1_average_aoi_is_exact(rate, service, latency, horizon, warmup):
     )
     [summary] = run_replications(cfg)
     assert summary.avg_aoi == service + latency + 1 / (2 * rate)
+    assert _sawtooth_tail_is_exact(cfg, service + latency, 1 / rate)
 
 
 # (total_rate, endorse_time, ordering_base, validate_block_overhead,
@@ -216,9 +230,9 @@ def test_deterministic_block_pipeline_average_aoi_is_exact(model, expected):
         f"warmup = {commit(2)!r}\nhorizon = {commit(500)!r}\n"
     )
     [summary] = run_replications(cfg)
-    assert summary.avg_aoi == (
-        (size - first_valid) / rate + endorse + order + validate + size / (2 * rate)
-    ) == expected
+    floor = (size - first_valid) / rate + endorse + order + validate
+    assert summary.avg_aoi == floor + size / (2 * rate) == expected
+    assert _sawtooth_tail_is_exact(cfg, floor, size / rate)
     assert summary.mvcc_invalid_frac == pytest.approx((size - 1) / size, abs=1e-3)
 
 
@@ -268,9 +282,9 @@ def test_timeout_cut_pipeline_average_aoi_is_exact(model, expected):
         f"warmup = {commit(2)!r}\nhorizon = {commit(500)!r}\n"
     )
     _, [[summary], _] = run_sweep(cfg, "timeout", [timeout, 2 * timeout])
-    assert summary.avg_aoi == (
-        timeout + order + validate + endorse - first_valid / rate + size / (2 * rate)
-    ) == expected
+    floor = timeout + order + validate + endorse - first_valid / rate
+    assert summary.avg_aoi == floor + size / (2 * rate) == expected
+    assert _sawtooth_tail_is_exact(cfg, floor, size / rate)
     assert summary.mvcc_invalid_frac == pytest.approx((size - 1) / size, abs=1e-3)
 
 

@@ -112,7 +112,7 @@ def _models(draw):
         stp=draw(st.sampled_from([1.0, 0.5])),
         comm_latency=draw(delays),
         transmit_time=draw(exact),
-        block_size=draw(st.integers(1, 4)),
+        block_size=draw(st.sampled_from([1, 2, 3, 4, 8])),
         timeout=draw(st.sampled_from(timeouts)),
         n_endorsers=draw(st.integers(1, 3)),
         n_kafka=draw(st.sampled_from([4, 5])),
@@ -288,16 +288,59 @@ def test_lean_run_summarizes_like_the_full_record(model, seed, warmup, target_ao
     _assert_lean_summary_exact(cfg, seed, cfg.replace(warmup=warmup, target_aoi=target_aoi))
 
 
-@pytest.mark.parametrize("block_size", [1, 2, 20])
-def test_front_and_back_match_the_one_loop_over_a_long_run(block_size):
-    # Paper defaults over 300 s.  At B = 1 the validator's load is 1.65, so its
-    # queue grows all run and a cut block almost always joins it; at B = 2 the
-    # load is 1.025; at B = 20 blocks are cut by timeout.  The strategy above
-    # runs 60 s with B <= 4 and never builds such a queue.
-    cfg = paper_default().replace(horizon=300.0, block_size=block_size)
+def _in_stream_order(result):
+    """A full record's transactions in endorse-done order, as the back reads them."""
+    return sorted(result.transactions, key=operator.attrgetter("endorse_done"))
+
+
+def _block_sizes(txs):
+    """The size of each block, over one channel's transactions in stream order."""
+    return [len(list(block)) for _, block in itertools.groupby(txs, operator.attrgetter("order_done"))]
+
+
+def _longest_background_run(txs):
+    return max(len(list(run)) for background, run in
+               itertools.groupby(txs, lambda tx: tx.key != TARGET_KEY) if background)
+
+
+# Paper defaults over 300 s, and what each shape shows in the full record
+# and its backlog (the blocks left at the horizon).  The strategy above runs
+# 60 s and never builds such a queue or such runs of cuts.
+_LONG_RUNS = {
+    # At B = 1 the validator's load is 1.65, so its queue grows all run and a
+    # cut block almost always joins it; at B = 2 the load is 1.025.
+    "1": (dict(block_size=1), lambda txs, backlog: backlog > 1000),
+    "2": (dict(block_size=2), lambda txs, backlog: backlog > 30),
+    # blocks cut by timeout
+    "20": (dict(block_size=20), lambda txs, backlog: backlog > 0),
+    # Nearly every endorsement's deadline passes before the next one, so the
+    # cut pass steps block after block, each cut by its deadline.
+    "deadline cuts in a row": (
+        dict(block_size=10, timeout=0.05),
+        lambda txs, backlog: len(_block_sizes(txs)) > 0.9 * len(txs) and backlog > 1000,
+    ),
+    # With Poisson proposals a block of ten spans the one-second timeout
+    # about as often as not, so size and deadline cuts alternate and the
+    # scan for a run of size cuts starts again after each deadline cut.
+    "size and deadline cuts alternating": (
+        dict(block_size=10, timeout=1.0, generation_mode="exponential"),
+        lambda txs, backlog: sum(
+            (a < 10) != (b < 10) for a, b in itertools.pairwise(_block_sizes(txs))) > 100,
+    ),
+    # one proposal in twenty on the target key: a lean back reads past long
+    # runs of markers, many blocks holding none of its reads
+    "long marker runs": (
+        dict(target_ratio=0.05), lambda txs, backlog: _longest_background_run(txs) > 50,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_RUNS))
+def test_front_and_back_match_the_one_loop_over_a_long_run(name):
+    overrides, shows_the_shape = _LONG_RUNS[name]
+    cfg = paper_default().replace(horizon=300.0, **overrides)
     full = _run(cfg, 3, None)
-    backlog = full.blocks_committed - len(full.block_times)  # blocks left at the horizon
-    assert backlog > {1: 1000, 2: 30, 20: 0}[block_size]
+    assert shows_the_shape(_in_stream_order(full), full.blocks_committed - len(full.block_times))
     assert _record(full) == _record(run_oracle(cfg, 3, None))
     _assert_lean_summary_exact(cfg, 3, cfg)
 
@@ -404,6 +447,21 @@ def test_a_front_at_target_ratio_one_draws_no_key_uniform(monkeypatch):
     assert made == []
     below = run_once(cfg.replace(target_ratio=0.7), 2)
     assert [_uniforms_drawn(rng, 2, "key-assign") for rng in made] == [below.breakdown.n_generated]
+
+
+@pytest.mark.parametrize("vscc_fail_prob", [0.0, 0.3])
+def test_one_channel_blocks_read_no_label(vscc_fail_prob):
+    # At one channel the cuts, the completion times and the VSCC draws read
+    # no label, so lean runs that differ in `target_ratio` alone commit the
+    # same blocks at the same times: only which endorsements are kept, and
+    # what they read and write, depends on it.
+    cfg = paper_default().replace(horizon=500.0, timeout=1.0, vscc_fail_prob=vscc_fail_prob)
+    runs = [run_once(cfg.replace(target_ratio=ratio), 7, record=False) for ratio in (0.1, 0.5, 0.9)]
+    assert len(runs[0].block_times) > 400
+    for run in runs[1:]:
+        assert (run.block_times, run.blocks_committed) == (
+            runs[0].block_times, runs[0].blocks_committed)
+    assert len({run.breakdown.n_vscc_invalid for run in runs}) == 1
 
 
 def test_split_run_holds_no_event_heap():
