@@ -67,31 +67,29 @@ numbers, so there the loop runs at the first such tie (`Front.timeline`).
 
 The back has no event heap either.  It is two parts:
 
-- The cut pass (`_cuts`) over each channel's part of the stream, which
-  reads no label.  At one channel a block is a contiguous run of the
-  stream, cut when it reaches `block_size` or at its deadline t0 + timeout
-  (t0 its first endorsement) if that passes before the channel's next
-  endorsement: a block shorter than `block_size` was cut by its deadline.
-- One loop over the reads, the endorsements that read the ledger (a kept
-  one in a lean back, every one in a full back).  Before each, it moves a
-  pointer over the blocks cut before it.  A block is ready at cut +
-  ordering delay, and the channel's validator is a FIFO single server with
-  deterministic service, so block k completes at done_k = max(ready_k,
-  done_{k-1}) + validation time (Lindley's recursion, with the float
-  operations of the event-heap model's dispatches).  Blocks commit in
-  completion order, across channels, since the channels share one VSCC
-  stream, which draws once per member, markers included.  A block that
-  completes before the read, with none awaiting commit, commits at once;
-  the rest wait in a queue and commit before the first read after they
-  complete.  In a lean back without VSCC a block with no kept endorsement
-  has nothing to commit: each member is valid whenever it commits.
+- A timeline per channel, which reads no label.  A cut pass (`_cuts`) over
+  the channel's part of the stream gives each block's stop: a block is a
+  contiguous run of the part, cut when it reaches `block_size` or at its
+  deadline t0 + timeout (t0 its first endorsement) if that passes before the
+  channel's next endorsement.  A block is ready at its cut plus the
+  ordering delay, and the validator is a FIFO single server with
+  deterministic service, so block k completes at end_k = max(ready_k,
+  end_{k-1}) + validation time (Lindley's recursion, with the float
+  operations of the event-heap model), and commits then.  The channels
+  share one VSCC stream, which draws once per member, markers included, in
+  the blocks' commit order.
+- One pass over the target key's reads (the kept endorsements of a lean
+  back), all on channel 0, in stream order.  A read sees the blocks that
+  committed before it, and MVCC first-wins reduces to one test: it is valid
+  iff the block of the last valid commit did.  A background key is its
+  proposal's unique id, so its update is valid unless VSCC fails it.
 
-What the back stamps on a kept endorsement (the version it read, its order
-and commit times, its validity) goes into columns of its own, indexed by the
-endorsement's number, so one front serves any number of backs.  The latency
-means are summed over those columns in delivery order.  A full-record back
-hands its result the front's columns and its own (`RunResult.columns`), from
-which the trace is written and `RunResult.transactions` built when read.
+What the back stamps on an endorsement (the version it read, its order and
+commit times, its validity) goes into columns of its own, by the
+endorsement's number, so one front serves any number of backs; the latency
+means are summed over them in delivery order.  A full-record back stamps
+every member from its block and hands its result the front's columns and its
+own (`RunResult.columns`), which the trace and `RunResult.transactions` read.
 
 The back resolves the (time, seq) order of same-instant events only where
 two times are exactly equal (`_Dispatches`):
@@ -115,14 +113,14 @@ two times are exactly equal (`_Dispatches`):
   validation-complete.  So two back events due at one instant go in the
   order of the dispatches that scheduled them, compared the same way.  The
   dispatch that starts a block's validation is the later of its block-ready
-  and the previous block's validation-complete.  The back records none of
-  them: a tie reads them off the blocks.
+  and the previous block's validation-complete, at a tie the second.  The
+  back records none of them: a tie reads them off the timeline.
 
 A sweep over back fields pays the front once per replication and saves it
-on every further value: the front is about three quarters of a lean run at
-paper defaults (three fifths at block size 1), and three tenths (FCFS) to
-two fifths (LCFS) on the M/D/1 configs of the benchmark's md1_channel
-workload (medians over 6 seeds of the fastest of 7; Python 3.11).
+on every further value: the front is about four fifths of a lean run at
+paper defaults (at block size 1 too), and a third (FCFS) to nearly half
+(LCFS) on the M/D/1 configs of the benchmark's md1_channel workload (medians
+over 6 seeds of the fastest of 7; Python 3.11).
 
 `simulation.run_once` and `experiments._replicate` import this module at
 their first run, so that importing bcesim compiles none of it.
@@ -421,7 +419,9 @@ def _endorsement(fronts, served, at, endorse, n_endorsers):
     the times in that order (`done` itself then), and each one's proposal in
     that order."""
     if endorse.kind == "fixed":
-        done = array("d", [a + endorse.value for a in at])
+        # a + 0.0 is a for every time (none is -0.0), so an array is kept
+        done = (at if endorse.value == 0.0 and at.__class__ is array
+                else array("d", [a + endorse.value for a in at]))
     else:
         delays = fronts.prefix(("endorse", endorse, n_endorsers), _endorse_delays,
                                fronts.seed, endorse, n_endorsers)
@@ -518,7 +518,7 @@ def _cuts(done, block_size, timeout, joins):
     """
     n, s, step = len(done), 0, block_size
     if step == 1:  # every endorsement is a block
-        return array("q", range(1, n + 1))
+        return range(1, n + 1)
     stops, view = array("q"), memoryview(done)
     while s < n:
         d = done[s] + timeout
@@ -545,211 +545,202 @@ def _cuts(done, block_size, timeout, joins):
 
 def run_back(cfg, seed, front):
     """Batching through commit of one run over a front of the same seed and
-    of a config that differs from `cfg` in back fields only.
+    of a config that differs from `cfg` in back fields only: a timeline per
+    channel, then the target pass (see the module docstring).
 
     The result is `run_once(cfg, seed, record=front.record)`'s: a full
-    record's holds the ten columns of the record, the front's and the back's
-    own, and no Transaction.  The back keeps its stamps in columns of its
-    own, so a front serves any number of backs.  It calls
-    `AoISamplePath.record_commit` only to raise its error.
+    record's holds the record's ten columns, the front's and the back's own,
+    and no Transaction.  It calls `AoISamplePath.record_commit` only to
+    raise its error.
     """
     record = front.record
     cfg.validate()
-    horizon = cfg.horizon
-    rng_vscc = make_stream(seed, "vscc")
-    n_channels = cfg.n_channels
-    multi = n_channels > 1
-    ledgers = [LedgerState() for _ in range(n_channels)]
-    versions_of = [ledger.versions for ledger in ledgers]
-    path = AoISamplePath(0.0, horizon)
+    horizon, n_channels = cfg.horizon, cfg.n_channels
     block_size, timeout = cfg.block_size, cfg.timeout
     order_time = ordering_delay(cfg)
     overhead, per_tx = cfg.validate_block_overhead, cfg.validate_per_tx
-    vscc = (vscc_fail_prob := cfg.vscc_fail_prob) > 0.0
 
     stream, done = front.stream, front.done
     n = len(stream)
     if n and done[0] < 0.0:  # the stream is in time order, from a clock at 0
         raise SimulationError(f"event at t={done[0]} behind clock t=0.0")
     ties = _Dispatches(front, block_size, timeout, order_time)
-    parts, joins = ties.parts, ties.joins
+    parts, joins, precedes = ties.parts, ties.joins, ties.precedes
 
-    # The blocks, from a cut pass over each channel's part of the stream.
-    # Block g stops at `stops[g]` of its part and is taken up before the read
-    # at stream position `at[g]` or later (then n + 1 to end): the one after
-    # its last endorsement, at or before its cut.  A block taken up early
-    # waits for commit until it completes.
-    if multi:
+    # The timeline of each channel's part of the stream, which reads no
+    # label: its blocks' stops, then each block's ready time (its cut plus
+    # the ordering delay) and completion (Lindley's recursion).
+    positions = [None]
+    if n_channels > 1:
         on = ([-1 - x if x < 0 else 0 for x in stream] if front.channel is None
               else list(map(front.channel.__getitem__, stream)))
-        blocks = []  # (at, channel, stop)
-        for c in range(n_channels):
-            pos = list(itertools.compress(itertools.count(),
-                                          map(operator.eq, on, itertools.repeat(c))))
-            part = array("d", map(done.__getitem__, pos))
-            cuts = _cuts(part, block_size, timeout, lambda j, s, pos=pos: joins(pos[j], pos[s]))
-            parts.append((pos, part, cuts, []))
-            blocks += [(pos[stop - 1] + 1, c, stop) for stop in cuts]
-        blocks.sort(key=operator.itemgetter(0))  # stable: each channel's in its order
-        at = array("q", [a for a, _, _ in blocks] + [n + 1])
-        chans = array("i", [c for _, c, _ in blocks])
-        stops = array("q", [stop for _, _, stop in blocks])
-        spaces = [list(map(stream.__getitem__, pos)) for pos, _, _, _ in parts]
-        starts, frees = [0] * n_channels, [-math.inf] * n_channels
-    else:
-        at = stops = _cuts(done, block_size, timeout, joins)
-        parts.append((None, done, stops, []))
-        stops.append(n + 1)
-
-    # The reads, by stream position, number and time.  What a block commits,
-    # from lo to hi: its reads (r, the count of reads before), where VSCC
-    # draws for none but them; else its channel's part, markers and all.
-    keys, channels, gen_time = front.key, front.channel, front.gen_time
-    n_kept = len(gen_time)
-    if n_kept == n:
-        positions, kept, times = range(n), stream, done
-    else:
-        positions = list(itertools.compress(itertools.count(),
-                                            map(operator.ge, stream, itertools.repeat(0))))
-        kept = list(map(stream.__getitem__, positions))
-        times = map(done.__getitem__, positions)
-    by_read = not (multi or n_kept == n or vscc)
-    if not multi:
-        spaces = [kept if by_read else stream]
-
-    # Per kept endorsement, by number: what the back stamps on it.  Every
-    # kept endorsement commits in the drained run, so each one's stamps are
-    # all set at the end.
-    captured = [0] * n_kept
-    order_done = [None] * n_kept
-    commit_time = [None] * n_kept
-    validity = [None] * n_kept
-    n_vscc_invalid = n_mvcc_invalid = 0
-    # the path's last commit and freshest generation, and the target key's
-    # version in channel 0's ledger, kept here until the run ends
-    last_commit = freshest = -math.inf
-    version = 0
-    add_reset = path.resets.append
-
-    # Before each read, and at the end of the stream: each block cut before
-    # it, through Lindley's recursion (one channel's state in locals), and
-    # each block that completes before it, committed in completion order.
-    # A block waits in `queue`, as (end, ready, channel, lo, hi, its
-    # validation-complete), unless it completes first and none waits.
-    inf = math.inf
-    queue = deque()
-    _, part, _, ends = parts[0]
-    add_end = ends.append
-    c = g = start = mark = 0
-    a = at[0]
-    prev = -inf
-    reads = zip(itertools.count() if by_read else itertools.repeat(None),
-                itertools.chain(positions, [n]), itertools.chain(kept, [None]),
-                itertools.chain(times, [inf]))
-    for r, p, x, t in reads:
-        while True:
-            if a <= p:  # block g is taken up before this read
-                if multi:
-                    c, stop = chans[g], stops[g]
-                    _, part, _, ends = parts[c]
-                    start, prev, add_end = starts[c], frees[c], ends.append
-                else:
-                    stop = a
-                # ready at cut + ordering delay, and started by the later of
-                # that and the channel's last validation-complete
+        positions = [list(itertools.compress(itertools.count(),
+                                             map(operator.eq, on, itertools.repeat(c))))
+                     for c in range(n_channels)]
+    readys_of = []
+    for pos in positions:
+        part = done if pos is None else array("d", map(done.__getitem__, pos))
+        stops = _cuts(part, block_size, timeout,
+                      joins if pos is None else lambda j, s, pos=pos: joins(pos[j], pos[s]))
+        ends, prev = [], -math.inf
+        add_end = ends.append
+        if len(stops) * block_size == len(part):  # size cuts only, each validated alike
+            readys = list(map(operator.add, memoryview(part)[block_size - 1::block_size],
+                              itertools.repeat(order_time)))
+            validation = overhead + per_tx * block_size
+            for ready in readys:
+                prev = (ready if ready >= prev else prev) + validation
+                add_end(prev)
+        else:
+            readys, start = [], 0
+            add_ready = readys.append
+            for stop in stops:
                 size = stop - start
                 ready = (part[stop - 1] if size == block_size else part[start] + timeout) + order_time
-                end = prev = (ready if ready >= prev else prev) + (overhead + per_tx * size)
-                add_end(end)
-                g += 1
-                a = at[g]
-                if by_read:
-                    lo = mark
-                    hi = mark = r
-                    start = stop
-                    if lo == hi:  # no read in it, and no VSCC: nothing to commit
-                        continue
-                else:
-                    lo, hi, start = start, stop, stop
-                    if multi:
-                        starts[c], frees[c] = stop, end
-                if queue or end >= t or multi:
-                    vc = -3 - 3 * ((len(ends) - 1) * n_channels + c if multi else g - 1)
-                    i = len(queue)
-                    while multi and i and (queue[i - 1][0] > end or queue[i - 1][0] == end
-                                           and ties.precedes(vc, queue[i - 1][5])):
-                        i -= 1
-                    queue.insert(i, (end, ready, c, lo, hi, vc))
+                prev = (ready if ready >= prev else prev) + (overhead + per_tx * size)
+                add_ready(ready)
+                add_end(prev)
+                start = stop
+        parts.append((pos, part, stops, ends))
+        readys_of.append(readys)
+
+    # VSCC draws once per member as its block commits: a channel's blocks in
+    # their order, the channels' in completion order, an exact tie in the
+    # (time, seq) order of their validation-completes.
+    fails = None
+    if cfg.vscc_fail_prob > 0.0:
+        random, fail_prob = make_stream(seed, "vscc").random, cfg.vscc_fail_prob
+        draws = [random() < fail_prob for _ in itertools.repeat(None, n)]
+        fails = [draws]
+        if n_channels > 1:
+            blocks = sorted((end, k * n_channels + c) for c, (_, _, _, ends) in enumerate(parts)
+                            for k, end in enumerate(ends))
+            for i in range(1, len(blocks)):
+                while i and blocks[i - 1][0] == blocks[i][0] and precedes(
+                        -3 - 3 * blocks[i][1], -3 - 3 * blocks[i - 1][1]):
+                    blocks[i - 1], blocks[i] = blocks[i], blocks[i - 1]
+                    i -= 1
+            fails, taken = [bytearray(len(part)) for _, part, _, _ in parts], iter(draws)
+            for _, b in blocks:
+                k, c = divmod(b, n_channels)
+                stops = parts[c][2]
+                lo, hi = stops[k - 1] if k else 0, stops[k]
+                fails[c][lo:hi] = bytes(itertools.islice(taken, hi - lo))
+
+    # Each channel's numbers in stream order (markers too, in a lean back).
+    keys, gen_time = front.key, front.gen_time
+    n_kept = len(gen_time)
+    nums_of = [stream if pos is None else list(map(stream.__getitem__, pos))
+               for pos in positions[:None if record else 1]]
+    nums = nums_of[0]
+    order_done, commit_time = [None] * n_kept, [None] * n_kept
+    if record:  # every member's stamps from its block: one pair of times per block
+        validity, captured = [VALID] * n_kept, [0] * n_kept
+        for c, ((_, _, stops, ends), readys, on_c) in enumerate(zip(parts, readys_of, nums_of)):
+            for y, k in zip(on_c, _blocks(stops)):
+                order_done[y], commit_time[y] = readys[k], ends[k]
+            for j in itertools.compress(itertools.count(), fails[c] if fails else ()):
+                validity[on_c[j]] = VSCC_INVALID
+        is_read = map(operator.eq, map(keys.__getitem__, nums), itertools.repeat(TARGET_KEY))
+    else:
+        is_read = None if n_kept == len(nums) else map(operator.ge, nums, itertools.repeat(0))
+    # The reads of the target key, on channel 0, as indices into its part.
+    js = range(len(nums)) if is_read is None else list(itertools.compress(itertools.count(), is_read))
+    groups = [(0, TARGET_KEY, js, horizon)]
+    if record and len(set(keys)) < n - len(js) + bool(js):
+        # injected endorsements may repeat a background key, whose reads take the pass too
+        reads_of = {}
+        for c, on_c in enumerate(nums_of):
+            for j, y in enumerate(on_c):
+                reads_of.setdefault((c, keys[y]), []).append(j)
+        groups += [(c, key, on_key, -math.inf) for (c, key), on_key in reads_of.items()
+                   if key != TARGET_KEY and len(on_key) > 1]
+
+    # The target pass, over the reads in stream order.  A read is valid (MVCC
+    # first-wins) iff the block of its key's last valid commit, lv, committed
+    # before it, at its completion (an exact tie in (time, seq) order).  A full
+    # record's read took the valid commits of the blocks committed before it.
+    path = AoISamplePath(0.0, horizon)
+    add_reset = path.resets.append
+    last_commit = freshest = -math.inf
+    n_mvcc_invalid = 0
+    for ch, key, js, limit in groups:
+        pos, part, stops, ends = parts[ch]
+        readys, nums = readys_of[ch], nums_of[ch]
+        p_of = int if pos is None else pos.__getitem__  # a read's stream position
+        vc, step = -3 - 3 * ch, 3 * n_channels  # block k's validation-complete: vc - step * k
+        valid, valid_reads = [], []  # the block and number of each valid commit, in a full record
+        lv, lv_end = -1, -math.inf
+        reads = zip(js, map(nums.__getitem__, js), map(part.__getitem__, js),
+                    map(operator.floordiv, js, itertools.repeat(block_size))  # the read's block
+                    if len(stops) * block_size == len(part) else map(_blocks(stops).__getitem__, js),
+                    itertools.repeat(False) if fails is None else map(fails[ch].__getitem__, js))
+        for j, y, t, b, failed in reads:
+            if lv_end < t or lv_end == t and stops[lv] <= j and precedes(vc - step * lv, p_of(j)):
+                if record:
+                    captured[y] = len(valid)
+                if failed:
                     continue
-            elif queue and (queue[0][0] < t or queue[0][0] == t and ties.precedes(queue[0][5], p)):
-                end, ready, c, lo, hi, _ = queue.popleft()
-            else:
-                break
-            # The commit: VSCC first, then MVCC against the ledger, which
-            # already holds this block's earlier commits.
-            space = spaces[c]
-            while lo < hi:
-                y = space[lo]
-                lo += 1
-                if vscc and rng_vscc.random() < vscc_fail_prob:
-                    n_vscc_invalid += 1
-                    if y >= 0:
-                        order_done[y], commit_time[y], validity[y] = ready, end, VSCC_INVALID
-                    continue
-                if y < 0:  # background the back does not keep is valid
-                    continue
-                order_done[y] = ready
+                lv = b
+                end = lv_end = ends[b]
+                order_done[y] = readys[b]
                 commit_time[y] = end
-                if keys is None or keys[y] == TARGET_KEY:  # on channel 0
-                    if captured[y] == version:
-                        validity[y] = VALID
-                        version += 1
-                        gen = gen_time[y]
-                        if record:  # a lean back's ledgers are dropped
-                            ledgers[0].gen_times[TARGET_KEY] = gen
-                        if end <= horizon:
-                            # `path.record_commit(end, gen)`, with the path's
-                            # last commit and freshest generation in hand
-                            if end < last_commit or end <= gen:
-                                path._last_commit = last_commit
-                                path.record_commit(end, gen)  # raises
-                            last_commit = end
-                            if gen > freshest:
-                                add_reset((end, gen))
-                                freshest = gen
-                        continue
-                elif captured[y] == versions_of[c].get(keys[y], 0):
-                    validity[y] = VALID
-                    versions_of[c][keys[y]] = captured[y] + 1
-                    ledgers[c].gen_times[keys[y]] = gen_time[y]
+                gen = gen_time[y]
+                if end <= limit:
+                    # `path.record_commit(end, gen)`, with the path's last
+                    # commit and freshest generation in hand
+                    if end <= gen:
+                        path._last_commit = last_commit
+                        path.record_commit(end, gen)  # raises
+                    last_commit = end
+                    if gen > freshest:
+                        add_reset((end, gen))
+                        freshest = gen
+                if record:
+                    valid.append(b)
+                    valid_reads.append(y)
+                continue
+            if record:
+                # It read the valid commits of the blocks completed before it, none
+                # at its instant: the next valid read would share it, and reads share
+                # one only when injected, which go before every block there.
+                captured[y] = bisect_left(valid, bisect_left(ends, t, 0, lv))
+                if failed:
                     continue
                 validity[y] = MVCC_INVALID
-                n_mvcc_invalid += 1
-        if p == n:
-            break
-        # it reads the ledger as every block that completed before it left it
-        captured[x] = (version if keys is None or keys[x] == TARGET_KEY
-                       else versions_of[channels[x]].get(keys[x], 0))
-    if version:
-        versions_of[0][TARGET_KEY] = version
+            elif failed:
+                continue
+            n_mvcc_invalid += 1
+        if key == TARGET_KEY:  # the valid target-key reads of a full record, by number
+            counted = sorted(valid_reads)
     path._last_commit, path.freshest_gen = last_commit, freshest
+
+    ledgers = None
+    if record:  # each channel's valid commits in commit order: the last of each key stays
+        ledgers = [LedgerState() for _ in nums_of]
+        for ledger, on_c in zip(ledgers, nums_of):
+            on_c = list(itertools.compress(on_c, map(operator.is_, map(validity.__getitem__, on_c),
+                                                     itertools.repeat(VALID))))
+            ledger.versions = dict(zip(map(keys.__getitem__, on_c), map(
+                operator.add, map(captured.__getitem__, on_c), itertools.repeat(1))))
+            ledger.gen_times = dict(zip(map(keys.__getitem__, on_c), map(gen_time.__getitem__, on_c)))
     blocks_committed = 0
     for _, _, _, ends in parts:  # every block commits in the drained run
         blocks_committed += len(ends)
         del ends[bisect_right(ends, horizon):]
     block_times = (sorted(itertools.chain.from_iterable(map(operator.itemgetter(3), parts)))
-                   if multi else ends)
+                   if n_channels > 1 else parts[0][3])
 
     # The latency means of the valid target-key endorsements, each summed in
-    # delivery order, as the event-heap model's post-pass sums them.
-    counted = map(operator.is_, validity, itertools.repeat(VALID))
-    if keys is not None:
-        counted = map(operator.and_, counted, map(operator.eq, keys, itertools.repeat(TARGET_KEY)))
+    # delivery order, as the event-heap model's post-pass sums them.  A lean
+    # back stamps its valid reads only.
+    columns = (gen_time, front.arrive_time, front.endorse_done, order_done, commit_time)
+    rows = (zip(*[map(column.__getitem__, counted) for column in columns]) if record
+            else itertools.compress(zip(*columns), map(operator.is_not, commit_time,
+                                                       itertools.repeat(None))))
     comm = endorse = order = validate = 0.0
     n_target = 0
-    for gen, a, e, o, m in itertools.compress(
-        zip(gen_time, front.arrive_time, front.endorse_done, order_done, commit_time), counted
-    ):
+    for gen, a, e, o, m in rows:
         n_target += 1
         comm += a - gen
         endorse += e - a
@@ -762,9 +753,10 @@ def run_back(cfg, seed, front):
     # field order: one (order_done, commit_time) pair of objects per block,
     # and the front's generation floats, which serve as arrival times too
     # where the front has one column for both.
-    columns = (front.id, keys, channels, gen_time, front.arrive_time, front.endorse_done,
+    columns = (front.id, keys, front.channel, gen_time, front.arrive_time, front.endorse_done,
                captured, order_done, commit_time, validity) if record else None
     n_delivered = front.n_generated - front.n_lost  # the drained run resolved every delivery
+    n_vscc_invalid = 0 if fails is None else draws.count(True)
     return RunResult(
         path=path,
         block_times=block_times,
@@ -779,8 +771,16 @@ def run_back(cfg, seed, front):
         ),
         columns=columns,
         lost=front.lost,
-        ledgers=ledgers if record else None,
+        ledgers=ledgers,
     )
+
+
+def _blocks(stops):
+    """The block of each member of a channel's part, from its blocks' stops."""
+    if stops.__class__ is range:  # one member each
+        return range(len(stops))
+    sizes = map(operator.sub, stops, itertools.chain((0,), stops))
+    return list(itertools.chain.from_iterable(map(itertools.repeat, itertools.count(), sizes)))
 
 
 class _Dispatches:
@@ -798,9 +798,9 @@ class _Dispatches:
     def __init__(self, front, block_size, timeout, order_time):
         self.front = front
         self.block_size, self.timeout, self.order_time = block_size, timeout, order_time
-        # per channel: its stream positions (None: every one), their
-        # endorse-done times, the stops of its blocks and their completions
-        # (a list of the floats that end as the run's `block_times`)
+        # per channel's timeline: its stream positions (None: every one),
+        # their endorse-done times, its blocks' stops and completions (the
+        # floats that end as the run's `block_times`)
         self.parts = []
         self.known = {}  # validation-complete -> (its time, its parent)
 

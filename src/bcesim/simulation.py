@@ -10,13 +10,13 @@ it.
 
 A run is its front and its back (`bcesim.frontback`): `run_front` draws
 generation through endorsement, each random stream in a pass of its own, and
-`run_back` runs batching, ordering, validation and commit.  The back cuts
-each channel's blocks in a pass that reads no label, then runs one loop over
-the endorsements that read the ledger, which computes each block's
-completion and commits the blocks in completion order.  Neither half keeps
-an event heap; the `frontback` docstring gives the tie rule that puts every
-event in the (time, seq) order of the event-heap model in
-`tests/des_oracle.py`.  Runs that differ only in back fields
+`run_back` runs batching, ordering, validation and commit.  The back is a
+timeline per channel, which reads no label: each block's cut, ready time and
+completion, at which it commits.  Then one pass over the target key's reads
+decides MVCC first-wins by the blocks that committed before each read.
+Neither half keeps an event heap; the `frontback` docstring gives the tie
+rule that puts every event in the (time, seq) order of the event-heap model
+in `tests/des_oracle.py`.  Runs that differ only in back fields
 (`config.BACK_FIELDS`) share one front.
 
 A run's caller says whether it needs the per-transaction record.  A full

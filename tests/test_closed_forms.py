@@ -14,7 +14,8 @@ outside the simulator.  With Poisson proposals, exponential endorsements and
 nothing else but a fixed communication latency taking time, each update
 commits at its own endorse-done and an overtaken one is obsolete: the M/G/inf
 form, run through front sweeps, checks the endorsement, loss and channel-split
-passes and the endorse-done order they share.  With periodic proposals in the
+passes and the endorse-done order they share; its tail checks the AoI
+distribution (`violation_prob`), not only its mean.  With periodic proposals in the
 same setting, the D/G/inf form checks the lean back's numbers and channel
 markers over a stream that endorsement has reordered.
 """
@@ -288,33 +289,35 @@ def test_timeout_cut_pipeline_average_aoi_is_exact(model, expected):
     assert summary.mvcc_invalid_frac == pytest.approx((size - 1) / size, abs=1e-3)
 
 
-def mg_infinity_average_aoi(rate, mean, n_endorsers, comm=0.0, steps=4000):
-    """Average AoI of the tracked key when its updates arrive as a Poisson
-    process at `rate` and each commits comm + the maximum of n_endorsers
-    exponential endorsements of mean `mean` after its generation, with an
-    overtaken update obsolete.
+def mg_infinity_tail(rate, mean, n_endorsers, x):
+    """P(age > x) of the tracked key when its updates arrive as a Poisson
+    process at `rate` and each commits the maximum of n_endorsers exponential
+    endorsements of mean `mean` after its generation, with an overtaken
+    update obsolete.
 
     This is an infinite-server system: the age exceeds x iff no update
     generated in the last x seconds has committed, so
-    P(age > x) = exp(-rate * integral_0^x G(s) ds), with G the delay's CDF,
-    and the average age is the integral of that over x >= 0 (Kam, Kompella &
-    Ephremides, ISIT 2013: M/M/inf at n = 1).  With
-    G(s) = (1 - e^{-(s - comm)/mean})^n for s >= comm and 0 before, the inner
-    integral is y + sum_{k=1..n} C(n, k) (-1)^k (mean / k) (1 - e^{-k y / mean}),
-    y = x - comm; the outer one is Simpson's rule up to where the tail is
-    below e^-40.
+    P(age > x) = exp(-rate * integral_0^x G(s) ds), with G the delay's CDF
+    (Kam, Kompella & Ephremides, ISIT 2013: M/M/inf at n = 1).  With
+    G(s) = (1 - e^{-s/mean})^n the integral is
+    x + sum_{k=1..n} C(n, k) (-1)^k (mean / k) (1 - e^{-k x / mean}).
     """
     n = n_endorsers
+    inner = x + sum(math.comb(n, k) * (-1) ** k * mean / k * -math.expm1(-k * x / mean)
+                    for k in range(1, n + 1))
+    return math.exp(-rate * inner)
 
-    def tail(y):
-        inner = y + sum(math.comb(n, k) * (-1) ** k * mean / k * -math.expm1(-k * y / mean)
-                        for k in range(1, n + 1))
-        return math.exp(-rate * inner)
 
-    end = mean * sum(1 / k for k in range(1, n + 1)) + 40 / rate
+def mg_infinity_average_aoi(rate, mean, n_endorsers, comm=0.0, steps=4000):
+    """Average AoI in the setting of `mg_infinity_tail`, with a fixed comm
+    latency added to every delay: comm plus the integral of the tail over
+    x >= 0 (Simpson's rule up to where the tail is below e^-40).
+    """
+    end = mean * sum(1 / k for k in range(1, n_endorsers + 1)) + 40 / rate
     h = end / steps
     weights = [1] + [4 if i % 2 else 2 for i in range(1, steps)] + [1]
-    return comm + h / 3 * sum(w * tail(i * h) for i, w in enumerate(weights))
+    return comm + h / 3 * sum(w * mg_infinity_tail(rate, mean, n_endorsers, i * h)
+                              for i, w in enumerate(weights))
 
 
 def test_mg_infinity_form_is_the_mm_infinity_series_at_one_endorser():
@@ -358,6 +361,26 @@ def test_endorsement_reordering_is_an_mg_infinity_system(param, values, other):
         assert abs(_z([s.avg_aoi for s in summaries], aoi)) <= 4, value
         # each update reads the version its predecessors' commits left
         assert [s.mvcc_invalid_frac for s in summaries] == [0.0] * 20, value
+
+
+@pytest.mark.parametrize("n_endorsers, target_ratio", [(1, 0.3), (3, 0.3), (2, 1.0)])
+def test_endorsement_reordering_violation_is_the_mg_infinity_tail(n_endorsers, target_ratio):
+    # `violation_prob` at target x is the fraction of the window with age
+    # above x, so it estimates P(age > x).  A `target_aoi` sweep is a
+    # measurement sweep: one path per replication, windowed per value.  A
+    # tail below 1e-3 is skipped, since a replication then often reads 0.
+    cfg = parse_config(ENDORSEMENT_ONLY + f"target_ratio = {target_ratio}\n"
+                       f"n_endorsers = {n_endorsers}\n")
+    targets = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0]
+    _, per_value = run_sweep(cfg, "target_aoi", targets)
+    checked = 0
+    for x, summaries in zip(targets, per_value):
+        tail = mg_infinity_tail(cfg.total_rate * target_ratio, cfg.endorse_time.value,
+                                n_endorsers, x)
+        if tail >= 1e-3:
+            assert abs(_z([s.violation_prob for s in summaries], tail)) <= 4, x
+            checked += 1
+    assert checked >= 3
 
 
 def dg_infinity_average_aoi(rate, share, cdf, steps=16):

@@ -259,6 +259,24 @@ def test_a_one_channel_tie_waits_its_turn():
         _assert_lean_summary_exact(cfg, 1, cfg)
 
 
+def test_a_validation_started_at_a_tie_is_scheduled_by_the_second_dispatch():
+    # Ordering takes longer than a validation, so a block's ready, scheduled
+    # at its cut, can fall due at the very instant its channel's validator
+    # frees and go before that validation-complete.  The second of the two
+    # starts the block's validation and so schedules its validation-complete,
+    # after the other channel's events at that instant; that validation-
+    # complete falls due with one of the other channel's, and the shared VSCC
+    # stream shows which of the two blocks commits first.
+    cfg = paper_default().replace(
+        horizon=20.0, warmup=0.0, generation_mode="periodic", total_rate=8.0, target_ratio=0.3,
+        comm_latency=Delay("fixed", 0.0), transmit_time=0.0, endorse_time=Delay("fixed", 0.25),
+        ordering_base=1.0, ordering_per_kafka=0.0, validate_block_overhead=0.5,
+        validate_per_tx=0.0, block_size=2, timeout=1.5, n_channels=2, vscc_fail_prob=0.5,
+    )
+    assert _everything(_run, cfg, 1, None) == _everything(run_oracle, cfg, 1, None)
+    _assert_lean_summary_exact(cfg, 1, cfg)
+
+
 def _assert_lean_summary_exact(cfg, seed, measure):
     """A lean run summarizes exactly like the full record of the same run,
     with its outcome counts and latency means taken from the transactions."""
@@ -465,12 +483,12 @@ def test_one_channel_blocks_read_no_label(vscc_fail_prob):
 
 
 def test_split_run_holds_no_event_heap():
-    # The front is passes over whole-run lists and the back one pass over the
-    # front's endorse-done stream, so neither half can push an event.  Over
-    # 300 s the backs still cut, validate and commit blocks: paper defaults at
-    # B = 1 (the validator's queue grows all run), 2 and 20 (cut by timeout),
-    # and the M/D/1 shape of the benchmark, where ordering and validation take
-    # no time.
+    # The front is passes over whole-run lists, and the back a timeline per
+    # channel and one pass over the target key's reads, so neither half can
+    # push an event.  Over 300 s the backs still cut, validate and commit
+    # blocks: paper defaults at B = 1 (the validator's queue grows all run), 2
+    # and 20 (cut by timeout), and the M/D/1 shape of the benchmark, where
+    # ordering and validation take no time.
     for module in (bcesim.frontback, bcesim.simulation):
         assert not {"heappush", "heappop", "heapq"} & set(vars(module)), module
     cfg = paper_default().replace(horizon=300.0)
@@ -606,6 +624,21 @@ def test_lean_latency_means_are_summed_in_delivery_order(seed):
         warmup=20.0,
     )
     _assert_lean_summary_exact(cfg, seed, cfg)
+
+
+def test_one_channel_latency_means_are_summed_in_delivery_order():
+    # Exponential endorsements of mean 0.5 s at ten proposals a second, and
+    # nothing after endorsement taking time: on one channel, updates overtake
+    # each other often and every one commits at its endorse-done, valid in
+    # stream order, so summing the means in that order, not by endorsement
+    # number, changes their last bits, in a full record and a lean run.
+    cfg = paper_default().replace(
+        total_rate=10.0, generation_mode="exponential", target_ratio=0.6, block_size=1,
+        endorse_time=Delay("exp", 0.5), ordering_base=0.0, ordering_per_kafka=0.0,
+        validate_block_overhead=0.0, validate_per_tx=0.0, horizon=60.0, warmup=0.0,
+    )
+    assert _record(run_once(cfg, 1)) == _record(run_oracle(cfg, 1, None))
+    _assert_lean_summary_exact(cfg, 1, cfg)
 
 
 # Two ways to run: `run_once` (named for the one loop it once ran), full, and
