@@ -79,10 +79,14 @@ The back has no event heap either.  It is two parts:
   share one VSCC stream, which draws once per member, markers included, in
   the blocks' commit order.
 - One pass over the target key's reads (the kept endorsements of a lean
-  back), all on channel 0, in stream order.  A read sees the blocks that
-  committed before it, and MVCC first-wins reduces to one test: it is valid
-  iff the block of the last valid commit did.  A background key is its
-  proposal's unique id, so its update is valid unless VSCC fails it.
+  back, which skips the markers), all on channel 0, in stream order.  A
+  read sees the blocks that committed before it, and MVCC first-wins
+  reduces to one test: it is valid iff the block of the last valid commit
+  did.  A background key is its proposal's unique id, so its update is
+  valid unless VSCC fails it.
+
+Both are plain loops: a `map` chain over a whole stream lags the interpreter
+speed that `bench/calibrate.py` measures when a shared host's speed drifts.
 
 What the back stamps on an endorsement (the version it read, its order and
 commit times, its validity) goes into columns of its own, by the
@@ -511,34 +515,27 @@ def _cuts(done, block_size, timeout, joins):
     A block holds `block_size` endorsements, or fewer when its deadline (its
     first endorsement's time plus `timeout`) passes before the next one or
     the stream ends; one due at the very deadline goes first iff joins(it,
-    the block's first).  It reads no label.  Blocks [s, s + B), [s + B,
-    s + 2B), ... are size cuts up to the first whose last endorsement is not
-    before its first's deadline: such runs are found at C speed, over strided
-    views of `done`, and only the block that ends one is stepped.
+    the block's first).  It reads no label.  A block whose last endorsement
+    is due before its deadline is cut at its size in one step; only a block
+    that its deadline may cut is stepped through.
     """
     n, s, step = len(done), 0, block_size
     if step == 1:  # every endorsement is a block
         return range(1, n + 1)
-    stops, view = array("q"), memoryview(done)
+    stops = array("q")
+    add = stops.append
     while s < n:
         d = done[s] + timeout
         last = s + step - 1
         if last < n and done[last] < d:
-            lasts = view[last::step]
-            late = map(operator.ge, lasts,
-                       map(operator.add, view[s::step], itertools.repeat(timeout)))
-            run = next(itertools.compress(itertools.count(), late), len(lasts)) * step
-            stops.extend(range(s + step, s + run + 1, step))
-            s += run
-            if s == n:
-                break
-            d = done[s] + timeout
-            last = s + step - 1
+            s = last + 1
+            add(s)
+            continue
         stop = last + 1 if last < n else n
         j = s + 1
         while j < stop and (done[j] < d or done[j] == d and joins(j, s)):
             j += 1
-        stops.append(j)
+        add(j)
         s = j
     return stops
 
@@ -582,18 +579,17 @@ def run_back(cfg, seed, front):
         part = done if pos is None else array("d", map(done.__getitem__, pos))
         stops = _cuts(part, block_size, timeout,
                       joins if pos is None else lambda j, s, pos=pos: joins(pos[j], pos[s]))
-        ends, prev = [], -math.inf
-        add_end = ends.append
+        ends, readys, prev = [], [], -math.inf
+        add_end, add_ready = ends.append, readys.append
         if len(stops) * block_size == len(part):  # size cuts only, each validated alike
-            readys = list(map(operator.add, memoryview(part)[block_size - 1::block_size],
-                              itertools.repeat(order_time)))
             validation = overhead + per_tx * block_size
-            for ready in readys:
+            for last in memoryview(part)[block_size - 1::block_size]:
+                ready = last + order_time
                 prev = (ready if ready >= prev else prev) + validation
+                add_ready(ready)
                 add_end(prev)
         else:
-            readys, start = [], 0
-            add_ready = readys.append
+            start = 0
             for stop in stops:
                 size = stop - start
                 ready = (part[stop - 1] if size == block_size else part[start] + timeout) + order_time
@@ -641,19 +637,18 @@ def run_back(cfg, seed, front):
                 order_done[y], commit_time[y] = readys[k], ends[k]
             for j in itertools.compress(itertools.count(), fails[c] if fails else ()):
                 validity[on_c[j]] = VSCC_INVALID
-        is_read = map(operator.eq, map(keys.__getitem__, nums), itertools.repeat(TARGET_KEY))
-    else:
-        is_read = None if n_kept == len(nums) else map(operator.ge, nums, itertools.repeat(0))
-    # The reads of the target key, on channel 0, as indices into its part.
-    js = range(len(nums)) if is_read is None else list(itertools.compress(itertools.count(), is_read))
-    groups = [(0, TARGET_KEY, js, horizon)]
+        # The reads of the target key, on channel 0, as indices into its part.
+        js = [j for j, y in enumerate(nums) if keys[y] == TARGET_KEY]
+    else:  # a lean back keeps the target key's endorsements only: it skips the markers
+        js = range(len(nums))
+    groups = [(0, TARGET_KEY, js)]
     if record and len(set(keys)) < n - len(js) + bool(js):
         # injected endorsements may repeat a background key, whose reads take the pass too
         reads_of = {}
         for c, on_c in enumerate(nums_of):
             for j, y in enumerate(on_c):
                 reads_of.setdefault((c, keys[y]), []).append(j)
-        groups += [(c, key, on_key, -math.inf) for (c, key), on_key in reads_of.items()
+        groups += [(c, key, on_key) for (c, key), on_key in reads_of.items()
                    if key != TARGET_KEY and len(on_key) > 1]
 
     # The target pass, over the reads in stream order.  A read is valid (MVCC
@@ -664,23 +659,32 @@ def run_back(cfg, seed, front):
     add_reset = path.resets.append
     last_commit = freshest = -math.inf
     n_mvcc_invalid = 0
-    for ch, key, js, limit in groups:
+    for ch, key, js in groups:
         pos, part, stops, ends = parts[ch]
         readys, nums = readys_of[ch], nums_of[ch]
         p_of = int if pos is None else pos.__getitem__  # a read's stream position
         vc, step = -3 - 3 * ch, 3 * n_channels  # block k's validation-complete: vc - step * k
-        valid, valid_reads = [], []  # the block and number of each valid commit, in a full record
-        lv, lv_end = -1, -math.inf
-        reads = zip(js, map(nums.__getitem__, js), map(part.__getitem__, js),
-                    map(operator.floordiv, js, itertools.repeat(block_size))  # the read's block
-                    if len(stops) * block_size == len(part) else map(_blocks(stops).__getitem__, js),
-                    itertools.repeat(False) if fails is None else map(fails[ch].__getitem__, js))
-        for j, y, t, b, failed in reads:
+        valid, valid_reads = [], []  # the block (in a full record) and number of each valid commit
+        limit = horizon if key == TARGET_KEY else -math.inf  # the AoI path's commits
+        uniform = len(stops) * block_size == len(part)  # read j is then in block j // B
+        lv, lv_end, b = -1, -math.inf, 0
+        fails_c = itertools.repeat(False) if fails is None else fails[ch]
+        reads = (zip(js, nums, part, fails_c) if js.__class__ is range
+                 else zip(js, map(nums.__getitem__, js), map(part.__getitem__, js),
+                          fails_c if fails is None else map(fails_c.__getitem__, js)))
+        for j, y, t, failed in reads:
+            if y < 0:  # a marker
+                continue
             if lv_end < t or lv_end == t and stops[lv] <= j and precedes(vc - step * lv, p_of(j)):
                 if record:
                     captured[y] = len(valid)
                 if failed:
                     continue
+                if uniform:
+                    b = j // block_size
+                else:  # the reads come in stream order, so the block only moves on
+                    while stops[b] <= j:
+                        b += 1
                 lv = b
                 end = lv_end = ends[b]
                 order_done[y] = readys[b]
@@ -698,7 +702,7 @@ def run_back(cfg, seed, front):
                         freshest = gen
                 if record:
                     valid.append(b)
-                    valid_reads.append(y)
+                valid_reads.append(y)
                 continue
             if record:
                 # It read the valid commits of the blocks completed before it, none
@@ -711,7 +715,7 @@ def run_back(cfg, seed, front):
             elif failed:
                 continue
             n_mvcc_invalid += 1
-        if key == TARGET_KEY:  # the valid target-key reads of a full record, by number
+        if key == TARGET_KEY:  # the valid target-key reads, by number
             counted = sorted(valid_reads)
     path._last_commit, path.freshest_gen = last_commit, freshest
 
@@ -732,20 +736,16 @@ def run_back(cfg, seed, front):
                    if n_channels > 1 else parts[0][3])
 
     # The latency means of the valid target-key endorsements, each summed in
-    # delivery order, as the event-heap model's post-pass sums them.  A lean
-    # back stamps its valid reads only.
-    columns = (gen_time, front.arrive_time, front.endorse_done, order_done, commit_time)
-    rows = (zip(*[map(column.__getitem__, counted) for column in columns]) if record
-            else itertools.compress(zip(*columns), map(operator.is_not, commit_time,
-                                                       itertools.repeat(None))))
+    # delivery order, as the event-heap model's post-pass sums them.
+    arrive_time, endorse_done = front.arrive_time, front.endorse_done
     comm = endorse = order = validate = 0.0
-    n_target = 0
-    for gen, a, e, o, m in rows:
-        n_target += 1
+    for y in counted:
+        gen, a, e, o = gen_time[y], arrive_time[y], endorse_done[y], order_done[y]
         comm += a - gen
         endorse += e - a
         order += o - e
-        validate += m - o
+        validate += commit_time[y] - o
+    n_target = len(counted)
     means = ([comm / n_target, endorse / n_target, order / n_target, validate / n_target]
              if n_target else [None] * 4)
 
