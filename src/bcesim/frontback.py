@@ -78,22 +78,32 @@ The back has no event heap either.  It is two parts:
   operations of the event-heap model), and commits then.  The channels
   share one VSCC stream, which draws once per member, markers included, in
   the blocks' commit order.
-- One pass over the target key's reads (the kept endorsements of a lean
-  back, which skips the markers), all on channel 0, in stream order.  A
-  read sees the blocks that committed before it, and MVCC first-wins
-  reduces to one test: it is valid iff the block of the last valid commit
-  did.  A background key is its proposal's unique id, so its update is
-  valid unless VSCC fails it.
+- One pass over the target key's reads, all on channel 0, in stream order:
+  over the reads alone, never over a marker.  A read sees the blocks that
+  committed before it, and MVCC first-wins reduces to one test: it is valid
+  iff the block of the last valid commit did.  A background key is its
+  proposal's unique id, so its update is valid unless VSCC fails it.
 
 Both are plain loops: a `map` chain over a whole stream lags the interpreter
 speed that `bench/calibrate.py` measures when a shared host's speed drifts.
 
-What the back stamps on an endorsement (the version it read, its order and
-commit times, its validity) goes into columns of its own, by the
-endorsement's number, so one front serves any number of backs; the latency
-means are summed over them in delivery order.  A full-record back stamps
-every member from its block and hands its result the front's columns and its
-own (`RunResult.columns`), which the trace and `RunResult.transactions` read.
+What a back reads of the stream alone is built once per front, at the first
+back's use, and kept on it (`Front.view`): each channel's stream positions
+and endorse-done times, and the target key's reads as indices into channel
+0's part, with their numbers and times.  So the backs of a back-field sweep
+share it.  A lean front at `target_ratio` 1 has no marker, so its reads
+are its stream itself.
+
+The target pass puts the block of each valid target-key read into one
+column, by the read's number, and stamps nothing else on a lean back's
+reads.  The latency means are then one pass over that column and the
+front's time columns, in delivery (number) order.  They read each block's
+ready time and completion, so they are summed before the completions are
+cut at the horizon.  A full-record back also stamps every member from its
+block (the version it read, its order and commit times, its validity) into
+columns of its own, by number, so one front serves any number of backs, and
+hands its result the front's columns and its own (`RunResult.columns`),
+which the trace and `RunResult.transactions` read.
 
 The back resolves the (time, seq) order of same-instant events only where
 two times are exactly equal (`_Dispatches`):
@@ -138,7 +148,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 
 from .core import SimulationError, make_stream
@@ -165,7 +175,9 @@ class Front:
     generation.  A full front adds the `id`, `key` and `channel` columns and
     `lost`, as in RunResult; a lean front keeps them None, since each
     endorsement it keeps is on the target key and channel 0.  `slots` is the
-    slot timeline, or a function that builds it (see `timeline`).
+    slot timeline, or a function that builds it (see `timeline`).  `views`
+    holds what its backs read of the stream alone, by channel count (see
+    `view`).
     """
 
     stream: list | range
@@ -181,6 +193,7 @@ class Front:
     lost: list | None
     n_generated: int
     n_lost: int
+    views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def record(self):
@@ -196,6 +209,15 @@ class Front:
         if callable(self.slots):
             self.slots = self.slots()
         return self.slots
+
+    def view(self, n_channels):
+        """The `_ReadView` of a back over this front at `n_channels`
+        channels: built at the first back's use, and kept, so the backs of
+        a back-field sweep share it."""
+        view = self.views.get(n_channels)
+        if view is None:
+            view = self.views[n_channels] = _ReadView(self, n_channels)
+        return view
 
 
 class Fronts:
@@ -432,9 +454,12 @@ def _endorsement(fronts, served, at, endorse, n_endorsers):
         done = array("d", [a + x for a, x in zip(at, delays.first(len(at)))])
     if all(map(operator.le, done, itertools.islice(done, 1, None))):
         return done, None, done, (served if served.__class__ is range else array("i", served))
-    order = sorted(range(len(done)), key=done.__getitem__)  # stable: ties in delivery order
+    # one sort, keyed by a list (an array would make a float per key); the
+    # ordered times are read through the order
+    times = done.tolist()
+    order = sorted(range(len(times)), key=times.__getitem__)  # stable: ties in delivery order
     proposal = order if served.__class__ is range else [served[i] for i in order]
-    return done, order, array("d", sorted(done)), array("i", proposal)
+    return done, order, array("d", [times[i] for i in order]), array("i", proposal)
 
 
 def _endorse_delays(seed, endorse, n_endorsers):
@@ -540,6 +565,62 @@ def _cuts(done, block_size, timeout, joins):
     return stops
 
 
+class _ReadView:
+    """What every back over one front reads of its stream alone, at one
+    channel count (`Front.view`).
+
+    `positions[c]` is channel c's stream positions (None at one channel:
+    every one), and `parts[c]` their endorse-done times.  `nums_of[c]` is
+    channel c's numbers in stream order: every channel's in a full record,
+    channel 0's alone in a lean one.  `reads` holds one group per key whose
+    reads take the target pass, (channel, key, js, ys, ts): the reads'
+    indices into the channel's part, their numbers and their times, in
+    stream order.  The target key's group, on channel 0, comes first; a full
+    record adds one per background key that injected endorsements repeat.
+    """
+
+    __slots__ = ("positions", "parts", "nums_of", "reads")
+
+    def __init__(self, front, n_channels):
+        stream, done, keys, record = front.stream, front.done, front.key, front.record
+        positions = [None]
+        if n_channels > 1:
+            on = ([-1 - x if x < 0 else 0 for x in stream] if front.channel is None
+                  else [front.channel[x] for x in stream])
+            positions = [[] for _ in range(n_channels)]
+            adds = [pos.append for pos in positions]
+            for i, c in enumerate(on):
+                adds[c](i)
+        parts = [done if pos is None else array("d", [done[i] for i in pos]) for pos in positions]
+        nums_of = [stream if pos is None else [stream[i] for i in pos]
+                   for pos in positions[:None if record else 1]]
+        nums = nums_of[0]
+        if record:
+            js = [j for j, y in enumerate(nums) if keys[y] == TARGET_KEY]
+        elif len(nums) == len(front.gen_time):  # no marker on channel 0
+            js = range(len(nums))
+        else:  # a lean front keeps the target key's endorsements only
+            js = [j for j, y in enumerate(nums) if y >= 0]
+        groups = [(0, TARGET_KEY, js)]
+        if record and len(set(keys)) < len(stream) - len(js) + bool(js):
+            # injected endorsements may repeat a background key, whose reads take the pass too
+            reads_of = {}
+            for c, on_c in enumerate(nums_of):
+                for j, y in enumerate(on_c):
+                    reads_of.setdefault((c, keys[y]), []).append(j)
+            groups += [(c, key, on_key) for (c, key), on_key in reads_of.items()
+                       if key != TARGET_KEY and len(on_key) > 1]
+        self.positions, self.parts, self.nums_of = positions, parts, nums_of
+        # arrays, since the view lives as long as its front; the numbers are
+        # the stream's own ints
+        self.reads = [
+            (c, key, js, nums_of[c], parts[c]) if js.__class__ is range
+            else (c, key, array("i", js), [nums_of[c][j] for j in js],
+                  array("d", [parts[c][j] for j in js]))
+            for c, key, js in groups
+        ]
+
+
 def run_back(cfg, seed, front):
     """Batching through commit of one run over a front of the same seed and
     of a config that differs from `cfg` in back fields only: a timeline per
@@ -561,22 +642,15 @@ def run_back(cfg, seed, front):
     n = len(stream)
     if n and done[0] < 0.0:  # the stream is in time order, from a clock at 0
         raise SimulationError(f"event at t={done[0]} behind clock t=0.0")
+    view = front.view(n_channels)
     ties = _Dispatches(front, block_size, timeout, order_time)
     parts, joins, precedes = ties.parts, ties.joins, ties.precedes
 
     # The timeline of each channel's part of the stream, which reads no
     # label: its blocks' stops, then each block's ready time (its cut plus
     # the ordering delay) and completion (Lindley's recursion).
-    positions = [None]
-    if n_channels > 1:
-        on = ([-1 - x if x < 0 else 0 for x in stream] if front.channel is None
-              else list(map(front.channel.__getitem__, stream)))
-        positions = [list(itertools.compress(itertools.count(),
-                                             map(operator.eq, on, itertools.repeat(c))))
-                     for c in range(n_channels)]
     readys_of = []
-    for pos in positions:
-        part = done if pos is None else array("d", map(done.__getitem__, pos))
+    for pos, part in zip(view.positions, view.parts):
         stops = _cuts(part, block_size, timeout,
                       joins if pos is None else lambda j, s, pos=pos: joins(pos[j], pos[s]))
         ends, readys, prev = [], [], -math.inf
@@ -623,58 +697,43 @@ def run_back(cfg, seed, front):
                 lo, hi = stops[k - 1] if k else 0, stops[k]
                 fails[c][lo:hi] = bytes(itertools.islice(taken, hi - lo))
 
-    # Each channel's numbers in stream order (markers too, in a lean back).
     keys, gen_time = front.key, front.gen_time
     n_kept = len(gen_time)
-    nums_of = [stream if pos is None else list(map(stream.__getitem__, pos))
-               for pos in positions[:None if record else 1]]
-    nums = nums_of[0]
-    order_done, commit_time = [None] * n_kept, [None] * n_kept
     if record:  # every member's stamps from its block: one pair of times per block
+        order_done, commit_time = [None] * n_kept, [None] * n_kept
         validity, captured = [VALID] * n_kept, [0] * n_kept
-        for c, ((_, _, stops, ends), readys, on_c) in enumerate(zip(parts, readys_of, nums_of)):
+        for c, ((_, _, stops, ends), readys, on_c) in enumerate(zip(parts, readys_of, view.nums_of)):
             for y, k in zip(on_c, _blocks(stops)):
                 order_done[y], commit_time[y] = readys[k], ends[k]
             for j in itertools.compress(itertools.count(), fails[c] if fails else ()):
                 validity[on_c[j]] = VSCC_INVALID
-        # The reads of the target key, on channel 0, as indices into its part.
-        js = [j for j, y in enumerate(nums) if keys[y] == TARGET_KEY]
-    else:  # a lean back keeps the target key's endorsements only: it skips the markers
-        js = range(len(nums))
-    groups = [(0, TARGET_KEY, js)]
-    if record and len(set(keys)) < n - len(js) + bool(js):
-        # injected endorsements may repeat a background key, whose reads take the pass too
-        reads_of = {}
-        for c, on_c in enumerate(nums_of):
-            for j, y in enumerate(on_c):
-                reads_of.setdefault((c, keys[y]), []).append(j)
-        groups += [(c, key, on_key) for (c, key), on_key in reads_of.items()
-                   if key != TARGET_KEY and len(on_key) > 1]
 
     # The target pass, over the reads in stream order.  A read is valid (MVCC
     # first-wins) iff the block of its key's last valid commit, lv, committed
     # before it, at its completion (an exact tie in (time, seq) order).  A full
     # record's read took the valid commits of the blocks committed before it.
+    # Each valid target-key read's block goes into `block_of`, by its number
+    # (-1: not a valid target-key read), which the latency means read.
     path = AoISamplePath(0.0, horizon)
     add_reset = path.resets.append
     last_commit = freshest = -math.inf
     n_mvcc_invalid = 0
-    for ch, key, js in groups:
+    block_of = [-1] * n_kept
+    for ch, key, js, ys, ts in view.reads:
         pos, part, stops, ends = parts[ch]
-        readys, nums = readys_of[ch], nums_of[ch]
+        readys = readys_of[ch]
         p_of = int if pos is None else pos.__getitem__  # a read's stream position
         vc, step = -3 - 3 * ch, 3 * n_channels  # block k's validation-complete: vc - step * k
-        valid, valid_reads = [], []  # the block (in a full record) and number of each valid commit
+        valid = []  # the block of each valid commit, in a full record
+        blocks = block_of if key == TARGET_KEY else {}
         limit = horizon if key == TARGET_KEY else -math.inf  # the AoI path's commits
         uniform = len(stops) * block_size == len(part)  # read j is then in block j // B
         lv, lv_end, b = -1, -math.inf, 0
-        fails_c = itertools.repeat(False) if fails is None else fails[ch]
-        reads = (zip(js, nums, part, fails_c) if js.__class__ is range
-                 else zip(js, map(nums.__getitem__, js), map(part.__getitem__, js),
-                          fails_c if fails is None else map(fails_c.__getitem__, js)))
-        for j, y, t, failed in reads:
-            if y < 0:  # a marker
-                continue
+        if fails is None:
+            fails_c = itertools.repeat(False)
+        else:
+            fails_c = fails[ch] if js.__class__ is range else [fails[ch][j] for j in js]
+        for j, y, t, failed in zip(js, ys, ts, fails_c):
             if lv_end < t or lv_end == t and stops[lv] <= j and precedes(vc - step * lv, p_of(j)):
                 if record:
                     captured[y] = len(valid)
@@ -687,8 +746,7 @@ def run_back(cfg, seed, front):
                         b += 1
                 lv = b
                 end = lv_end = ends[b]
-                order_done[y] = readys[b]
-                commit_time[y] = end
+                blocks[y] = b
                 gen = gen_time[y]
                 if end <= limit:
                     # `path.record_commit(end, gen)`, with the path's last
@@ -702,7 +760,6 @@ def run_back(cfg, seed, front):
                         freshest = gen
                 if record:
                     valid.append(b)
-                valid_reads.append(y)
                 continue
             if record:
                 # It read the valid commits of the blocks completed before it, none
@@ -715,39 +772,41 @@ def run_back(cfg, seed, front):
             elif failed:
                 continue
             n_mvcc_invalid += 1
-        if key == TARGET_KEY:  # the valid target-key reads, by number
-            counted = sorted(valid_reads)
     path._last_commit, path.freshest_gen = last_commit, freshest
+
+    # The latency means of the valid target-key endorsements, each summed in
+    # delivery order, as the event-heap model's post-pass sums them.  They
+    # read every block's times, so they come before the cut at the horizon.
+    readys, ends = readys_of[0], parts[0][3]
+    comm = endorse = order = validate = 0.0
+    n_target = 0
+    for b, gen, a, e in zip(block_of, gen_time, front.arrive_time, front.endorse_done):
+        if b >= 0:
+            o = readys[b]
+            comm += a - gen
+            endorse += e - a
+            order += o - e
+            validate += ends[b] - o
+            n_target += 1
+    means = ([comm / n_target, endorse / n_target, order / n_target, validate / n_target]
+             if n_target else [None] * 4)
 
     ledgers = None
     if record:  # each channel's valid commits in commit order: the last of each key stays
-        ledgers = [LedgerState() for _ in nums_of]
-        for ledger, on_c in zip(ledgers, nums_of):
-            on_c = list(itertools.compress(on_c, map(operator.is_, map(validity.__getitem__, on_c),
-                                                     itertools.repeat(VALID))))
-            ledger.versions = dict(zip(map(keys.__getitem__, on_c), map(
-                operator.add, map(captured.__getitem__, on_c), itertools.repeat(1))))
-            ledger.gen_times = dict(zip(map(keys.__getitem__, on_c), map(gen_time.__getitem__, on_c)))
+        ledgers = [LedgerState() for _ in view.nums_of]
+        for ledger, on_c in zip(ledgers, view.nums_of):
+            versions, gen_times = ledger.versions, ledger.gen_times
+            for y in on_c:
+                if validity[y] is VALID:
+                    key = keys[y]
+                    versions[key] = captured[y] + 1
+                    gen_times[key] = gen_time[y]
     blocks_committed = 0
     for _, _, _, ends in parts:  # every block commits in the drained run
         blocks_committed += len(ends)
         del ends[bisect_right(ends, horizon):]
     block_times = (sorted(itertools.chain.from_iterable(map(operator.itemgetter(3), parts)))
                    if n_channels > 1 else parts[0][3])
-
-    # The latency means of the valid target-key endorsements, each summed in
-    # delivery order, as the event-heap model's post-pass sums them.
-    arrive_time, endorse_done = front.arrive_time, front.endorse_done
-    comm = endorse = order = validate = 0.0
-    for y in counted:
-        gen, a, e, o = gen_time[y], arrive_time[y], endorse_done[y], order_done[y]
-        comm += a - gen
-        endorse += e - a
-        order += o - e
-        validate += commit_time[y] - o
-    n_target = len(counted)
-    means = ([comm / n_target, endorse / n_target, order / n_target, validate / n_target]
-             if n_target else [None] * 4)
 
     # The record is the front's columns and the back's, in `Transaction`'s
     # field order: one (order_done, commit_time) pair of objects per block,

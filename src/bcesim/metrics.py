@@ -68,10 +68,10 @@ def _measured_time(path):
     return duration if duration > 0 else None
 
 
-def _piece_ends(path):
-    """The end of each linear piece of the sawtooth: the next reset's commit
-    time, or the path end for the last reset."""
-    return itertools.chain(map(_COMMIT_TIME, itertools.islice(path.resets, 1, None)), [path.end])
+def _pieces(path):
+    """The resets with the path end after them, as (t_u, t_g) pairs: each
+    linear piece of the sawtooth runs from one pair's t_u to the next's."""
+    return itertools.chain(path.resets, [(path.end, None)])
 
 
 def average_aoi(path):
@@ -84,10 +84,13 @@ def average_aoi(path):
     if duration is None:
         return None
     area = 0.0
-    for (t_u, t_g), seg_end in zip(path.resets, _piece_ends(path)):
+    pieces = _pieces(path)
+    t_u, t_g = next(pieces)
+    for seg_end, next_g in pieces:
         age = t_u - t_g
         length = seg_end - t_u
         area += (age + (age + length)) * 0.5 * length
+        t_u, t_g = seg_end, next_g
     return area / duration
 
 
@@ -99,13 +102,16 @@ def violation_probability(path, target):
     if duration is None:
         return None
     above = 0.0
-    for (t_u, t_g), seg_end in zip(path.resets, _piece_ends(path)):
+    pieces = _pieces(path)
+    t_u, t_g = next(pieces)
+    for seg_end, next_g in pieces:
         age = t_u - t_g
         length = seg_end - t_u
         # slope 1: time above target within the piece, at most its length
         over = age + length - target
         if over > 0.0:
             above += over if over < length else length
+        t_u, t_g = seg_end, next_g
     return above / duration
 
 

@@ -28,11 +28,13 @@ at its first access, for the callers that read a record one transaction at a
 time.  A lean run (``record=False``) keeps only what `summarize` reads: the
 AoI resets, the block commit times, the outcome counts and the latency means.
 Its front keeps the target-key endorsements only, as numbers with a column
-per time, and its back sums the latency means over those columns in delivery
-order, the order of the full record.  Neither builds a Transaction as it
-runs.  A background key is its proposal's unique id, never written before,
-so its MVCC check always passes: a lean run neither reads nor writes it in
-the ledger.  Outcomes are counted as blocks commit, in either mode.
+per time.  Its back stamps nothing per endorsement: it keeps the block of
+each valid target-key read, by number, and sums the latency means over that
+column and the front's in delivery order, the order of the full record.
+Neither builds a Transaction as it runs.  A background key is its
+proposal's unique id, never written before, so its MVCC check always passes:
+a lean run neither reads nor writes it in the ledger.  Outcomes are counted
+as blocks commit, in either mode.
 
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would

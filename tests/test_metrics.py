@@ -98,6 +98,40 @@ def test_violation_equals_min_max_expression_bit_for_bit():
             assert violation_probability(path, target).hex() == expected.hex()
 
 
+@st.composite
+def sawtooth_paths(draw):
+    """A path from drawn commits: nondecreasing commit times (equal ones give
+    zero-length pieces), each generation a fraction of its commit time (a
+    stale one is dropped), and an end at or after the last commit."""
+    path = AoISamplePath(0.0, 0.0)
+    t_u = draw(st.floats(0.01, 10.0))
+    for gap, share in draw(st.lists(st.tuples(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 5.0),
+                                              st.floats(0.0, 0.999)), min_size=1, max_size=30)):
+        path.record_commit(t_u, t_u * share)
+        t_u += gap
+    path.end = path.resets[-1][0] + draw(st.floats(0.0, 5.0))
+    return path
+
+
+def _trapezoid_average(path):
+    """average_aoi as the plain trapezoid sum over the pieces."""
+    ends = [t_u for t_u, _ in path.resets[1:]] + [path.end]
+    area = 0.0
+    for (t_u, t_g), seg_end in zip(path.resets, ends):
+        age = t_u - t_g
+        length = seg_end - t_u
+        area += (age + (age + length)) * 0.5 * length
+    return area / (path.end - path.resets[0][0])
+
+
+@given(sawtooth_paths())
+def test_average_equals_trapezoid_sum_bit_for_bit(path):
+    if path.end == path.resets[0][0]:  # no window to average over
+        assert average_aoi(path) is None
+    else:
+        assert average_aoi(path).hex() == _trapezoid_average(path).hex()
+
+
 def test_ccdf_matches_violation_and_sorts_grid():
     path = path_from([(2.0, 1.0), (5.0, 4.5)], end=6.0)
     assert aoi_ccdf(path, [3.0]) == [pytest.approx(0.25)]

@@ -19,6 +19,7 @@ from bcesim.metrics import AoISamplePath, average_aoi
 from bcesim.pipeline import VALID, Transaction
 from bcesim.simulation import run_once
 from bcesim.workload import TARGET_KEY
+from conftest import count_runs
 from des_oracle import (
     apply_update,
     arrivals_front,
@@ -639,6 +640,78 @@ def test_one_channel_latency_means_are_summed_in_delivery_order():
     )
     assert _record(run_once(cfg, 1)) == _record(run_oracle(cfg, 1, None))
     _assert_lean_summary_exact(cfg, 1, cfg)
+
+
+def test_latency_means_read_the_blocks_committed_after_the_horizon():
+    # Ordering takes 4 s, so a valid target-key read in the run's last 4 s
+    # commits only in the drained run, after the horizon; here the last one
+    # is generated at the horizon itself.  The means take it in, so they
+    # must read its block's times before the run's commit times are cut at
+    # the horizon.
+    cfg = paper_default().replace(total_rate=2.0, target_ratio=0.5, block_size=1,
+                                  ordering_base=4.0, horizon=60.0, warmup=0.0)
+    oracle = run_oracle(cfg, 2, None)
+    late = [tx.gen_time for tx in oracle.transactions
+            if tx.key == TARGET_KEY and tx.validity == VALID and tx.commit_time > cfg.horizon]
+    assert late == [cfg.horizon]
+    assert run_once(cfg, 2).breakdown == oracle.breakdown
+    assert run_once(cfg, 2, record=False).breakdown == oracle.breakdown
+
+
+def _count_views(monkeypatch):
+    """The front of every read view built from now on, in build order."""
+    fronts = []
+    real = bcesim.frontback._ReadView
+
+    class Counted(real):
+        __slots__ = ()
+
+        def __init__(self, front, n_channels):
+            fronts.append(front)
+            super().__init__(front, n_channels)
+
+    monkeypatch.setattr(bcesim.frontback, "_ReadView", Counted)
+    return fronts
+
+
+@pytest.mark.parametrize("n_channels", [2, 3])
+def test_a_block_size_sweep_builds_one_read_view_per_front(monkeypatch, n_channels):
+    # The backs over one front share what they read of its stream alone, and
+    # each still gives the event-heap model's result.
+    cfg = paper_default().replace(horizon=60.0, warmup=0.0, replications=2, target_ratio=0.5,
+                                  n_channels=n_channels, vscc_fail_prob=0.2, timeout=0.5)
+    views = _count_views(monkeypatch)
+    runs = count_runs(monkeypatch)
+    run_sweep(cfg, "block_size", [1, 2, 5])
+    assert len(runs["run_front"]) == 2 and len(runs["run_back"]) == 6
+    assert len(views) == 2 and views[0] is not views[1]
+    del views[:]
+    front = run_front(cfg, 4)
+    for block_size in (1, 2, 5):
+        swept = cfg.replace(block_size=block_size)
+        lean, oracle = run_back(swept, 4, front), run_oracle(swept, 4, None)
+        assert _record(lean)[2:6] == _record(oracle)[2:6], block_size
+    assert views == [front]
+
+
+def test_an_injected_front_builds_its_own_read_view(monkeypatch):
+    # A front made outside `run_front`, and a lean one `dataclasses.replace`d
+    # from it, each build a view at their first back.
+    cfg = paper_default().replace(horizon=60.0, warmup=0.0, block_size=2, timeout=5.0)
+    arrivals = [(1.0, 0.0, 7, 0.9), (1.0, 0.0, TARGET_KEY, 0.95), (2.0, 0.5, TARGET_KEY, 1.5)]
+    views = _count_views(monkeypatch)
+    front = arrivals_front(arrivals)
+    full = run_back(cfg, 1, front)
+    assert _record(run_back(cfg, 1, front)) == _record(full)
+    assert _record(full) == _record(run_oracle(cfg, 1, arrivals))
+    lean_front = dataclasses.replace(
+        front, stream=[-1 if x == 0 else x - 1 for x in front.stream],
+        gen_time=front.gen_time[1:], arrive_time=front.arrive_time[1:],
+        endorse_done=front.endorse_done[1:], id=None, key=None, channel=None, lost=None,
+    )
+    lean = run_back(cfg, 1, lean_front)
+    assert views == [front, lean_front]
+    assert (lean.path.resets, lean.breakdown) == (full.path.resets, full.breakdown)
 
 
 # Two ways to run: `run_once` (named for the one loop it once ran), full, and
