@@ -13,7 +13,6 @@ from typing import Literal, get_args, get_origin
 
 from .core import ConfigError
 from .dists import Delay
-from .pipeline import ordering_delay
 
 
 # Fields that only change what is measured on a sample path, never the path
@@ -101,6 +100,12 @@ class SimConfig:
     def replace(self, **overrides):
         cfg = dataclasses.replace(self, **overrides)
         return cfg.validate()
+
+
+def ordering_delay(cfg):
+    """Service time to turn a cut block into a deliverable one: affine in
+    the Kafka node count beyond the 4-node minimum."""
+    return cfg.ordering_base + cfg.ordering_per_kafka * (cfg.n_kafka - 4)
 
 
 # The range of each bounded key: (low end, low, high).  The low end is "[" if

@@ -33,12 +33,6 @@ CSV_HEADER = (
 _COLUMNS = CSV_HEADER.split(",")
 _MEAN_COLUMNS = _COLUMNS[_COLUMNS.index("avg_aoi_std") + 1:]
 
-TRACE_HEADER = (
-    "rep,id,key,channel,gen_time,arrive_time,endorse_done,captured_version,"
-    "order_done,commit_time,validity"
-)
-
-
 @dataclass
 class RunSummary:
     """Per-replication observables, the unit aggregated into a CSV row.
@@ -278,9 +272,9 @@ def run_plain(cfg):
 
 def _write_trace(out, k, result):
     # The lines come straight from the run's columns (`RunResult.columns`),
-    # so no Transaction is built.  The run is drained, so every delivered
-    # endorsement has each time stamped and `_fmt`'s NA never applies; ".10g"
-    # is its format.  Formatting the times is most of the trace's cost, so a
+    # so no object is built per transaction.  The run is drained, so every
+    # delivered endorsement has each time stamped and `_fmt`'s NA never
+    # applies; ".10g" is its format.  Formatting the times is most of the trace's cost, so a
     # shared time is formatted once: the endorsements of a block carry the
     # same `order_done` and `commit_time` objects (`run_back` stamps them from
     # one pair), so a line whose time is the previous line's object reuses its
@@ -321,6 +315,10 @@ def run_plain_traced(cfg, out):
     """run_plain(cfg), writing trace_csv(cfg) to the text stream `out` as it
     goes: each replication's lines as soon as that replication is run, so no
     more than one replication's trace is held in memory."""
-    out.write(TRACE_HEADER + "\n")
+    # imported here, as `_replicate` imports the engine, so that importing
+    # bcesim compiles none of it
+    from .simulation import RECORD_FIELDS
+
+    out.write("rep," + ",".join(RECORD_FIELDS) + "\n")
     [summaries] = _replicate([cfg], out)
     return _plain_csv(summaries)

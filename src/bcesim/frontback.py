@@ -4,14 +4,14 @@ every pass that they read alike.
 
 Generation, key assignment, channel split, transmission, loss, comm latency
 and endorsement (the front) never depend on block cutting, ordering,
-validation or VSCC (the back): the back only consumes endorse-done events
-and reads the ledger as it does.  So a run is `run_front`, which returns its
-endorsements in endorse-done dispatch order, and `run_back`, which runs the
-rest of the pipeline over that stream (`simulation.run_once`), and runs that
-differ only in back fields (`config.BACK_FIELDS`) share one front.  Together
-they reproduce the event-heap model of the pipeline (`tests/des_oracle.py`),
-which dispatches every event in (time, seq) order, with seq taken when the
-event is scheduled.
+validation or VSCC (the back): the back only consumes endorse-done events.
+So a run is `run_front`, which returns its endorsements in endorse-done
+dispatch order, and `run_back`, which runs the rest of the pipeline over that
+stream (`simulation.run_once`), and runs that differ only in back fields
+(`config.BACK_FIELDS`) share one front.  Together they reproduce the
+event-heap model of the pipeline (`tests/des_oracle.py`), which dispatches
+every event in (time, seq) order, with seq taken when the event is
+scheduled.
 
 The front has no event loop.  It is a chain of passes over whole-run lists.
 Each pass is a function of the seed, of the fields it reads and of the
@@ -39,13 +39,13 @@ The front then numbers the endorsements it keeps in delivery order: every
 one in a full front, the target-key ones in a lean front.  Its stream holds
 those numbers in endorse-done order, and a channel marker for each other
 endorsement; beside it go columns of the kept endorsements' times (`Front`).
-Neither half builds a Transaction.  A draw goes to its place in its pass's
-order whatever the other fields are: the j-th key uniform to the j-th
-generation, and the j-th comm and endorse draw to the j-th passed delivery,
-for every `stp`.  So two configs that agree in the fields a pass reads, and
-in those of the passes before it, have the same output of that pass, and
-those that differ in `stp` alone share one draw prefix of comm and endorse
-draws.
+Neither half builds an object per endorsement.  A draw goes to its place in
+its pass's order whatever the other fields are: the j-th key uniform to the
+j-th generation, and the j-th comm and endorse draw to the j-th passed
+delivery, for every `stp`.  So two configs that agree in the fields a pass
+reads, and in those of the passes before it, have the same output of that
+pass, and those that differ in `stp` alone share one draw prefix of comm and
+endorse draws.
 `experiments._replicate` builds the fronts of one replication through one
 `Fronts`: each distinct pass is computed once and kept until its last use,
 and each draw prefix until the replication ends, never longer.  A
@@ -64,6 +64,12 @@ numbers: a transmission starts at the later of its proposal's generation and
 the previous transmit-complete (Lindley's recursion), and at a tie of the two
 either order gives that time.  Only an exact tie in the back needs the
 numbers, so there the loop runs at the first such tie (`Front.timeline`).
+A proposal joins the transmitter's queue only at its own generation, so the
+queue holds its proposals in generation order, ties in insertion order, and
+a deque of them is exact for both disciplines: FCFS serves its left end (the
+oldest) and LCFS its right end (the newest).  A delivery is lost with
+probability 1 - `stp`, for good: nothing is retransmitted, so the delivered
+rate thins to `total_rate * stp`.
 
 The back has no event heap either.  It is two parts:
 
@@ -81,8 +87,10 @@ The back has no event heap either.  It is two parts:
 - One pass over the target key's reads, all on channel 0, in stream order:
   over the reads alone, never over a marker.  A read sees the blocks that
   committed before it, and MVCC first-wins reduces to one test: it is valid
-  iff the block of the last valid commit did.  A background key is its
-  proposal's unique id, so its update is valid unless VSCC fails it.
+  iff the block of the last valid commit did.  VSCC decides first: a read
+  that it fails is invalid whatever it read, and commits nothing.  A
+  background key is its proposal's unique id, so its update is valid unless
+  VSCC fails it.
 
 Both are plain loops: a `map` chain over a whole stream lags the interpreter
 speed that `bench/calibrate.py` measures when a shared host's speed drifts.
@@ -103,7 +111,7 @@ cut at the horizon.  A full-record back also stamps every member from its
 block (the version it read, its order and commit times, its validity) into
 columns of its own, by number, so one front serves any number of backs, and
 hands its result the front's columns and its own (`RunResult.columns`),
-which the trace and `RunResult.transactions` read.
+which the trace reads.
 
 The back resolves the (time, seq) order of same-instant events only where
 two times are exactly equal (`_Dispatches`):
@@ -151,12 +159,19 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from random import Random
 
+from .config import ordering_delay
 from .core import SimulationError, make_stream
-from .ledger import LedgerState
 from .metrics import AoISamplePath, LatencyBreakdown
-from .pipeline import MVCC_INVALID, VALID, VSCC_INVALID, ordering_delay
 from .simulation import RunResult
-from .workload import TARGET_KEY
+
+# The tracked ledger key.  A background proposal's key is its own unique id,
+# so an MVCC conflict can only involve the target key.
+TARGET_KEY = 0
+
+# The validity of a delivered transaction in the record.
+VALID = "valid"
+MVCC_INVALID = "mvcc_invalid"
+VSCC_INVALID = "vscc_invalid"
 
 
 @dataclass
@@ -259,8 +274,7 @@ class Fronts:
         # both times, as in the event-heap model.
         n = len(served)
         if record:
-            # one float per generation, which the run's ledgers, path and
-            # Transactions share
+            # one float per generation, which the run's path and record share
             numbers = range(n)
             gen = [gen_times[k] for k in served]
             arrive, endorse_done = gen if at is gen_times else at, done
@@ -495,7 +509,7 @@ def _slot_pass(gen_times, transmit_time, discipline, numbered):
     slot_time, slot_sched = array("d"), array("i")
     add_time, add_sched = slot_time.append, slot_sched.append
     by = array("i", [-1]) * len(gen_times) if numbered else None
-    # proposals waiting for the channel, in generation order (see bcesim.workload)
+    # proposals waiting for the channel, in generation order (see the module docstring)
     waiting = deque()
     take = waiting.popleft if discipline == "fcfs" else waiting.pop
     # The pending transmit-complete: its time, the slot dispatch that
@@ -627,9 +641,8 @@ def run_back(cfg, seed, front):
     channel, then the target pass (see the module docstring).
 
     The result is `run_once(cfg, seed, record=front.record)`'s: a full
-    record's holds the record's ten columns, the front's and the back's own,
-    and no Transaction.  It calls `AoISamplePath.record_commit` only to
-    raise its error.
+    record's holds the record's ten columns, the front's and the back's own.
+    It calls `AoISamplePath.record_commit` only to raise its error.
     """
     record = front.record
     cfg.validate()
@@ -791,16 +804,6 @@ def run_back(cfg, seed, front):
     means = ([comm / n_target, endorse / n_target, order / n_target, validate / n_target]
              if n_target else [None] * 4)
 
-    ledgers = None
-    if record:  # each channel's valid commits in commit order: the last of each key stays
-        ledgers = [LedgerState() for _ in view.nums_of]
-        for ledger, on_c in zip(ledgers, view.nums_of):
-            versions, gen_times = ledger.versions, ledger.gen_times
-            for y in on_c:
-                if validity[y] is VALID:
-                    key = keys[y]
-                    versions[key] = captured[y] + 1
-                    gen_times[key] = gen_time[y]
     blocks_committed = 0
     for _, _, _, ends in parts:  # every block commits in the drained run
         blocks_committed += len(ends)
@@ -808,10 +811,10 @@ def run_back(cfg, seed, front):
     block_times = (sorted(itertools.chain.from_iterable(map(operator.itemgetter(3), parts)))
                    if n_channels > 1 else parts[0][3])
 
-    # The record is the front's columns and the back's, in `Transaction`'s
-    # field order: one (order_done, commit_time) pair of objects per block,
-    # and the front's generation floats, which serve as arrival times too
-    # where the front has one column for both.
+    # The record is the front's columns and the back's, in `RECORD_FIELDS`
+    # order: one (order_done, commit_time) pair of objects per block, and the
+    # front's generation floats, which serve as arrival times too where the
+    # front has one column for both.
     columns = (front.id, keys, front.channel, gen_time, front.arrive_time, front.endorse_done,
                captured, order_done, commit_time, validity) if record else None
     n_delivered = front.n_generated - front.n_lost  # the drained run resolved every delivery
@@ -830,7 +833,6 @@ def run_back(cfg, seed, front):
         ),
         columns=columns,
         lost=front.lost,
-        ledgers=ledgers,
     )
 
 

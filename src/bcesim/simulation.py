@@ -20,21 +20,18 @@ in `tests/des_oracle.py`.  Runs that differ only in back fields
 (`config.BACK_FIELDS`) share one front.
 
 A run's caller says whether it needs the per-transaction record.  A full
-run keeps every delivered transaction, every lost proposal and each
-channel's ledger.  It keeps the transactions as ten columns, one per
-`Transaction` field in delivery order (`RunResult.columns`), which the trace
-is written from; `RunResult.transactions` builds the Transactions from them
-at its first access, for the callers that read a record one transaction at a
-time.  A lean run (``record=False``) keeps only what `summarize` reads: the
-AoI resets, the block commit times, the outcome counts and the latency means.
-Its front keeps the target-key endorsements only, as numbers with a column
-per time.  Its back stamps nothing per endorsement: it keeps the block of
-each valid target-key read, by number, and sums the latency means over that
-column and the front's in delivery order, the order of the full record.
-Neither builds a Transaction as it runs.  A background key is its
-proposal's unique id, never written before, so its MVCC check always passes:
-a lean run neither reads nor writes it in the ledger.  Outcomes are counted
-as blocks commit, in either mode.
+run keeps every delivered transaction and every lost proposal.  It keeps the
+transactions as ten columns in delivery order (`RunResult.columns`), one per
+name of `RECORD_FIELDS`, and the trace is written from them.  A lean run
+(``record=False``) keeps only what `summarize` reads: the AoI resets, the
+block commit times, the outcome counts and the latency means.  Its front
+keeps the target-key endorsements only, as numbers with a column per time.
+Its back stamps nothing per endorsement: it keeps the block of each valid
+target-key read, by number, and sums the latency means over that column and
+the front's in delivery order, the order of the full record.  Neither builds
+an object per transaction.  A background key is its proposal's unique id,
+never written before, so its MVCC check always passes and no run versions
+it.  Outcomes are counted as blocks commit, in either mode.
 
 A run allocates a few objects per proposal and builds no reference cycles,
 so reference counting frees all of it; the cyclic garbage collector would
@@ -49,10 +46,15 @@ premise.
 
 import gc
 from dataclasses import dataclass
-from functools import cached_property
 
 from .metrics import AoISamplePath, LatencyBreakdown
-from .pipeline import Transaction
+
+# The fields of a full record's transactions, in the order of its columns
+# and of the trace's cells after `rep`.
+RECORD_FIELDS = (
+    "id", "key", "channel", "gen_time", "arrive_time", "endorse_done",
+    "captured_version", "order_done", "commit_time", "validity",
+)
 
 
 @dataclass
@@ -61,25 +63,16 @@ class RunResult:
     block_times: list  # ascending commit times of the blocks committed by the horizon
     blocks_committed: int  # total over the drained run
     breakdown: LatencyBreakdown  # latency means and every outcome count
-    # `columns`, `lost` and `ledgers` are None in a lean run.
-    columns: tuple | None  # one column per Transaction field, in delivery order
+    # `columns` and `lost` are None in a lean run.
+    columns: tuple | None  # one column per name of RECORD_FIELDS, in delivery order
     lost: list | None  # (id, key, channel, gen_time) of dropped proposals
-    ledgers: list | None  # final LedgerState per channel
-
-    @cached_property
-    def transactions(self):
-        """Every delivered Transaction, in delivery order (None in a lean
-        run): built from `columns` at the first access, and kept."""
-        if self.columns is None:
-            return None
-        return list(map(Transaction, *self.columns))
 
 
 def run_once(cfg, seed, record=True):
     """Single-threaded, deterministic run of one configuration and seed.
 
-    With `record` false the run is lean: `columns`, `transactions`, `lost`
-    and `ledgers` are None, and every other field is as in a full run.
+    With `record` false the run is lean: `columns` and `lost` are None, and
+    every other field is as in a full run.
     """
     collecting = gc.isenabled()
     gc.disable()

@@ -11,20 +11,81 @@ the finished trace.  It draws every RNG stream in the same order as
 `run_once`, so both produce identical runs; the equivalence tests in
 `test_simulation.py` hold them to that, field by field, including the order
 of events due at one instant.
+
+The engine keeps no ledger and builds no object per transaction.  This
+module holds the test-side views of its record: `transactions` reads a full
+record's columns as Transactions, and `final_ledgers` derives each channel's
+final ledger from them, which the oracle's own `LedgerState`s check.
 """
 
 import enum
 import heapq
 from array import array
-from collections import deque
+from collections import defaultdict, deque
+from dataclasses import dataclass
 
+from bcesim.config import ordering_delay
 from bcesim.core import SimulationError, make_stream
-from bcesim.frontback import Front
-from bcesim.ledger import LedgerState
+from bcesim.frontback import MVCC_INVALID, TARGET_KEY, VALID, VSCC_INVALID, Front
 from bcesim.metrics import AoISamplePath, LatencyBreakdown
-from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID, Transaction, ordering_delay
-from bcesim.simulation import RunResult
-from bcesim.workload import TARGET_KEY
+from bcesim.simulation import RECORD_FIELDS, RunResult
+
+
+class LedgerState:
+    """Versioned key-value state, one instance per channel.
+
+    Only version numbers and generation timestamps are stored; the values
+    themselves never influence timing, so they are not modeled.  Absent keys
+    read as version 0 and every successful commit increments by exactly 1.
+    """
+
+    __slots__ = ("versions", "gen_times")
+
+    def __init__(self):
+        self.versions = {}  # key -> version
+        self.gen_times = {}  # key -> generation time of the last committed update
+
+
+class Transaction:
+    """One delivered update: a row of a full record (`transactions`), or one
+    in flight through the oracle, with a field per name of `RECORD_FIELDS`."""
+
+    __slots__ = RECORD_FIELDS
+
+    def __init__(self, *fields):
+        for name, value in zip(RECORD_FIELDS, fields, strict=True):
+            setattr(self, name, value)
+
+
+def transactions(result):
+    """Every delivered Transaction of a run's full record, in delivery order
+    (None for a lean run)."""
+    if result.columns is None:
+        return None
+    return list(map(Transaction, *result.columns))
+
+
+def final_ledgers(result):
+    """Each channel's final ledger, derived from a full record's columns: for
+    each key, the version of its last valid commit (`captured_version + 1`,
+    the highest) and that commit's `gen_time`.  A channel with no valid
+    commit reads as an empty ledger."""
+    ledgers = defaultdict(LedgerState)
+    for tx in transactions(result):
+        if tx.validity == VALID:
+            ledger = ledgers[tx.channel]
+            version = tx.captured_version + 1
+            if version > ledger.versions.get(tx.key, 0):
+                ledger.versions[tx.key] = version
+                ledger.gen_times[tx.key] = tx.gen_time
+    return ledgers
+
+
+@dataclass
+class OracleResult(RunResult):
+    """The oracle's RunResult, with what the engine does not keep."""
+
+    ledgers: list  # each channel's final LedgerState
 
 
 def read_version(ledger, key):
@@ -430,7 +491,7 @@ class Simulator:
     # -- results -----------------------------------------------------------
 
     def result(self):
-        return RunResult(
+        return OracleResult(
             path=self._raw_path,
             block_times=self.block_times,
             blocks_committed=self.blocks_committed,
@@ -438,7 +499,7 @@ class Simulator:
                 self.transactions, len(self.lost), self.n_generated, TARGET_KEY
             ),
             columns=tuple([getattr(tx, field) for tx in self.transactions]
-                          for field in Transaction.__slots__),
+                          for field in RECORD_FIELDS),
             lost=self.lost,
             ledgers=[ch.ledger for ch in self.channels],
         )

@@ -15,12 +15,10 @@ import bcesim.experiments
 from aoi_oracle import grid_average_aoi, grid_violation_probability
 from bcesim.config import paper_default
 from bcesim.experiments import SCENARIO_SWEEPS, run_scenario, run_sweep
-from bcesim.ledger import LedgerState
+from bcesim.frontback import TARGET_KEY, VALID
 from bcesim.metrics import average_aoi, violation_probability
-from bcesim.pipeline import VALID
 from bcesim.simulation import run_once
-from bcesim.workload import TARGET_KEY
-from des_oracle import apply_update, entries, read_version
+from des_oracle import LedgerState, apply_update, entries, final_ledgers, read_version, transactions
 from test_metrics import aoi_ccdf, random_path
 from test_workload import md1_transmitter, transmitter_replay
 
@@ -243,14 +241,15 @@ def test_criterion_09_mvcc_ledger_exactness():
             bd.n_valid + bd.n_mvcc_invalid + bd.n_vscc_invalid + bd.n_lost
             == bd.n_generated
         )
-        committed = [tx for tx in result.transactions if tx.validity == VALID]
+        committed = [tx for tx in transactions(result) if tx.validity == VALID]
         committed.sort(key=lambda tx: (tx.commit_time, tx.id))
         replay = LedgerState()
         for tx in committed:
             apply_update(replay, tx.key, tx.gen_time)
-        gapless = entries(replay) == entries(result.ledgers[0])
+        ledger = final_ledgers(result)[0]
+        gapless = entries(replay) == entries(ledger)
         n_target = sum(1 for tx in committed if tx.key == TARGET_KEY)
-        versions_ok = read_version(result.ledgers[0], TARGET_KEY) == n_target
+        versions_ok = read_version(ledger, TARGET_KEY) == n_target
         ok = ok and conserved and gapless and versions_ok
         details.append(f"seed {seed}: {bd.n_generated} proposals")
     check(9, "MVCC/ledger exactness", ok, "; ".join(details))

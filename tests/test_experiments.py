@@ -22,6 +22,7 @@ from bcesim.experiments import (
     trace_csv,
 )
 from conftest import count_runs, parse_csv
+from des_oracle import transactions
 
 
 def test_csv_header_is_stable():
@@ -142,6 +143,17 @@ def test_trace_csv_covers_every_proposal(quick_cfg):
     assert outcomes.count("lost") == len(result.lost)
 
 
+def test_the_trace_header_is_the_record_declaration(quick_cfg):
+    # The trace's cells after `rep` are the record's columns, named once in
+    # `RECORD_FIELDS`, and the header's bytes stay as they are.
+    from bcesim.simulation import RECORD_FIELDS
+
+    header = trace_csv(quick_cfg.replace(replications=1, horizon=20.0, warmup=0.0)).split("\n")[0]
+    assert header == "rep," + ",".join(RECORD_FIELDS)
+    assert header == ("rep,id,key,channel,gen_time,arrive_time,endorse_done,captured_version,"
+                      "order_done,commit_time,validity")
+
+
 def test_a_traced_run_writes_each_replication_before_the_next_runs(monkeypatch, quick_cfg):
     # The trace goes to its stream replication by replication, so at most one
     # replication's text is held in memory.
@@ -185,7 +197,7 @@ def test_trace_cells_equal_the_record(quick_cfg, overrides):
     expected = []
     for k in range(cfg.replications):
         result = run_once(cfg, cfg.master_seed + k)
-        for tx in result.transactions:
+        for tx in transactions(result):
             expected.append([str(k)] + [
                 format(getattr(tx, name), ".10g") if name in _TIME_FIELDS
                 else str(getattr(tx, name))

@@ -5,8 +5,9 @@ defines nothing that nothing names.
 Usage is any load of the bound name anywhere in the module; a name listed in
 the module's `__all__` counts as used.  A top-level function or class counts
 as named if its name is loaded, read as an attribute or imported by name
-anywhere in `src/`, `tests/` or `bench/`; a method that is not a dunder, if
-it is read as an attribute there.
+anywhere in `src/` or `bench/`, or if it is listed in `PUBLIC_API`; a method
+that is not a dunder, if it is read as an attribute there.  The tests do not
+count: a definition that only they name belongs in `tests/`.
 """
 
 import ast
@@ -19,7 +20,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "bcesim").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
-SEARCHED = [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]
+SEARCHED = [*PACKAGE, *sorted((ROOT / "bench").glob("*.py"))]
+
+# The top-level functions the package offers its callers that nothing in
+# `src/` or `bench/` calls.
+PUBLIC_API = ("run_once",)
 
 
 def unused_imports(source):
@@ -128,8 +133,9 @@ def test_dead_definition_check_sees_functions_classes_and_methods():
 
 @pytest.fixture(scope="module")
 def in_use():
-    """(names, attributes) referenced anywhere in src/, tests/ or bench/."""
-    names, attributes = set(), set()
+    """(names, attributes) referenced anywhere in src/ or bench/, with the
+    names of PUBLIC_API."""
+    names, attributes = set(PUBLIC_API), set()
     for path in SEARCHED:
         more_names, more_attributes = references(path.read_text())
         names |= more_names
@@ -144,3 +150,10 @@ def test_every_definition_is_named_somewhere(path, in_use):
     names, attributes = in_use
     assert [(line, name) for line, name, is_method in definitions(path.read_text())
             if name not in attributes and (is_method or name not in names)] == []
+
+
+def test_every_public_name_is_defined_in_the_package():
+    # so that PUBLIC_API cannot keep a name alive after its definition is gone
+    defined = {name for path in PACKAGE for _, name, is_method in definitions(path.read_text())
+               if not is_method}
+    assert sorted(set(PUBLIC_API) - defined) == []

@@ -1,7 +1,6 @@
 from hypothesis import given, strategies as st
 
-from bcesim.ledger import LedgerState
-from des_oracle import apply_update, entries, read_version
+from des_oracle import LedgerState, apply_update, entries, read_version
 
 
 def test_unseen_key_reads_version_zero():

@@ -10,11 +10,9 @@ import pytest
 from bcesim.config import paper_default
 from bcesim.core import SimulationError
 from bcesim.dists import Delay
-from bcesim.frontback import run_back
-from bcesim.pipeline import MVCC_INVALID, VALID, VSCC_INVALID
+from bcesim.frontback import MVCC_INVALID, TARGET_KEY, VALID, VSCC_INVALID, run_back
 from bcesim.simulation import run_once
-from bcesim.workload import TARGET_KEY
-from des_oracle import arrivals_front, entries, read_version
+from des_oracle import arrivals_front, entries, final_ledgers, read_version, transactions
 
 
 def _inject(cfg, arrivals):
@@ -40,7 +38,7 @@ def _cfg(**overrides):
 def test_fixed_endorsement_delay():
     cfg = _cfg(block_size=1)
     result = _inject(cfg, [(1.0, 0.02, TARGET_KEY, 0.9)])
-    (tx,) = result.transactions
+    (tx,) = transactions(result)
     assert tx.endorse_done == pytest.approx(1.02)
 
 
@@ -49,14 +47,14 @@ def test_size_triggered_block_cut():
     arrivals = [(t, 0.0, TARGET_KEY, t) for t in (0.5, 0.6, 0.7)]
     result = _inject(cfg, arrivals)
     # cut at 0.7, ordering adds 0.05 at the 4-node minimum
-    assert all(tx.order_done == pytest.approx(0.75) for tx in result.transactions)
+    assert all(tx.order_done == pytest.approx(0.75) for tx in transactions(result))
     assert result.blocks_committed == 1
 
 
 def test_timeout_cuts_underfull_block():
     cfg = _cfg(block_size=10, timeout=2.0)
     result = _inject(cfg, [(0.5, 0.0, TARGET_KEY, 0.4)])
-    (tx,) = result.transactions
+    (tx,) = transactions(result)
     assert tx.order_done == pytest.approx(2.55)  # cut at 0.5 + T, plus ordering
 
 
@@ -65,7 +63,7 @@ def test_block_size_one_is_per_transaction_blocks():
     arrivals = [(float(i), 0.0, TARGET_KEY, float(i)) for i in range(1, 4)]
     result = _inject(cfg, arrivals)
     assert result.blocks_committed == 3
-    assert [tx.order_done for tx in result.transactions] == pytest.approx(
+    assert [tx.order_done for tx in transactions(result)] == pytest.approx(
         [1.05, 2.05, 3.05]
     )
 
@@ -75,7 +73,7 @@ def test_two_lone_transactions_two_timeout_blocks():
     arrivals = [(1.0, 0.0, TARGET_KEY, 0.9), (10.0, 0.0, TARGET_KEY, 9.9)]
     result = _inject(cfg, arrivals)
     assert result.blocks_committed == 2
-    assert [tx.order_done for tx in result.transactions] == pytest.approx([3.05, 12.05])
+    assert [tx.order_done for tx in transactions(result)] == pytest.approx([3.05, 12.05])
 
 
 def test_stale_timeout_is_ignored_after_size_cut():
@@ -88,15 +86,15 @@ def test_stale_timeout_is_ignored_after_size_cut():
     ]
     result = _inject(cfg, arrivals)
     assert result.blocks_committed == 2
-    assert result.transactions[0].order_done == pytest.approx(1.55)
-    assert result.transactions[2].order_done == pytest.approx(6.05)  # own timeout at 6.0
+    assert transactions(result)[0].order_done == pytest.approx(1.55)
+    assert transactions(result)[2].order_done == pytest.approx(6.05)  # own timeout at 6.0
 
 
 def test_ordering_time_is_affine_in_kafka_count():
     for n_kafka, expected in [(4, 2.05), (5, 2.07)]:
         cfg = _cfg(block_size=1, n_kafka=n_kafka)
         result = _inject(cfg, [(2.0, 0.0, TARGET_KEY, 1.9)])
-        assert result.transactions[0].order_done == pytest.approx(expected)
+        assert transactions(result)[0].order_done == pytest.approx(expected)
 
 
 def _updates(n):
@@ -107,9 +105,9 @@ def _updates(n):
 def test_mvcc_valid_update_bumps_version():
     # the sixth update reads version 5, which is still current when it commits
     result = _inject(_cfg(block_size=1, timeout=5.0), _updates(6))
-    tx = result.transactions[-1]
+    tx = transactions(result)[-1]
     assert (tx.captured_version, tx.validity) == (5, VALID)
-    assert read_version(result.ledgers[0], "k") == 6
+    assert read_version(final_ledgers(result)[0], "k") == 6
 
 
 def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
@@ -117,10 +115,10 @@ def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
     # commit makes it 6, so the second one is invalid and changes nothing
     arrivals = _updates(5) + [(30.0, 0.0, "k", 29.9), (30.01, 0.0, "k", 29.95)]
     result = _inject(_cfg(block_size=1, timeout=5.0), arrivals)
-    first, second = result.transactions[-2:]
+    first, second = transactions(result)[-2:]
     assert first.captured_version == second.captured_version == 5
     assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
-    assert entries(result.ledgers[0]) == {"k": (6, 29.9)}
+    assert entries(final_ledgers(result)[0]) == {"k": (6, 29.9)}
 
 
 def test_first_wins_within_a_block():
@@ -128,11 +126,11 @@ def test_first_wins_within_a_block():
     # valid, and the second conflicts with it
     arrivals = _updates(5) + [(30.0, 0.0, "k", 29.9), (30.01, 0.0, "k", 29.95)]
     result = _inject(_cfg(block_size=2, timeout=0.5), arrivals)
-    first, second = result.transactions[-2:]
+    first, second = transactions(result)[-2:]
     assert first.commit_time == second.commit_time
     assert first.captured_version == second.captured_version == 5
     assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
-    assert read_version(result.ledgers[0], "k") == 6
+    assert read_version(final_ledgers(result)[0], "k") == 6
 
 
 def test_only_the_versioned_key_touches_the_ledger():
@@ -141,14 +139,14 @@ def test_only_the_versioned_key_touches_the_ledger():
     cfg = _cfg(block_size=2, timeout=5.0)
     front = arrivals_front([(1.0, 0.0, 7, 0.9), (1.0, 0.0, TARGET_KEY, 0.95)])
     full = run_back(cfg, 1, front)
-    assert [tx.validity for tx in full.transactions] == [VALID, VALID]
-    assert entries(full.ledgers[0]) == {7: (1, 0.9), TARGET_KEY: (1, 0.95)}
+    assert [tx.validity for tx in transactions(full)] == [VALID, VALID]
+    assert entries(final_ledgers(full)[0]) == {7: (1, 0.9), TARGET_KEY: (1, 0.95)}
     # the lean front keeps the target-key endorsement only, as its number 0
     lean = run_back(cfg, 1, dataclasses.replace(
         front, stream=[-1, 0], gen_time=front.gen_time[1:], arrive_time=front.arrive_time[1:],
         endorse_done=front.endorse_done[1:], id=None, key=None, channel=None, lost=None,
     ))
-    assert (lean.transactions, lean.ledgers) == (None, None)
+    assert (lean.columns, lean.lost) == (None, None)
     assert lean.breakdown == full.breakdown and lean.path.resets == full.path.resets
 
 
@@ -176,8 +174,8 @@ def test_cross_block_staleness_detected_end_to_end():
     # second update endorses before the first commits, so it captures version 0
     arrivals = [(1.0, 0.0, TARGET_KEY, 0.9), (1.01, 0.0, TARGET_KEY, 1.0)]
     result = _inject(cfg, arrivals)
-    assert [tx.validity for tx in result.transactions] == [VALID, MVCC_INVALID]
-    assert read_version(result.ledgers[0], TARGET_KEY) == 1
+    assert [tx.validity for tx in transactions(result)] == [VALID, MVCC_INVALID]
+    assert read_version(final_ledgers(result)[0], TARGET_KEY) == 1
 
 
 def test_committed_same_key_updates_count_versions():
@@ -185,22 +183,22 @@ def test_committed_same_key_updates_count_versions():
     # spaced far enough apart that each sees the previous commit
     arrivals = [(5.0 * i, 0.0, TARGET_KEY, 5.0 * i - 0.1) for i in range(1, 9)]
     result = _inject(cfg, arrivals)
-    assert all(tx.validity == VALID for tx in result.transactions)
-    assert read_version(result.ledgers[0], TARGET_KEY) == 8
+    assert all(tx.validity == VALID for tx in transactions(result))
+    assert read_version(final_ledgers(result)[0], TARGET_KEY) == 8
 
 
 def test_vscc_failure_blocks_ledger_update():
     cfg = _cfg(block_size=1, timeout=5.0, vscc_fail_prob=1.0)
     result = _inject(cfg, [(1.0, 0.0, TARGET_KEY, 0.9)])
-    assert result.transactions[0].validity == VSCC_INVALID
-    assert read_version(result.ledgers[0], TARGET_KEY) == 0
+    assert transactions(result)[0].validity == VSCC_INVALID
+    assert read_version(final_ledgers(result)[0], TARGET_KEY) == 0
 
 
 def test_block_size_bound_and_timeout_wait():
     cfg = paper_default().replace(horizon=300.0, warmup=0.0, block_size=7, timeout=0.4)
     result = run_once(cfg, 3)
     blocks = {}
-    for tx in result.transactions:
+    for tx in transactions(result):
         if tx.commit_time is not None:
             blocks.setdefault((tx.channel, tx.commit_time), []).append(tx)
     assert blocks
@@ -215,7 +213,7 @@ def test_validation_station_serializes_blocks():
     cfg = paper_default().replace(horizon=300.0, warmup=0.0, block_size=3)
     result = run_once(cfg, 4)
     blocks = {}
-    for tx in result.transactions:
+    for tx in transactions(result):
         if tx.commit_time is not None:
             blocks.setdefault((tx.channel, tx.commit_time), []).append(tx)
     per_channel = {}
@@ -239,7 +237,7 @@ def test_phase_timestamps_monotone_for_committed_transactions():
         horizon=300.0, warmup=0.0, stp=0.8, transmit_time=0.002
     )
     result = run_once(cfg, 5)
-    committed = [tx for tx in result.transactions if tx.commit_time is not None]
+    committed = [tx for tx in transactions(result) if tx.commit_time is not None]
     assert committed
     for tx in committed:
         assert (

@@ -13,20 +13,22 @@ import bcesim.simulation
 from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
-from bcesim.experiments import run_sweep, summarize, trace_csv
-from bcesim.frontback import run_back, run_front
+from bcesim.experiments import run_sweep, summarize
+from bcesim.frontback import TARGET_KEY, VALID, run_back, run_front
 from bcesim.metrics import AoISamplePath, average_aoi
-from bcesim.pipeline import VALID, Transaction
 from bcesim.simulation import run_once
-from bcesim.workload import TARGET_KEY
 from conftest import count_runs
 from des_oracle import (
+    LedgerState,
+    OracleResult,
     apply_update,
     arrivals_front,
     entries,
+    final_ledgers,
     latency_breakdown,
     read_version,
     run_oracle,
+    transactions,
 )
 
 
@@ -34,26 +36,33 @@ def _trace(result):
     return [
         (tx.id, tx.key, tx.arrive_time, tx.endorse_done, tx.order_done,
          tx.commit_time, tx.validity)
-        for tx in result.transactions
+        for tx in transactions(result)
     ]
 
 
 def _record(result):
-    """Every field of a run's record, each Transaction and ledger as its
-    fields, for exact comparison."""
+    """Every field of a run's record, each transaction as its row of the
+    columns, and each channel's final ledger, for exact comparison."""
     return (
-        None if result.transactions is None else [
-            (tx.id, tx.key, tx.channel, tx.gen_time, tx.arrive_time, tx.endorse_done,
-             tx.captured_version, tx.order_done, tx.commit_time, tx.validity)
-            for tx in result.transactions
-        ],
+        None if result.columns is None else list(zip(*result.columns)),
         result.lost,
         (result.path.start, result.path.end, result.path.resets),
         result.block_times,
         result.blocks_committed,
         result.breakdown,
-        None if result.ledgers is None else [entries(ledger) for ledger in result.ledgers],
+        _ledgers(result),
     )
+
+
+def _ledgers(result):
+    """The entries of each channel's final ledger that holds any: the
+    oracle's own `LedgerState`s, or those that `final_ledgers` derives from
+    the engine's record (None for a lean run)."""
+    if result.columns is None:
+        return None
+    ledgers = (enumerate(result.ledgers) if isinstance(result, OracleResult)
+               else final_ledgers(result).items())
+    return {channel: entries(ledger) for channel, ledger in ledgers if ledger.versions}
 
 
 def _everything(engine, cfg, seed, arrivals):
@@ -288,10 +297,10 @@ def _assert_lean_summary_exact(cfg, seed, measure):
             run_once(cfg, seed, record=False)
         return
     lean = run_once(cfg, seed, record=False)
-    assert (lean.transactions, lean.lost, lean.ledgers) == (None, None, None)
-    full.breakdown = latency_breakdown(full.transactions, len(full.lost),
+    assert (lean.columns, lean.lost) == (None, None)
+    full.breakdown = latency_breakdown(transactions(full), len(full.lost),
                                        full.breakdown.n_generated, TARGET_KEY)
-    assert full.breakdown.n_generated - full.breakdown.n_lost == len(full.transactions)
+    assert full.breakdown.n_generated - full.breakdown.n_lost == len(transactions(full))
     assert summarize(measure, lean) == summarize(measure, full)
 
 
@@ -309,7 +318,7 @@ def test_lean_run_summarizes_like_the_full_record(model, seed, warmup, target_ao
 
 def _in_stream_order(result):
     """A full record's transactions in endorse-done order, as the back reads them."""
-    return sorted(result.transactions, key=operator.attrgetter("endorse_done"))
+    return sorted(transactions(result), key=operator.attrgetter("endorse_done"))
 
 
 def _block_sizes(txs):
@@ -500,33 +509,6 @@ def test_split_run_holds_no_event_heap():
         assert run_back(back, 3, shared).blocks_committed > 100, back.block_size
 
 
-def test_only_a_full_record_builds_transactions(monkeypatch):
-    # A run keeps its endorsements as numbers and columns, so neither a lean
-    # sweep nor the trace, which is written from the columns, builds a
-    # Transaction; a full record builds one per delivered endorsement at the
-    # first access to its `transactions`, and the same list after that.
-    built = []
-    init = Transaction.__init__
-
-    def counted(tx, *fields):
-        built.append(tx)
-        init(tx, *fields)
-
-    monkeypatch.setattr(Transaction, "__init__", counted)
-    cfg = paper_default().replace(horizon=100.0, warmup=10.0, replications=2, n_channels=2,
-                                  stp=0.8, transmit_time=0.02)
-    run_sweep(cfg, "target_ratio", [0.3, 1.0])
-    run_sweep(cfg.replace(target_ratio=1.0), "block_size", [1, 5])
-    assert trace_csv(cfg).count("\n") > 200
-    assert built == []
-    result = run_once(cfg, 1)
-    assert built == []
-    transactions = result.transactions
-    assert transactions == built
-    assert len(built) == result.breakdown.n_generated - result.breakdown.n_lost > 100
-    assert result.transactions is transactions and len(built) == len(transactions)
-
-
 @pytest.mark.parametrize("name", ["md1 fcfs", "md1 lcfs", "queued blocks"])
 def test_a_lean_back_resets_the_age_without_a_call(monkeypatch, name):
     # The back keeps the path's last commit and freshest generation in hand
@@ -553,7 +535,7 @@ def test_a_full_record_shares_one_float_per_time_it_repeats():
     # commit_time) pair of objects per block, and one float for the
     # generation and arrival of a proposal that arrives at its generation.
     cfg = paper_default().replace(horizon=100.0, warmup=0.0)
-    txs = run_once(cfg, 1).transactions
+    txs = transactions(run_once(cfg, 1))
     assert all(tx.arrive_time is tx.gen_time for tx in txs)
     blocks = {tx.commit_time for tx in txs}  # one channel: one block per commit time
     assert 30 < len(blocks) < len(txs)
@@ -651,7 +633,7 @@ def test_latency_means_read_the_blocks_committed_after_the_horizon():
     cfg = paper_default().replace(total_rate=2.0, target_ratio=0.5, block_size=1,
                                   ordering_base=4.0, horizon=60.0, warmup=0.0)
     oracle = run_oracle(cfg, 2, None)
-    late = [tx.gen_time for tx in oracle.transactions
+    late = [tx.gen_time for tx in transactions(oracle)
             if tx.key == TARGET_KEY and tx.validity == VALID and tx.commit_time > cfg.horizon]
     assert late == [cfg.horizon]
     assert run_once(cfg, 2).breakdown == oracle.breakdown
@@ -768,7 +750,7 @@ def test_run_leaves_no_cyclic_garbage(quick_cfg):
     gc.collect()
     for cfg in configs:
         result = run_once(cfg, 3)
-        assert result.transactions
+        assert transactions(result)
         del result
         assert gc.collect() == 0
 
@@ -793,30 +775,28 @@ def test_outcome_counts_partition_generated(quick_cfg):
     bd = result.breakdown
     assert bd.n_valid + bd.n_mvcc_invalid + bd.n_vscc_invalid + bd.n_lost == (
         bd.n_generated
-    ) == len(result.transactions) + len(result.lost)
-    assert all(tx.validity != "pending" for tx in result.transactions)
+    ) == len(transactions(result)) + len(result.lost)
+    assert all(tx.validity != "pending" for tx in transactions(result))
 
 
 def test_committed_version_sequence_is_gapless(quick_cfg):
     result = run_once(quick_cfg, 21)
     n_target_commits = sum(
         1
-        for tx in result.transactions
+        for tx in transactions(result)
         if tx.key == TARGET_KEY and tx.validity == VALID
     )
-    assert read_version(result.ledgers[0], TARGET_KEY) == n_target_commits > 0
+    assert read_version(final_ledgers(result)[0], TARGET_KEY) == n_target_commits > 0
 
 
 def test_ledger_replay_matches_final_state(quick_cfg):
-    from bcesim.ledger import LedgerState
-
     result = run_once(quick_cfg.replace(target_ratio=0.6), 23)
-    committed = [tx for tx in result.transactions if tx.validity == VALID]
+    committed = [tx for tx in transactions(result) if tx.validity == VALID]
     committed.sort(key=lambda tx: (tx.commit_time, tx.id))
     replay = LedgerState()
     for tx in committed:
         apply_update(replay, tx.key, tx.gen_time)
-    assert entries(replay) == entries(result.ledgers[0])
+    assert entries(replay) == entries(final_ledgers(result)[0])
 
 
 def test_warmup_only_affects_the_measured_window():
@@ -851,7 +831,7 @@ def test_multi_channel_trace_equals_single_channel_sub_workload():
     )
     main = run_once(cfg, 41)
     for channel in range(3):
-        txs = [tx for tx in main.transactions if tx.channel == channel]
+        txs = [tx for tx in transactions(main) if tx.channel == channel]
         arrivals = [
             (tx.arrive_time, tx.endorse_done - tx.arrive_time, tx.key, tx.gen_time)
             for tx in txs
@@ -861,7 +841,7 @@ def test_multi_channel_trace_equals_single_channel_sub_workload():
         assert [
             (tx.key, tx.endorse_done, tx.captured_version, tx.order_done,
              tx.commit_time, tx.validity)
-            for tx in sub.transactions
+            for tx in transactions(sub)
         ] == [
             (tx.key, tx.endorse_done, tx.captured_version, tx.order_done,
              tx.commit_time, tx.validity)
@@ -873,9 +853,9 @@ def test_target_key_stays_on_channel_zero():
     cfg = paper_default().replace(horizon=200.0, warmup=0.0, n_channels=4)
     result = run_once(cfg, 43)
     assert all(
-        tx.channel == 0 for tx in result.transactions if tx.key == TARGET_KEY
+        tx.channel == 0 for tx in transactions(result) if tx.key == TARGET_KEY
     )
-    assert {tx.channel for tx in result.transactions} == {0, 1, 2, 3}
+    assert {tx.channel for tx in transactions(result)} == {0, 1, 2, 3}
 
 
 def test_lcfs_can_commit_stale_data_without_resetting_age():
@@ -893,7 +873,7 @@ def test_lcfs_can_commit_stale_data_without_resetting_age():
     assert gens == sorted(gens)
     committed_gens = [
         tx.gen_time
-        for tx in result.transactions
+        for tx in transactions(result)
         if tx.validity == VALID and tx.commit_time is not None
     ]
     assert committed_gens != sorted(committed_gens)  # reordering really happened

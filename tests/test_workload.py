@@ -5,8 +5,9 @@ import pytest
 
 from bcesim.config import paper_default
 from bcesim.dists import Delay
+from bcesim.frontback import TARGET_KEY
 from bcesim.simulation import run_once
-from bcesim.workload import TARGET_KEY
+from des_oracle import transactions
 
 
 def _proposals(n, seed, **overrides):
@@ -53,7 +54,7 @@ def test_assign_key_frequency():
 def test_background_keys_unique():
     cfg = paper_default().replace(horizon=50.0, warmup=0.0, target_ratio=0.5)
     result = run_once(cfg, 11)
-    background = [tx.key for tx in result.transactions if tx.key != TARGET_KEY]
+    background = [tx.key for tx in transactions(result) if tx.key != TARGET_KEY]
     assert len(background) == len(set(background))
 
 
@@ -67,9 +68,9 @@ def test_deterministic_delivery_arithmetic():
         comm_latency=Delay("fixed", 0.05),
     )
     result = run_once(cfg, 1)
-    assert len(result.transactions) == 1
-    assert result.transactions[0].gen_time == 2.0
-    assert result.transactions[0].arrive_time == pytest.approx(2.06)
+    (tx,) = transactions(result)
+    assert tx.gen_time == 2.0
+    assert tx.arrive_time == pytest.approx(2.06)
 
 
 def test_zero_stp_loses_everything():
@@ -77,16 +78,16 @@ def test_zero_stp_loses_everything():
     result = run_once(cfg, 5)
     assert result.breakdown.n_generated - result.breakdown.n_lost == 0
     assert len(result.lost) == result.breakdown.n_generated > 0
-    assert result.transactions == []
+    assert transactions(result) == []
 
 
 def test_lost_proposals_never_reach_the_ledger():
     cfg = paper_default().replace(stp=0.4, horizon=100.0, warmup=0.0, target_ratio=0.5)
     result = run_once(cfg, 6)
     lost_ids = {pid for pid, _, _, _ in result.lost}
-    assert lost_ids.isdisjoint({tx.id for tx in result.transactions})
+    assert lost_ids.isdisjoint({tx.id for tx in transactions(result)})
     committed_bg = {
-        tx.key for tx in result.transactions if tx.key != TARGET_KEY and tx.commit_time
+        tx.key for tx in transactions(result) if tx.key != TARGET_KEY and tx.commit_time
     }
     assert lost_ids.isdisjoint(committed_bg)
 
@@ -113,7 +114,7 @@ def transmitter_replay(result, discipline):
     the proposals generated by then and not yet sent were waiting.  FCFS
     serves the oldest of them, LCFS the newest.
     """
-    delivered = result.transactions
+    delivered = transactions(result)
     assert len(delivered) == result.breakdown.n_generated  # no loss: every proposal is here
     by_generation = sorted(delivered, key=lambda tx: tx.id)
     pick = min if discipline == "fcfs" else max
