@@ -69,8 +69,16 @@ class SimConfig:
 
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            number = value.value if isinstance(value, Delay) else value
-            if isinstance(number, float) and not math.isfinite(number):
+            if field.type is int and (value.__class__ is bool or not isinstance(value, int)):
+                fail(field.name, f"must be an integer, got {value!r}")
+            if field.type is Delay:
+                if not isinstance(value, Delay):
+                    fail(field.name, f"must be a Delay, got {value!r}")
+                try:
+                    value.check()
+                except ConfigError as exc:
+                    raise ConfigError(f"config key '{field.name}': {exc}") from None
+            elif isinstance(value, float) and not math.isfinite(value):
                 fail(field.name, f"must be finite, got {value}")
         for key, choices in _CHOICES.items():
             if getattr(self, key) not in choices:

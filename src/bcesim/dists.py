@@ -38,19 +38,30 @@ class Delay:
     @classmethod
     def parse(cls, text):
         kind, sep, raw = text.partition(":")
-        if not sep or kind not in ("fixed", "exp"):
+        if not sep:
             raise ConfigError(f"expected 'fixed:<v>' or 'exp:<mean>', got {text!r}")
         try:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"bad numeric value in distribution {text!r}") from None
+        return cls(kind, value).check()
+
+    def check(self):
+        """This delay, if it is one that `parse` gives: a known kind, and a
+        finite number, >= 0 if fixed and > 0 if exponential.  Raises
+        ConfigError otherwise."""
+        kind, value = self.kind, self.value
+        if kind not in ("fixed", "exp"):
+            raise ConfigError(f"expected 'fixed:<v>' or 'exp:<mean>', got kind {kind!r}")
+        if value.__class__ is bool or not isinstance(value, (int, float)):
+            raise ConfigError(f"distribution value must be a number, got {value!r}")
         if not math.isfinite(value):
-            raise ConfigError(f"distribution value must be finite, got {text!r}")
+            raise ConfigError(f"distribution value must be finite, got {value}")
         if kind == "fixed" and value < 0:
             raise ConfigError(f"fixed delay must be >= 0, got {value}")
         if kind == "exp" and value <= 0:
             raise ConfigError(f"exponential mean must be > 0, got {value}")
-        return cls(kind, value)
+        return self
 
     def __str__(self):
         return f"{self.kind}:{number_text(self.value)}"

@@ -95,6 +95,14 @@ The back has no event heap either.  It is two parts:
 Both are plain loops: a `map` chain over a whole stream lags the interpreter
 speed that `bench/calibrate.py` measures when a shared host's speed drifts.
 
+One back is one loop instead (`_one_loop_back`): a lean one at block size 1
+on one channel whose stream is a `range`, every endorsement a target-key read
+and none reordered (`target_ratio` 1, as in the M/D/1 configs).  There
+block k, read k and number k are all endorsement k, so at each endorsement
+the loop takes the block's Lindley step, the read's MVCC test, its commit
+and its latency sums, and builds no view, cut or block column.  A full
+record over the same stream takes the two parts, and gives the same result.
+
 What a back reads of the stream alone is built once per front, at the first
 back's use, and kept on it (`Front.view`): each channel's stream positions
 and endorse-done times, and the target key's reads as indices into channel
@@ -638,7 +646,9 @@ class _ReadView:
 def run_back(cfg, seed, front):
     """Batching through commit of one run over a front of the same seed and
     of a config that differs from `cfg` in back fields only: a timeline per
-    channel, then the target pass (see the module docstring).
+    channel, then the target pass, or, for a lean back at block size 1 on one
+    channel over a stream of every endorsement in delivery order, one loop
+    that does both (see the module docstring).
 
     The result is `run_once(cfg, seed, record=front.record)`'s: a full
     record's holds the record's ten columns, the front's and the back's own.
@@ -655,6 +665,8 @@ def run_back(cfg, seed, front):
     n = len(stream)
     if n and done[0] < 0.0:  # the stream is in time order, from a clock at 0
         raise SimulationError(f"event at t={done[0]} behind clock t=0.0")
+    if block_size == 1 and n_channels == 1 and not record and stream.__class__ is range:
+        return _one_loop_back(cfg, seed, front)
     view = front.view(n_channels)
     ties = _Dispatches(front, block_size, timeout, order_time)
     parts, joins, precedes = ties.parts, ties.joins, ties.precedes
@@ -801,15 +813,6 @@ def run_back(cfg, seed, front):
             order += o - e
             validate += ends[b] - o
             n_target += 1
-    means = ([comm / n_target, endorse / n_target, order / n_target, validate / n_target]
-             if n_target else [None] * 4)
-
-    blocks_committed = 0
-    for _, _, _, ends in parts:  # every block commits in the drained run
-        blocks_committed += len(ends)
-        del ends[bisect_right(ends, horizon):]
-    block_times = (sorted(itertools.chain.from_iterable(map(operator.itemgetter(3), parts)))
-                   if n_channels > 1 else parts[0][3])
 
     # The record is the front's columns and the back's, in `RECORD_FIELDS`
     # order: one (order_done, commit_time) pair of objects per block, and the
@@ -817,8 +820,77 @@ def run_back(cfg, seed, front):
     # front has one column for both.
     columns = (front.id, keys, front.channel, gen_time, front.arrive_time, front.endorse_done,
                captured, order_done, commit_time, validity) if record else None
+    return _result(front, horizon, path, [ends for _, _, _, ends in parts],
+                   (comm, endorse, order, validate), n_target, n_mvcc_invalid,
+                   0 if fails is None else draws.count(True), columns)
+
+
+def _one_loop_back(cfg, seed, front):
+    """`run_back` over a lean front whose stream is its every endorsement in
+    delivery order, at block size 1 on one channel: endorsement k is block k
+    and the target key's read k, so one loop runs the timeline, the target
+    pass and the latency means, in the order and with the float operations
+    of the two parts."""
+    horizon, order_time = cfg.horizon, ordering_delay(cfg)
+    validation = cfg.validate_block_overhead + cfg.validate_per_tx
+    done = front.done
+    ends = []
+    ties = _Dispatches(front, 1, cfg.timeout, order_time)
+    ties.parts.append((None, done, range(1, len(done) + 1), ends))
+    precedes, add_end = ties.precedes, ends.append
+    fails, n_vscc_invalid = itertools.repeat(False), 0
+    if cfg.vscc_fail_prob > 0.0:
+        random, fail_prob = make_stream(seed, "vscc").random, cfg.vscc_fail_prob
+        fails = [random() < fail_prob for _ in itertools.repeat(None, len(done))]
+        n_vscc_invalid = fails.count(True)
+    path = AoISamplePath(0.0, horizon)
+    add_reset = path.resets.append
+    last_commit = freshest = end = lv_end = -math.inf
+    lv = -1
+    comm = endorse = order = validate = 0.0
+    n_target = n_mvcc_invalid = 0
+    for k, t, gen, a, e, failed in zip(itertools.count(), done, front.gen_time,
+                                       front.arrive_time, front.endorse_done, fails):
+        ready = t + order_time
+        end = (ready if ready >= end else end) + validation
+        add_end(end)
+        if lv_end < t or lv_end == t and precedes(-3 - 3 * lv, k):
+            if failed:
+                continue
+            lv, lv_end = k, end
+            if end <= horizon:
+                if end <= gen:
+                    path._last_commit = last_commit
+                    path.record_commit(end, gen)  # raises
+                last_commit = end
+                if gen > freshest:
+                    add_reset((end, gen))
+                    freshest = gen
+            comm += a - gen
+            endorse += e - a
+            order += ready - e
+            validate += end - ready
+            n_target += 1
+        elif not failed:
+            n_mvcc_invalid += 1
+    path._last_commit, path.freshest_gen = last_commit, freshest
+    return _result(front, horizon, path, [ends], (comm, endorse, order, validate), n_target,
+                   n_mvcc_invalid, n_vscc_invalid)
+
+
+def _result(front, horizon, path, ends_of, sums, n_target, n_mvcc_invalid, n_vscc_invalid,
+            columns=None):
+    """The `RunResult` of a back: the latency means from their sums over the
+    valid target-key endorsements, and each channel's block completions
+    (`ends_of`), which every block reaches in the drained run, cut at the
+    horizon."""
+    means = [s / n_target for s in sums] if n_target else [None] * 4
+    blocks_committed = 0
+    for ends in ends_of:
+        blocks_committed += len(ends)
+        del ends[bisect_right(ends, horizon):]
+    block_times = sorted(itertools.chain.from_iterable(ends_of)) if len(ends_of) > 1 else ends_of[0]
     n_delivered = front.n_generated - front.n_lost  # the drained run resolved every delivery
-    n_vscc_invalid = 0 if fails is None else draws.count(True)
     return RunResult(
         path=path,
         block_times=block_times,

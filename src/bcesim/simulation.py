@@ -13,7 +13,10 @@ generation through endorsement, each random stream in a pass of its own, and
 `run_back` runs batching, ordering, validation and commit.  The back is a
 timeline per channel, which reads no label: each block's cut, ready time and
 completion, at which it commits.  Then one pass over the target key's reads
-decides MVCC first-wins by the blocks that committed before each read.
+decides MVCC first-wins by the blocks that committed before each read.  A
+lean back whose every endorsement is a block of its own and a target-key
+read, in delivery order (block size 1, one channel, `target_ratio` 1, no
+reordering), runs both parts as one loop.
 Neither half keeps an event heap; the `frontback` docstring gives the tie
 rule that puts every event in the (time, seq) order of the event-heap model
 in `tests/des_oracle.py`.  Runs that differ only in back fields

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -158,3 +160,50 @@ def test_readme_config_example_parses():
     assert parse_config(example) == paper_default()
     enabled = parse_config(example.replace("# target_aoi", "target_aoi"))
     assert enabled.target_aoi == 5.0
+
+
+_INT_KEYS = [field.name for field in dataclasses.fields(SimConfig) if field.type is int]
+
+
+@pytest.mark.parametrize("key", _INT_KEYS)
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "5"])
+def test_int_keys_reject_non_integers_before_any_run(key, value):
+    # A float would fail mid-run (`block_size` 2.5 in the cut pass, `n_channels`
+    # 1.5 in the channel split) and a bool would run as 0 or 1.
+    with pytest.raises(ConfigError, match=f"'{key}'.*must be an integer"):
+        paper_default().replace(**{key: value})
+
+
+def test_int_keys_are_the_integer_fields():
+    assert _INT_KEYS == ["block_size", "n_endorsers", "n_kafka", "n_channels", "master_seed",
+                         "replications"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("exp:-0.02", "exponential mean must be > 0"),
+        ("exp:0", "exponential mean must be > 0"),
+        ("fixed:-0.5", "fixed delay must be >= 0"),
+        ("uniform:0.1", "expected 'fixed:<v>' or 'exp:<mean>'"),
+    ],
+)
+def test_validate_rejects_the_delays_that_parse_rejects(text, message):
+    # Such a delay would run with a negative latency, fail mid-run or run as
+    # an exponential.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        Delay.parse(text)
+    kind, _, raw = text.partition(":")
+    for key in ("comm_latency", "endorse_time"):
+        with pytest.raises(ConfigError, match=f"config key '{key}': .*{re.escape(message)}"):
+            paper_default().replace(**{key: Delay(kind, float(raw))})
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(Delay("fixed", "0.1"), "must be a number"), (Delay("exp", True), "must be a number"),
+     (0.5, "must be a Delay")],
+)
+def test_validate_rejects_a_delay_key_that_is_not_a_delay_of_a_number(value, message):
+    with pytest.raises(ConfigError, match=f"config key 'comm_latency': .*{message}"):
+        paper_default().replace(comm_latency=value)

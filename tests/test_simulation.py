@@ -255,6 +255,22 @@ _ONE_CHANNEL_TIES = {
         total_rate=2.0, transmit_time=0.25, endorse_time=Delay("fixed", 0.5), ordering_base=0.0,
         validate_block_overhead=0.5, validate_per_tx=0.0, block_size=1,
     ),
+    # The same, with VSCC failing half of the updates.  Every endorsement is
+    # a block and a tracked-key read in delivery order, so a lean run takes
+    # the back's one loop, where an update that VSCC fails is not counted as
+    # MVCC-invalid, even when it read a stale version.
+    "a block ready as its validator frees, half of it failing VSCC": dict(
+        total_rate=2.0, transmit_time=0.25, endorse_time=Delay("fixed", 0.5), ordering_base=0.0,
+        validate_block_overhead=0.5, validate_per_tx=0.0, block_size=1, vscc_fail_prob=0.5,
+    ),
+    # A block validates for a generation period, and nothing else takes time:
+    # each block completes at the instant the next endorsement is done.  Its
+    # validation-complete was scheduled a period before that endorse-done, so
+    # it goes first and every update is valid, in the back's one loop too.
+    "a block completing as the next endorsement is done": dict(
+        total_rate=1.0, transmit_time=0.0, endorse_time=Delay("fixed", 0.0), ordering_base=0.0,
+        validate_block_overhead=1.0, validate_per_tx=0.0, block_size=1,
+    ),
 }
 
 
@@ -627,17 +643,53 @@ def test_one_channel_latency_means_are_summed_in_delivery_order():
 def test_latency_means_read_the_blocks_committed_after_the_horizon():
     # Ordering takes 4 s, so a valid target-key read in the run's last 4 s
     # commits only in the drained run, after the horizon; here the last one
-    # is generated at the horizon itself.  The means take it in, so they
-    # must read its block's times before the run's commit times are cut at
-    # the horizon.
-    cfg = paper_default().replace(total_rate=2.0, target_ratio=0.5, block_size=1,
-                                  ordering_base=4.0, horizon=60.0, warmup=0.0)
-    oracle = run_oracle(cfg, 2, None)
-    late = [tx.gen_time for tx in transactions(oracle)
-            if tx.key == TARGET_KEY and tx.validity == VALID and tx.commit_time > cfg.horizon]
-    assert late == [cfg.horizon]
-    assert run_once(cfg, 2).breakdown == oracle.breakdown
-    assert run_once(cfg, 2, record=False).breakdown == oracle.breakdown
+    # is generated at the horizon itself or a period before it.  The means
+    # take it in, so they must read its block's times before the run's
+    # commit times are cut at the horizon: in the back's two parts, and at
+    # `target_ratio` 1 in its one loop.
+    for target_ratio, last in [(0.5, 60.0), (1.0, 59.0)]:
+        cfg = paper_default().replace(total_rate=2.0, target_ratio=target_ratio, block_size=1,
+                                      ordering_base=4.0, horizon=60.0, warmup=0.0)
+        oracle = run_oracle(cfg, 2, None)
+        late = [tx.gen_time for tx in transactions(oracle)
+                if tx.key == TARGET_KEY and tx.validity == VALID and tx.commit_time > cfg.horizon]
+        assert late == [last]
+        assert run_once(cfg, 2).breakdown == oracle.breakdown
+        assert run_once(cfg, 2, record=False).breakdown == oracle.breakdown
+
+
+# The benchmark's M/D/1 shape (see `test_transmitter_bound_runs_match_the_oracle`).
+_MD1 = dict(
+    horizon=60.0, warmup=5.0, generation_mode="exponential", total_rate=9.0, target_ratio=1.0,
+    transmit_time=0.1, endorse_time=Delay("fixed", 0.0), ordering_base=0.0,
+    validate_block_overhead=0.0, validate_per_tx=0.0, block_size=1,
+)
+
+
+@pytest.mark.parametrize("change, takes", [
+    (dict(discipline="fcfs"), True),
+    (dict(discipline="lcfs"), True),
+    (dict(target_ratio=0.5), False),
+    (dict(endorse_time=Delay("exp", 0.5)), False),  # reorders the endorsements
+    (dict(n_channels=2), False),
+    (dict(block_size=2), False),
+])
+def test_one_loop_back_takes_lean_backs_of_blocks_of_one_in_delivery_order(
+        monkeypatch, change, takes):
+    # Only a lean back whose every endorsement is its own block and a
+    # tracked-key read, in delivery order, runs as one loop; a full record
+    # never does.  Either way it summarizes like the full record.
+    cfg = paper_default().replace(**{**_MD1, **change})
+    fronts = []
+    real = bcesim.frontback._one_loop_back
+
+    def one_loop_back(cfg, seed, front):
+        fronts.append(front)
+        return real(cfg, seed, front)
+
+    monkeypatch.setattr(bcesim.frontback, "_one_loop_back", one_loop_back)
+    _assert_lean_summary_exact(cfg, 3, cfg)
+    assert [front.record for front in fronts] == ([False] if takes else [])
 
 
 def _count_views(monkeypatch):
