@@ -71,6 +71,10 @@ class SimConfig:
             value = getattr(self, field.name)
             if field.type is int and (value.__class__ is bool or not isinstance(value, int)):
                 fail(field.name, f"must be an integer, got {value!r}")
+            if field.type in (float, float | None) and not (
+                    value is None and field.type is not float
+                    or value.__class__ is not bool and isinstance(value, (int, float))):
+                fail(field.name, f"must be a number, got {value!r}")
             if field.type is Delay:
                 if not isinstance(value, Delay):
                     fail(field.name, f"must be a Delay, got {value!r}")

@@ -594,11 +594,9 @@ class _ReadView:
     `positions[c]` is channel c's stream positions (None at one channel:
     every one), and `parts[c]` their endorse-done times.  `nums_of[c]` is
     channel c's numbers in stream order: every channel's in a full record,
-    channel 0's alone in a lean one.  `reads` holds one group per key whose
-    reads take the target pass, (channel, key, js, ys, ts): the reads'
-    indices into the channel's part, their numbers and their times, in
-    stream order.  The target key's group, on channel 0, comes first; a full
-    record adds one per background key that injected endorsements repeat.
+    channel 0's alone in a lean one.  `reads` is the target key's reads on
+    channel 0, (js, ys, ts): their indices into the channel's part, their
+    numbers and their times, in stream order.
     """
 
     __slots__ = ("positions", "parts", "nums_of", "reads")
@@ -616,31 +614,18 @@ class _ReadView:
         parts = [done if pos is None else array("d", [done[i] for i in pos]) for pos in positions]
         nums_of = [stream if pos is None else [stream[i] for i in pos]
                    for pos in positions[:None if record else 1]]
-        nums = nums_of[0]
+        nums, part = nums_of[0], parts[0]
         if record:
             js = [j for j, y in enumerate(nums) if keys[y] == TARGET_KEY]
         elif len(nums) == len(front.gen_time):  # no marker on channel 0
             js = range(len(nums))
         else:  # a lean front keeps the target key's endorsements only
             js = [j for j, y in enumerate(nums) if y >= 0]
-        groups = [(0, TARGET_KEY, js)]
-        if record and len(set(keys)) < len(stream) - len(js) + bool(js):
-            # injected endorsements may repeat a background key, whose reads take the pass too
-            reads_of = {}
-            for c, on_c in enumerate(nums_of):
-                for j, y in enumerate(on_c):
-                    reads_of.setdefault((c, keys[y]), []).append(j)
-            groups += [(c, key, on_key) for (c, key), on_key in reads_of.items()
-                       if key != TARGET_KEY and len(on_key) > 1]
         self.positions, self.parts, self.nums_of = positions, parts, nums_of
         # arrays, since the view lives as long as its front; the numbers are
         # the stream's own ints
-        self.reads = [
-            (c, key, js, nums_of[c], parts[c]) if js.__class__ is range
-            else (c, key, array("i", js), [nums_of[c][j] for j in js],
-                  array("d", [parts[c][j] for j in js]))
-            for c, key, js in groups
-        ]
+        self.reads = (js, nums, part) if js.__class__ is range else (
+            array("i", js), [nums[j] for j in js], array("d", [part[j] for j in js]))
 
 
 def run_back(cfg, seed, front):
@@ -652,7 +637,6 @@ def run_back(cfg, seed, front):
 
     The result is `run_once(cfg, seed, record=front.record)`'s: a full
     record's holds the record's ten columns, the front's and the back's own.
-    It calls `AoISamplePath.record_commit` only to raise its error.
     """
     record = front.record
     cfg.validate()
@@ -733,71 +717,65 @@ def run_back(cfg, seed, front):
             for j in itertools.compress(itertools.count(), fails[c] if fails else ()):
                 validity[on_c[j]] = VSCC_INVALID
 
-    # The target pass, over the reads in stream order.  A read is valid (MVCC
-    # first-wins) iff the block of its key's last valid commit, lv, committed
-    # before it, at its completion (an exact tie in (time, seq) order).  A full
-    # record's read took the valid commits of the blocks committed before it.
-    # Each valid target-key read's block goes into `block_of`, by its number
-    # (-1: not a valid target-key read), which the latency means read.
+    # The target pass, over channel 0's target-key reads in stream order.  A
+    # read is valid (MVCC first-wins) iff the block of the key's last valid
+    # commit, lv, committed before it, at its completion (an exact tie in
+    # (time, seq) order).  A full record's read took the valid commits of the
+    # blocks committed before it.  Each valid read's block goes into
+    # `block_of`, by its number (-1: not a valid target-key read), which the
+    # latency means read.  The commits follow the channel's completions, which
+    # never decrease, so only a commit not after its generation is refused.
     path = AoISamplePath(0.0, horizon)
     add_reset = path.resets.append
-    last_commit = freshest = -math.inf
+    freshest = -math.inf
     n_mvcc_invalid = 0
     block_of = [-1] * n_kept
-    for ch, key, js, ys, ts in view.reads:
-        pos, part, stops, ends = parts[ch]
-        readys = readys_of[ch]
-        p_of = int if pos is None else pos.__getitem__  # a read's stream position
-        vc, step = -3 - 3 * ch, 3 * n_channels  # block k's validation-complete: vc - step * k
-        valid = []  # the block of each valid commit, in a full record
-        blocks = block_of if key == TARGET_KEY else {}
-        limit = horizon if key == TARGET_KEY else -math.inf  # the AoI path's commits
-        uniform = len(stops) * block_size == len(part)  # read j is then in block j // B
-        lv, lv_end, b = -1, -math.inf, 0
-        if fails is None:
-            fails_c = itertools.repeat(False)
-        else:
-            fails_c = fails[ch] if js.__class__ is range else [fails[ch][j] for j in js]
-        for j, y, t, failed in zip(js, ys, ts, fails_c):
-            if lv_end < t or lv_end == t and stops[lv] <= j and precedes(vc - step * lv, p_of(j)):
-                if record:
-                    captured[y] = len(valid)
-                if failed:
-                    continue
-                if uniform:
-                    b = j // block_size
-                else:  # the reads come in stream order, so the block only moves on
-                    while stops[b] <= j:
-                        b += 1
-                lv = b
-                end = lv_end = ends[b]
-                blocks[y] = b
-                gen = gen_time[y]
-                if end <= limit:
-                    # `path.record_commit(end, gen)`, with the path's last
-                    # commit and freshest generation in hand
-                    if end <= gen:
-                        path._last_commit = last_commit
-                        path.record_commit(end, gen)  # raises
-                    last_commit = end
-                    if gen > freshest:
-                        add_reset((end, gen))
-                        freshest = gen
-                if record:
-                    valid.append(b)
-                continue
+    js, ys, ts = view.reads
+    pos, part, stops, ends = parts[0]
+    p_of = int if pos is None else pos.__getitem__  # a read's stream position
+    step = 3 * n_channels  # block k's validation-complete: -3 - step * k
+    valid = []  # the block of each valid commit, in a full record
+    uniform = len(stops) * block_size == len(part)  # read j is then in block j // B
+    lv, lv_end, b = -1, -math.inf, 0
+    if fails is None:
+        fails_0 = itertools.repeat(False)
+    else:
+        fails_0 = fails[0] if js.__class__ is range else [fails[0][j] for j in js]
+    for j, y, t, failed in zip(js, ys, ts, fails_0):
+        if lv_end < t or lv_end == t and stops[lv] <= j and precedes(-3 - step * lv, p_of(j)):
             if record:
-                # It read the valid commits of the blocks completed before it, none
-                # at its instant: the next valid read would share it, and reads share
-                # one only when injected, which go before every block there.
-                captured[y] = bisect_left(valid, bisect_left(ends, t, 0, lv))
-                if failed:
-                    continue
-                validity[y] = MVCC_INVALID
-            elif failed:
+                captured[y] = len(valid)
+            if failed:
                 continue
-            n_mvcc_invalid += 1
-    path._last_commit, path.freshest_gen = last_commit, freshest
+            if uniform:
+                b = j // block_size
+            else:  # the reads come in stream order, so the block only moves on
+                while stops[b] <= j:
+                    b += 1
+            lv = b
+            end = lv_end = ends[b]
+            block_of[y] = b
+            gen = gen_time[y]
+            if end <= horizon:
+                if end <= gen:
+                    raise SimulationError(f"commit time {end} not after generation time {gen}")
+                if gen > freshest:
+                    add_reset((end, gen))
+                    freshest = gen
+            if record:
+                valid.append(b)
+            continue
+        if record:
+            # It read the valid commits of the blocks completed before it, none
+            # at its instant: the next valid read would share it, and reads share
+            # one only when injected, which go before every block there.
+            captured[y] = bisect_left(valid, bisect_left(ends, t, 0, lv))
+            if failed:
+                continue
+            validity[y] = MVCC_INVALID
+        elif failed:
+            continue
+        n_mvcc_invalid += 1
 
     # The latency means of the valid target-key endorsements, each summed in
     # delivery order, as the event-heap model's post-pass sums them.  They
@@ -845,7 +823,7 @@ def _one_loop_back(cfg, seed, front):
         n_vscc_invalid = fails.count(True)
     path = AoISamplePath(0.0, horizon)
     add_reset = path.resets.append
-    last_commit = freshest = end = lv_end = -math.inf
+    freshest = end = lv_end = -math.inf
     lv = -1
     comm = endorse = order = validate = 0.0
     n_target = n_mvcc_invalid = 0
@@ -860,9 +838,7 @@ def _one_loop_back(cfg, seed, front):
             lv, lv_end = k, end
             if end <= horizon:
                 if end <= gen:
-                    path._last_commit = last_commit
-                    path.record_commit(end, gen)  # raises
-                last_commit = end
+                    raise SimulationError(f"commit time {end} not after generation time {gen}")
                 if gen > freshest:
                     add_reset((end, gen))
                     freshest = gen
@@ -873,7 +849,6 @@ def _one_loop_back(cfg, seed, front):
             n_target += 1
         elif not failed:
             n_mvcc_invalid += 1
-    path._last_commit, path.freshest_gen = last_commit, freshest
     return _result(front, horizon, path, [ends], (comm, endorse, order, validate), n_target,
                    n_mvcc_invalid, n_vscc_invalid)
 

@@ -9,7 +9,6 @@ time seen so far.
 """
 
 import itertools
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
@@ -23,27 +22,12 @@ _COMMIT_TIME = itemgetter(0)  # t_u of a reset
 class AoISamplePath:
     """Ordered commit reset points (t_u, t_g) over an observation window."""
 
-    __slots__ = ("start", "end", "resets", "freshest_gen", "_last_commit")
+    __slots__ = ("start", "end", "resets")
 
     def __init__(self, start, end):
         self.start = start
         self.end = end
         self.resets = []  # (t_u, t_g), t_u nondecreasing, t_g increasing
-        self.freshest_gen = -math.inf
-        self._last_commit = -math.inf
-
-    def record_commit(self, t_u, t_g):
-        """Register a committed update; appended as a reset only if fresher."""
-        if t_u < self._last_commit:
-            raise SimulationError(
-                f"commit at t={t_u} behind previous commit at t={self._last_commit}"
-            )
-        if t_u <= t_g:
-            raise SimulationError(f"commit time {t_u} not after generation time {t_g}")
-        self._last_commit = t_u
-        if t_g > self.freshest_gen:
-            self.resets.append((t_u, t_g))
-            self.freshest_gen = t_g
 
     def restricted(self, start, end):
         """Copy of the path truncated to resets with t_u inside [start, end]."""
@@ -51,9 +35,6 @@ class AoISamplePath:
         resets = self.resets
         path.resets = resets[bisect_left(resets, start, key=_COMMIT_TIME):
                              bisect_right(resets, end, key=_COMMIT_TIME)]
-        if path.resets:
-            path.freshest_gen = path.resets[-1][1]
-            path._last_commit = path.resets[-1][0]
         return path
 
 

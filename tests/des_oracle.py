@@ -15,11 +15,14 @@ of events due at one instant.
 The engine keeps no ledger and builds no object per transaction.  This
 module holds the test-side views of its record: `transactions` reads a full
 record's columns as Transactions, and `final_ledgers` derives each channel's
-final ledger from them, which the oracle's own `LedgerState`s check.
+final ledger from them, which the oracle's own `LedgerState`s check.  The
+oracle builds its sample path commit by commit (`CommitPath`), checking each
+commit as it comes.
 """
 
 import enum
 import heapq
+import math
 from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -81,6 +84,30 @@ def final_ledgers(result):
     return ledgers
 
 
+class CommitPath(AoISamplePath):
+    """An AoISamplePath built one commit at a time, as the event-heap model
+    commits: it keeps the last commit and the freshest generation seen."""
+
+    __slots__ = ("last_commit", "freshest_gen")
+
+    def __init__(self, start, end):
+        super().__init__(start, end)
+        self.last_commit = self.freshest_gen = -math.inf
+
+    def record_commit(self, t_u, t_g):
+        """Register a committed update; appended as a reset only if fresher."""
+        if t_u < self.last_commit:
+            raise SimulationError(
+                f"commit at t={t_u} behind previous commit at t={self.last_commit}"
+            )
+        if t_u <= t_g:
+            raise SimulationError(f"commit time {t_u} not after generation time {t_g}")
+        self.last_commit = t_u
+        if t_g > self.freshest_gen:
+            self.resets.append((t_u, t_g))
+            self.freshest_gen = t_g
+
+
 @dataclass
 class OracleResult(RunResult):
     """The oracle's RunResult, with what the engine does not keep."""
@@ -109,9 +136,13 @@ def entries(ledger):
 def arrivals_front(arrivals):
     """A full-record front whose endorsements are the injected arrivals, each
     (arrive_time, endorse_delay, key, gen_time), on channel 0, ahead of every
-    back event at the same instant (they were all scheduled before the run).
-    Keys may repeat: a back over this full-record front versions every key,
-    so tests can drive `bcesim.frontback.run_back` with a known sub-workload."""
+    back event at the same instant (they were all scheduled before the run),
+    so tests can drive `bcesim.frontback.run_back` with a known sub-workload.
+    Only the target key may repeat: a background key is its proposal's own,
+    as in the model."""
+    background = [key for _, _, key, _ in arrivals if key != TARGET_KEY]
+    if len(set(background)) < len(background):
+        raise ValueError(f"a background key repeats: {background}")
     n = len(arrivals)
     arrive = array("d", [a for a, _, _, _ in arrivals])
     endorse_done = array("d", [a + delay for a, delay, _, _ in arrivals])
@@ -358,7 +389,7 @@ class Simulator:
         self.blocks_committed = 0
         self.block_times = []
         self._next_id = 1
-        self._raw_path = AoISamplePath(0.0, cfg.horizon)
+        self._raw_path = CommitPath(0.0, cfg.horizon)
         self._ordering_delay = ordering_delay(cfg)
 
     def run(self):

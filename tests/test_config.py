@@ -179,6 +179,31 @@ def test_int_keys_are_the_integer_fields():
                          "replications"]
 
 
+_FLOAT_KEYS = [field.name for field in dataclasses.fields(SimConfig)
+               if field.type in (float, float | None)]
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+@pytest.mark.parametrize("value", [True, False, "1"])
+def test_float_keys_reject_non_numbers_before_any_run(key, value):
+    # A bool would run as 1 or 0, and a string would fail in the range check.
+    with pytest.raises(ConfigError, match=f"'{key}'.*must be a number"):
+        paper_default().replace(**{key: value})
+
+
+@pytest.mark.parametrize("key", [key for key in _FLOAT_KEYS if key != "target_aoi"])
+def test_only_target_aoi_may_be_unset(key):
+    with pytest.raises(ConfigError, match=f"'{key}'.*must be a number, got None"):
+        paper_default().replace(**{key: None})
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_float_keys_take_an_int(key):
+    default = getattr(paper_default(), key)
+    value = 1 if default is None else round(default)
+    assert getattr(paper_default().replace(**{key: value}), key) == value
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -157,3 +157,26 @@ def test_every_public_name_is_defined_in_the_package():
     defined = {name for path in PACKAGE for _, name, is_method in definitions(path.read_text())
                if not is_method}
     assert sorted(set(PUBLIC_API) - defined) == []
+
+
+def foreign_private_attributes(source):
+    """(line, attribute) of each underscore attribute, not a dunder, that a
+    module reads or writes on an object other than `self`."""
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    )
+
+
+def test_private_attribute_check_sees_reads_and_writes_off_self():
+    source = "self._a = x._b\ny._c = self.d.__class__\nz = self._e\n"
+    assert foreign_private_attributes(source) == [(1, "_b"), (2, "_c")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_touches_no_private_attribute_of_another_object(path):
+    # An object's underscore attributes are its own: a caller that sets or
+    # reads them bypasses the checks of the methods that keep them.
+    assert foreign_private_attributes(path.read_text()) == []

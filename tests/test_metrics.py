@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from bcesim.core import ConfigError, SimulationError
 from bcesim.metrics import AoISamplePath, average_aoi, violation_probability
+from des_oracle import CommitPath
 
 
 def aoi_ccdf(path, grid):
@@ -14,7 +15,7 @@ def aoi_ccdf(path, grid):
 
 
 def path_from(resets, start=0.0, end=10.0):
-    path = AoISamplePath(start, end)
+    path = CommitPath(start, end)
     for t_u, t_g in resets:
         path.record_commit(t_u, t_g)
     return path
@@ -22,7 +23,7 @@ def path_from(resets, start=0.0, end=10.0):
 
 def random_path(rng, max_resets=50):
     """A valid sawtooth path: increasing commit times and freshness."""
-    path = AoISamplePath(0.0, 0.0)
+    path = CommitPath(0.0, 0.0)
     t_u = rng.uniform(0.1, 1.0)
     gen_floor = 0.0
     for _ in range(rng.randint(1, max_resets)):
@@ -103,7 +104,7 @@ def sawtooth_paths(draw):
     """A path from drawn commits: nondecreasing commit times (equal ones give
     zero-length pieces), each generation a fraction of its commit time (a
     stale one is dropped), and an end at or after the last commit."""
-    path = AoISamplePath(0.0, 0.0)
+    path = CommitPath(0.0, 0.0)
     t_u = draw(st.floats(0.01, 10.0))
     for gap, share in draw(st.lists(st.tuples(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 5.0),
                                               st.floats(0.0, 0.999)), min_size=1, max_size=30)):
@@ -187,7 +188,7 @@ def test_statistics_consistent_under_warmup_restriction():
         path = random_path(rng)
         cut = path.resets[len(path.resets) // 2][0]
         truncated = path.restricted(cut, path.end)
-        rebuilt = AoISamplePath(cut, path.end)
+        rebuilt = CommitPath(cut, path.end)
         for t_u, t_g in path.resets:
             if t_u >= cut:
                 rebuilt.record_commit(t_u, t_g)

@@ -98,8 +98,8 @@ def test_ordering_time_is_affine_in_kafka_count():
 
 
 def _updates(n):
-    """n updates of key "k", each endorsed after the previous one commits."""
-    return [(5.0 * i, 0.0, "k", 5.0 * i - 0.1) for i in range(1, n + 1)]
+    """n updates of the target key, each endorsed after the previous one commits."""
+    return [(5.0 * i, 0.0, TARGET_KEY, 5.0 * i - 0.1) for i in range(1, n + 1)]
 
 
 def test_mvcc_valid_update_bumps_version():
@@ -107,30 +107,36 @@ def test_mvcc_valid_update_bumps_version():
     result = _inject(_cfg(block_size=1, timeout=5.0), _updates(6))
     tx = transactions(result)[-1]
     assert (tx.captured_version, tx.validity) == (5, VALID)
-    assert read_version(final_ledgers(result)[0], "k") == 6
+    assert read_version(final_ledgers(result)[0], TARGET_KEY) == 6
 
 
 def test_mvcc_version_mismatch_marks_invalid_and_preserves_state():
     # two updates read version 5 before either commits; the first one's
     # commit makes it 6, so the second one is invalid and changes nothing
-    arrivals = _updates(5) + [(30.0, 0.0, "k", 29.9), (30.01, 0.0, "k", 29.95)]
+    arrivals = _updates(5) + [(30.0, 0.0, TARGET_KEY, 29.9), (30.01, 0.0, TARGET_KEY, 29.95)]
     result = _inject(_cfg(block_size=1, timeout=5.0), arrivals)
     first, second = transactions(result)[-2:]
     assert first.captured_version == second.captured_version == 5
     assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
-    assert entries(final_ledgers(result)[0]) == {"k": (6, 29.9)}
+    assert entries(final_ledgers(result)[0]) == {TARGET_KEY: (6, 29.9)}
 
 
 def test_first_wins_within_a_block():
     # two updates that read version 5 are cut into one block: the first is
     # valid, and the second conflicts with it
-    arrivals = _updates(5) + [(30.0, 0.0, "k", 29.9), (30.01, 0.0, "k", 29.95)]
+    arrivals = _updates(5) + [(30.0, 0.0, TARGET_KEY, 29.9), (30.01, 0.0, TARGET_KEY, 29.95)]
     result = _inject(_cfg(block_size=2, timeout=0.5), arrivals)
     first, second = transactions(result)[-2:]
     assert first.commit_time == second.commit_time
     assert first.captured_version == second.captured_version == 5
     assert (first.validity, second.validity) == (VALID, MVCC_INVALID)
-    assert read_version(final_ledgers(result)[0], "k") == 6
+    assert read_version(final_ledgers(result)[0], TARGET_KEY) == 6
+
+
+def test_a_repeated_background_key_is_refused():
+    # A background key is its proposal's own, so only the target key repeats.
+    with pytest.raises(ValueError, match="background key repeats"):
+        arrivals_front([(1.0, 0.0, 7, 0.9), (2.0, 0.0, TARGET_KEY, 1.9), (3.0, 0.0, 7, 2.9)])
 
 
 def test_only_the_versioned_key_touches_the_ledger():

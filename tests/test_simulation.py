@@ -85,15 +85,18 @@ def _run(cfg, seed, arrivals):
 # generation at 1, 2, 4 or 8 per second events of different phases land on
 # the very same instant and the order of same-instant events decides the run.
 _EXACT = st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0])
+# Each arrival is on the target key or on a key of its own, its id, as a
+# background proposal is.
 _ARRIVALS = st.lists(
     st.tuples(
         st.integers(0, 40).map(lambda k: k * 0.125),  # arrive time
         _EXACT,  # endorse delay
-        st.sampled_from([TARGET_KEY, 1, 2]),
+        st.booleans(),  # on the target key
         st.sampled_from([0.125, 0.5]),  # age at arrival
-    ).map(lambda a: (a[0], a[1], a[2], a[0] - a[3])),
+    ),
     max_size=30,
-)
+).map(lambda arrivals: [(a, delay, TARGET_KEY if target else i + 1, a - age)
+                        for i, (a, delay, target, age) in enumerate(arrivals)])
 
 
 @st.composite
@@ -525,26 +528,6 @@ def test_split_run_holds_no_event_heap():
         assert run_back(back, 3, shared).blocks_committed > 100, back.block_size
 
 
-@pytest.mark.parametrize("name", ["md1 fcfs", "md1 lcfs", "queued blocks"])
-def test_a_lean_back_resets_the_age_without_a_call(monkeypatch, name):
-    # The back keeps the path's last commit and freshest generation in hand
-    # and appends each reset itself: `record_commit` is called only to raise
-    # its error.  On the M/D/1 shape every block commits at its cut; at
-    # paper defaults with B = 5 each block completes after the next
-    # endorsement, so it waits for commit.
-    calls = []
-    record_commit = AoISamplePath.record_commit
-
-    def counted(path, t_u, t_g):
-        calls.append(t_u)
-        record_commit(path, t_u, t_g)
-
-    monkeypatch.setattr(AoISamplePath, "record_commit", counted)
-    model = _TRANSMITTER_RUNS.get(name, dict(block_size=5))
-    result = run_once(paper_default().replace(horizon=300.0, **model), 3, record=False)
-    assert calls == [] and len(result.path.resets) > 200
-
-
 def test_a_full_record_shares_one_float_per_time_it_repeats():
     # The trace formats a time once when a line's time is the very object of
     # the line before, so the record shares them: one (order_done,
@@ -680,6 +663,13 @@ def test_one_loop_back_takes_lean_backs_of_blocks_of_one_in_delivery_order(
     # tracked-key read, in delivery order, runs as one loop; a full record
     # never does.  Either way it summarizes like the full record.
     cfg = paper_default().replace(**{**_MD1, **change})
+    fronts = _one_loop_fronts(monkeypatch)
+    _assert_lean_summary_exact(cfg, 3, cfg)
+    assert [front.record for front in fronts] == ([False] if takes else [])
+
+
+def _one_loop_fronts(monkeypatch):
+    """The front of every back run as one loop from now on."""
     fronts = []
     real = bcesim.frontback._one_loop_back
 
@@ -688,8 +678,25 @@ def test_one_loop_back_takes_lean_backs_of_blocks_of_one_in_delivery_order(
         return real(cfg, seed, front)
 
     monkeypatch.setattr(bcesim.frontback, "_one_loop_back", one_loop_back)
-    _assert_lean_summary_exact(cfg, 3, cfg)
-    assert [front.record for front in fronts] == ([False] if takes else [])
+    return fronts
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_an_update_committed_at_its_generation_instant_is_an_error(monkeypatch, record):
+    # Nothing after the transmitter takes time, and a transmit time of 1e-300
+    # leaves a generation time of 0.1 as it is, so the first update commits
+    # at its generation instant.  The lean run's one loop and the full
+    # record's target pass each refuse it.
+    cfg = paper_default().replace(
+        target_ratio=1.0, block_size=1, transmit_time=1e-300, endorse_time=Delay("fixed", 0.0),
+        ordering_base=0.0, ordering_per_kafka=0.0, validate_block_overhead=0.0,
+        validate_per_tx=0.0,
+    )
+    fronts = _one_loop_fronts(monkeypatch)
+    with pytest.raises(SimulationError,
+                       match=re.escape("commit time 0.1 not after generation time 0.1")):
+        run_once(cfg, 1, record=record)
+    assert len(fronts) == (not record)
 
 
 def _count_views(monkeypatch):
@@ -748,10 +755,9 @@ def test_an_injected_front_builds_its_own_read_view(monkeypatch):
     assert (lean.path.resets, lean.breakdown) == (full.path.resets, full.breakdown)
 
 
-# Two ways to run: `run_once` (named for the one loop it once ran), full, and
-# a lean front and back called directly.
+# Two ways to run: `run_once`, full, and a lean front and back called directly.
 _RUNS = {
-    "one loop": run_once,
+    "full record": run_once,
     "lean front and back": lambda cfg, seed: run_back(cfg, seed, run_front(cfg, seed)),
 }
 
