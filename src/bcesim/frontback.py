@@ -33,7 +33,10 @@ draws it:
   delivery, transformed into the maximum over the endorsers, and the
   endorse-done order.  That is a stable sort of the deliveries by time: at a
   tie the endorsement delivered first took the smaller seq, since a slot
-  dispatch delivers at most one.
+  dispatch delivers at most one.  With a fixed comm latency and a fixed
+  endorsement it is the delivery order, neither sorted nor checked: the
+  deliveries come in time order, loss keeps it, and so does adding one
+  constant to every time.
 
 The front then numbers the endorsements it keeps in delivery order: every
 one in a full front, the target-key ones in a lean front.  Its stream holds
@@ -148,9 +151,9 @@ two times are exactly equal (`_Dispatches`):
 
 A sweep over back fields pays the front once per replication and saves it
 on every further value: the front is about four fifths of a lean run at
-paper defaults (at block size 1 too), and a third (FCFS) to nearly half
+paper defaults (at block size 1 too), and about half (FCFS) to three fifths
 (LCFS) on the M/D/1 configs of the benchmark's md1_channel workload (medians
-over 6 seeds of the fastest of 7; Python 3.11).
+over 6 seeds of the fastest of 7; Python 3.11, 2 vCPUs).
 
 `simulation.run_once` and `experiments._replicate` import this module at
 their first run, so that importing bcesim compiles none of it.
@@ -274,7 +277,8 @@ class Fronts:
         served, at, passed = self.get(loss, _loss, self, delivers, times, cfg.stp)
         at = self.get(comm, _comm, self, at, cfg.comm_latency)
         done, order, ordered, proposal = self.get(endorsement, _endorsement, self, served, at,
-                                                  cfg.endorse_time, cfg.n_endorsers)
+                                                  cfg.comm_latency, cfg.endorse_time,
+                                                  cfg.n_endorsers)
 
         # The endorsements the front keeps, numbered in delivery order, and a
         # column of each of their times.  A background key is its proposal's
@@ -461,11 +465,15 @@ def _comm(fronts, at, comm):
     return [t + c for t, c in zip(at, draws.first(len(at)))]
 
 
-def _endorsement(fronts, served, at, endorse, n_endorsers):
+def _endorsement(fronts, served, at, comm, endorse, n_endorsers):
     """(done, order, ordered, proposal): the endorse-done times in delivery
     order, the endorse-done order of the deliveries (None if it is theirs),
     the times in that order (`done` itself then), and each one's proposal in
-    that order."""
+    that order.
+
+    Where the comm latency and the endorsement are both fixed, the order is
+    the deliveries' own, unchecked: the deliveries come in time order, loss
+    keeps it, and adding one constant to every time keeps it too."""
     if endorse.kind == "fixed":
         # a + 0.0 is a for every time (none is -0.0), so an array is kept
         done = (at if endorse.value == 0.0 and at.__class__ is array
@@ -474,7 +482,8 @@ def _endorsement(fronts, served, at, endorse, n_endorsers):
         delays = fronts.prefix(("endorse", endorse, n_endorsers), _endorse_delays,
                                fronts.seed, endorse, n_endorsers)
         done = array("d", [a + x for a, x in zip(at, delays.first(len(at)))])
-    if all(map(operator.le, done, itertools.islice(done, 1, None))):
+    if (endorse.kind == comm.kind == "fixed"
+            or all(map(operator.le, done, itertools.islice(done, 1, None)))):
         return done, None, done, (served if served.__class__ is range else array("i", served))
     # one sort, keyed by a list (an array would make a float per key); the
     # ordered times are read through the order
@@ -649,7 +658,8 @@ def run_back(cfg, seed, front):
     n = len(stream)
     if n and done[0] < 0.0:  # the stream is in time order, from a clock at 0
         raise SimulationError(f"event at t={done[0]} behind clock t=0.0")
-    if block_size == 1 and n_channels == 1 and not record and stream.__class__ is range:
+    if (block_size == 1 and n_channels == 1 and not record and stream.__class__ is range
+            and front.endorse_done is done):
         return _one_loop_back(cfg, seed, front)
     view = front.view(n_channels)
     ties = _Dispatches(front, block_size, timeout, order_time)
@@ -806,9 +816,9 @@ def run_back(cfg, seed, front):
 def _one_loop_back(cfg, seed, front):
     """`run_back` over a lean front whose stream is its every endorsement in
     delivery order, at block size 1 on one channel: endorsement k is block k
-    and the target key's read k, so one loop runs the timeline, the target
-    pass and the latency means, in the order and with the float operations
-    of the two parts."""
+    and the target key's read k, and its endorse-done column is `done`
+    itself, so one loop runs the timeline, the target pass and the latency
+    means, in the order and with the float operations of the two parts."""
     horizon, order_time = cfg.horizon, ordering_delay(cfg)
     validation = cfg.validate_block_overhead + cfg.validate_per_tx
     done = front.done
@@ -826,9 +836,9 @@ def _one_loop_back(cfg, seed, front):
     freshest = end = lv_end = -math.inf
     lv = -1
     comm = endorse = order = validate = 0.0
-    n_target = n_mvcc_invalid = 0
-    for k, t, gen, a, e, failed in zip(itertools.count(), done, front.gen_time,
-                                       front.arrive_time, front.endorse_done, fails):
+    n_mvcc_invalid, k = 0, -1
+    for t, gen, a, failed in zip(done, front.gen_time, front.arrive_time, fails):
+        k += 1
         ready = t + order_time
         end = (ready if ready >= end else end) + validation
         add_end(end)
@@ -843,12 +853,13 @@ def _one_loop_back(cfg, seed, front):
                     add_reset((end, gen))
                     freshest = gen
             comm += a - gen
-            endorse += e - a
-            order += ready - e
+            endorse += t - a
+            order += ready - t
             validate += end - ready
-            n_target += 1
         elif not failed:
             n_mvcc_invalid += 1
+    # every read is valid, MVCC-invalid or VSCC-invalid
+    n_target = len(done) - n_mvcc_invalid - n_vscc_invalid
     return _result(front, horizon, path, [ends], (comm, endorse, order, validate), n_target,
                    n_mvcc_invalid, n_vscc_invalid)
 

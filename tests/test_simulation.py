@@ -179,6 +179,29 @@ def test_transmitter_bound_runs_match_the_oracle(discipline, transmit_time):
         _assert_lean_summary_exact(cfg, seed, cfg)
 
 
+@pytest.mark.parametrize("endorse_time", [Delay("fixed", 0.2), Delay("exp", 0.2)])
+@pytest.mark.parametrize("discipline", ["fcfs", "lcfs"])
+def test_fixed_delays_keep_the_delivery_order(discipline, endorse_time):
+    # A lossy transmitter, then a fixed comm latency: with a fixed
+    # endorsement too, the front keeps the delivery order without checking
+    # it, so its endorse-done times must come out in order by themselves.
+    cfg = paper_default().replace(
+        horizon=60.0, warmup=5.0, generation_mode="exponential", total_rate=9.0,
+        target_ratio=1.0, discipline=discipline, transmit_time=0.1, stp=0.7,
+        comm_latency=Delay("fixed", 0.03), endorse_time=endorse_time, ordering_base=0.0,
+        validate_block_overhead=0.0, validate_per_tx=0.0, block_size=1,
+    )
+    fixed = endorse_time.kind == "fixed"
+    for seed in (3, 4):
+        front = run_front(cfg, seed)
+        assert all(map(operator.le, front.done, front.done[1:]))
+        assert isinstance(front.stream, range) == fixed
+        oracle = _everything(run_oracle, cfg, seed, None)
+        assert _everything(_run, cfg, seed, None) == oracle
+        # a lean run keeps no record: its path, blocks and breakdown
+        assert _record(run_once(cfg, seed, record=False))[2:6] == oracle[2:6]
+
+
 # Periodic generation and fixed dyadic delays, so that an event a dispatch
 # schedules is often due at the very instant of a pending one.
 _TIE_MODELS = {
@@ -656,6 +679,10 @@ _MD1 = dict(
     (dict(endorse_time=Delay("exp", 0.5)), False),  # reorders the endorsements
     (dict(n_channels=2), False),
     (dict(block_size=2), False),
+    # every stage after the transmitter takes time, so the loop's latency
+    # sums are not all zero
+    (dict(endorse_time=Delay("fixed", 0.2), comm_latency=Delay("fixed", 0.03),
+          ordering_base=0.5, validate_per_tx=0.01), True),
 ])
 def test_one_loop_back_takes_lean_backs_of_blocks_of_one_in_delivery_order(
         monkeypatch, change, takes):
@@ -666,6 +693,17 @@ def test_one_loop_back_takes_lean_backs_of_blocks_of_one_in_delivery_order(
     fronts = _one_loop_fronts(monkeypatch)
     _assert_lean_summary_exact(cfg, 3, cfg)
     assert [front.record for front in fronts] == ([False] if takes else [])
+
+
+def test_one_loop_back_takes_only_a_front_whose_endorse_done_column_is_its_times(monkeypatch):
+    # The one loop reads the stream's times as the endorse-done column, so a
+    # front that holds that column apart from them takes the two parts.
+    cfg = paper_default().replace(**_MD1)
+    front = run_front(cfg, 3)
+    apart = dataclasses.replace(front, endorse_done=front.endorse_done[:])
+    fronts = _one_loop_fronts(monkeypatch)
+    assert _record(run_back(cfg, 3, apart)) == _record(run_back(cfg, 3, front))
+    assert len(fronts) == 1 and fronts[0] is front
 
 
 def _one_loop_fronts(monkeypatch):
