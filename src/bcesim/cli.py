@@ -15,29 +15,18 @@ from contextlib import ExitStack
 
 from .core import ConfigError
 from .config import SWEEPABLE, parse_config, paper_default
-from .experiments import (
-    CSV_HEADER,
-    SCENARIO_SWEEPS,
-    SCENARIOS,
-    run_plain,
-    run_plain_traced,
-    run_scenario,
-    run_sweep,
-)
+from .experiments import SCENARIOS, rows_csv, run_plain, run_plain_traced, run_rows, sweep_runs
 
 
-def _parse_sweep(spec, cfg):
-    """(key, values) of a --sweep spec, each value checked against cfg."""
+def _parse_sweep(spec):
+    """The sweep, a (key, values, overrides) triple, of a --sweep spec."""
     key, sep, raw_values = spec.partition("=")
     key = key.strip()
     if not sep or not raw_values:
         raise ConfigError(f"--sweep expects <key>=<v1,v2,...>, got {spec!r}")
     if key not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter '{key}'")
-    values = [SWEEPABLE[key](v.strip()) for v in raw_values.split(",")]
-    for value in values:
-        cfg.replace(**{key: value})
-    return key, values
+    return key, [SWEEPABLE[key](v.strip()) for v in raw_values.split(",")], {}
 
 
 def load_bounds(cfg):
@@ -53,18 +42,6 @@ def load_bounds(cfg):
     rate = cfg.total_rate * cfg.stp * share
     return (rate * (cfg.validate_block_overhead / cfg.block_size + cfg.validate_per_tx),
             cfg.total_rate * cfg.transmit_time)
-
-
-def _runs(cfg, scenario, sweep):
-    """(label, config) of each config a command runs."""
-    if scenario in SCENARIO_SWEEPS:
-        param, values, overrides = SCENARIO_SWEEPS[scenario]
-        cfg = cfg.replace(**overrides)
-    elif sweep:
-        param, values = sweep
-    else:  # a plain run, or the nodes scenario: node counts enter no load bound
-        return [("the config", cfg)]
-    return [(f"{param}={value}", cfg.replace(**{param: value})) for value in values]
 
 
 def _warn_overloaded(runs):
@@ -113,7 +90,11 @@ def main(argv=None):
                 raise ConfigError("--scenario and --sweep are mutually exclusive")
             if args.trace is not None and (args.scenario or args.sweep):
                 raise ConfigError("--trace applies to plain runs only")
-            sweep = _parse_sweep(args.sweep, cfg) if args.sweep else None
+            # the rows of a scenario or sweep (none for a plain run), every
+            # config validated before any run
+            sweeps = (SCENARIOS[args.scenario] if args.scenario
+                      else [_parse_sweep(args.sweep)] if args.sweep else [])
+            runs = sweep_runs(cfg, sweeps)
             # open the output files before any run, so a bad path costs no simulation
             out = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
             if args.out and args.trace and os.path.exists(args.trace):
@@ -121,13 +102,11 @@ def main(argv=None):
                 if os.path.samefile(args.out, args.trace):
                     raise ConfigError("--out and --trace name the same file")
             trace = files.enter_context(open(args.trace, "w")) if args.trace is not None else None
-            _warn_overloaded(_runs(cfg, args.scenario, sweep))
+            _warn_overloaded([(f"{key}={value}", row) for key, value, row in runs]
+                             or [("the config", cfg)])
 
-            if args.scenario:
-                csv_text = run_scenario(args.scenario, base=cfg)
-            elif sweep:
-                rows, _ = run_sweep(cfg, *sweep)
-                csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+            if runs:
+                csv_text = rows_csv(run_rows(runs)[0])
             elif trace is not None:
                 csv_text = run_plain_traced(cfg, trace)
             else:

@@ -1,16 +1,18 @@
 """Scenario presets, replication management, and CSV result emission.
 
-Each scenario sweeps one parameter of a preset configuration and writes one
-aggregated row per swept value.  Replication k derives its streams from
-master_seed + k, so re-running any scenario with the same config and seed
-reproduces the output byte for byte.  One rule decides what configs share:
-configs that differ in back fields (`config.BACK_FIELDS`) and measurement
-fields (`config.MEASUREMENT_FIELDS`) alone share each replication's front,
-and those that differ in measurement fields alone also share its back, whose
-result is summarized under each of them.  The fronts of one replication share
-every pass that reads none of the fields they differ in (`frontback.Fronts`).
-Only a run that writes a trace keeps its per-transaction record; every other
-run keeps what the CSV needs.
+A scenario is a list of sweeps, each of one parameter over a preset
+configuration, and writes one aggregated row per swept value.  Every sweep
+and scenario, called here or from the command line, builds its rows first
+(`sweep_runs`), then simulates them all at once (`run_rows`).  Replication k
+derives its streams from master_seed + k, so re-running any scenario with the
+same config and seed reproduces the output byte for byte.  One rule decides
+what configs share: configs that differ in back fields (`config.BACK_FIELDS`)
+and measurement fields (`config.MEASUREMENT_FIELDS`) alone share each
+replication's front, and those that differ in measurement fields alone also
+share its back, whose result is summarized under each of them.  The fronts of
+one replication share every pass that reads none of the fields they differ in
+(`frontback.Fronts`).  Only a run that writes a trace keeps its
+per-transaction record; every other run keeps what the CSV needs.
 """
 
 import gc
@@ -190,37 +192,21 @@ def aggregate_row(param, value, summaries):
     return ",".join(cells)
 
 
-def run_sweep(base, param, values):
-    """Sweep one config key, returning (rows, summaries-per-value)."""
-    if param not in SWEEPABLE:
-        raise ConfigError(f"unknown sweep parameter '{param}'")
-    configs = [base.replace(**{param: value}) for value in values]  # validate first
-    per_value = _replicate(configs)
-    rows = []
-    all_summaries = []
-    for value, summaries in zip(values, per_value):
-        rows.append(aggregate_row(param, value, summaries))
-        all_summaries.append(summaries)
-    return rows, all_summaries
-
-
 def _frange(values):
     return [round(v, 10) for v in values]
 
 
-SCENARIO_SWEEPS = {
-    "fig2": ("block_size", list(range(1, 21)), {}),
-    "fig3": (
+# Each scenario's sweeps, each a (key, values, overrides) triple: one row per
+# value, over the base config with the overrides applied.
+SCENARIOS = {
+    "fig2": [("block_size", list(range(1, 21)), {})],
+    "fig3": [(
         "timeout",
         _frange([0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]),
         {},
-    ),
-    "fig4": (
-        "target_ratio",
-        _frange([0.05 * i for i in range(1, 20)]),
-        {"timeout": 1.0},
-    ),
-    "fig5": (
+    )],
+    "fig4": [("target_ratio", _frange([0.05 * i for i in range(1, 20)]), {"timeout": 1.0})],
+    "fig5": [(
         "stp",
         _frange([0.1 * i for i in range(1, 11)]),
         {
@@ -229,40 +215,58 @@ SCENARIO_SWEEPS = {
             "transmit_time": 0.01,
             "comm_latency": Delay("fixed", 0.05),
         },
-    ),
-    "fig6": (
-        "target_aoi",
-        _frange([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
-        {"timeout": 1.0},
-    ),
+    )],
+    "fig6": [("target_aoi", _frange([0.5, 1.0, 1.5, 2.0, 2.5, 3.0]), {"timeout": 1.0})],
+    # the endorser count at the minimum Kafka cluster, then the Kafka count
+    # at three endorsers
+    "nodes": [
+        ("n_endorsers", [1, 2, 3], {"timeout": 1.0, "n_kafka": 4}),
+        ("n_kafka", [4, 5], {"timeout": 1.0, "n_endorsers": 3}),
+    ],
 }
 
-SCENARIOS = tuple(SCENARIO_SWEEPS) + ("nodes",)
+
+def sweep_runs(base, sweeps):
+    """(key, value, config) of each row of `sweeps`, (key, values, overrides)
+    triples over `base`, in order.  Every config is validated here, so a bad
+    one costs no simulation."""
+    runs = []
+    for key, values, overrides in sweeps:
+        if key not in SWEEPABLE:
+            raise ConfigError(f"unknown sweep parameter '{key}'")
+        cfg = base.replace(**overrides)
+        runs += [(key, value, cfg.replace(**{key: value})) for value in values]
+    return runs
 
 
-def run_scenario(name, base=None):
-    """Run a preset sweep and return the full CSV text.
+def run_rows(runs):
+    """(CSV rows, summaries per row) of the (key, value, config) rows `runs`,
+    all simulated in one `_replicate`: rows that share a front or a back
+    share its run, whatever sweep or scenario they come from."""
+    per_row = _replicate([cfg for _, _, cfg in runs])
+    return [aggregate_row(key, value, s) for (key, value, _), s in zip(runs, per_row)], per_row
 
-    `nodes` reports the endorser count sweep at the minimum Kafka cluster,
-    then the Kafka count sweep at three endorsers.
-    """
-    if base is None:
-        base = paper_default()
-    if name in SCENARIO_SWEEPS:
-        param, values, overrides = SCENARIO_SWEEPS[name]
-        rows, _ = run_sweep(base.replace(**overrides), param, values)
-    elif name == "nodes":
-        node_base = base.replace(timeout=1.0)
-        rows, _ = run_sweep(node_base.replace(n_kafka=4), "n_endorsers", [1, 2, 3])
-        more, _ = run_sweep(node_base.replace(n_endorsers=3), "n_kafka", [4, 5])
-        rows += more
-    else:
-        raise ConfigError(f"unknown scenario '{name}' (choose from {', '.join(SCENARIOS)})")
+
+def rows_csv(rows):
+    """The result CSV of some rows."""
     return CSV_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
+def run_sweep(base, param, values):
+    """Sweep one config key, returning (rows, summaries-per-value)."""
+    return run_rows(sweep_runs(base, [(param, values, {})]))
+
+
+def run_scenario(name, base=None):
+    """Run a preset scenario and return the full CSV text."""
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario '{name}' (choose from {', '.join(SCENARIOS)})")
+    rows, _ = run_rows(sweep_runs(paper_default() if base is None else base, SCENARIOS[name]))
+    return rows_csv(rows)
+
+
 def _plain_csv(summaries):
-    return CSV_HEADER + "\n" + aggregate_row("none", "NA", summaries) + "\n"
+    return rows_csv([aggregate_row("none", "NA", summaries)])
 
 
 def run_plain(cfg):

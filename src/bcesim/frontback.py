@@ -208,7 +208,7 @@ class Front:
 
     stream: list | range
     done: array
-    proposal: array | range
+    proposal: array | list | range
     slots: tuple | Callable
     gen_time: array | list
     arrive_time: array | list
@@ -484,7 +484,7 @@ def _endorsement(fronts, served, at, comm, endorse, n_endorsers):
         done = array("d", [a + x for a, x in zip(at, delays.first(len(at)))])
     if (endorse.kind == comm.kind == "fixed"
             or all(map(operator.le, done, itertools.islice(done, 1, None)))):
-        return done, None, done, (served if served.__class__ is range else array("i", served))
+        return done, None, done, served
     # one sort, keyed by a list (an array would make a float per key); the
     # ordered times are read through the order
     times = done.tolist()

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The scenario sweeps run at their full preset settings (2000 s horizon,
-30 replications), so this module dominates the suite's runtime; expect
-several minutes on a single core.  Scenario results are computed once per
-session and shared across criteria.
+30 replications), so this module dominates the suite's runtime (about 23 s
+on one core).  Every scenario's rows run once per session, all in one
+`run_rows` call as one paper run, and the criteria share its results.
 """
 
 import random
@@ -11,10 +11,9 @@ import statistics
 
 import pytest
 
-import bcesim.experiments
 from aoi_oracle import grid_average_aoi, grid_violation_probability
 from bcesim.config import paper_default
-from bcesim.experiments import SCENARIO_SWEEPS, run_scenario, run_sweep
+from bcesim.experiments import SCENARIOS, rows_csv, run_rows, run_scenario, sweep_runs
 from bcesim.frontback import TARGET_KEY, VALID
 from bcesim.metrics import average_aoi, violation_probability
 from bcesim.simulation import run_once
@@ -28,12 +27,6 @@ def check(number, name, passed, detail=""):
     assert passed, f"criterion {number} ({name}) failed: {detail}"
 
 
-def _sweep(name):
-    param, values, overrides = SCENARIO_SWEEPS[name]
-    _, summaries = run_sweep(paper_default().replace(**overrides), param, values)
-    return values, summaries
-
-
 def _aoi_stats(summaries):
     means = [statistics.mean(s.avg_aoi for s in reps) for reps in summaries]
     stds = [statistics.stdev(s.avg_aoi for s in reps) for reps in summaries]
@@ -41,45 +34,51 @@ def _aoi_stats(summaries):
 
 
 @pytest.fixture(scope="session")
-def fig2():
-    return _sweep("fig2")
+def paper_run():
+    """Every scenario's rows at preset settings, run in one `run_rows`: for
+    each scenario, (its CSV text, its swept values, the replication
+    summaries of each of its rows), in row order."""
+    scenarios = {name: sweep_runs(paper_default(), sweeps) for name, sweeps in SCENARIOS.items()}
+    rows, summaries = run_rows([run for runs in scenarios.values() for run in runs])
+    results, start = {}, 0
+    for name, runs in scenarios.items():
+        stop = start + len(runs)
+        results[name] = (rows_csv(rows[start:stop]), [value for _, value, _ in runs],
+                         summaries[start:stop])
+        start = stop
+    return results
 
 
 @pytest.fixture(scope="session")
-def fig3():
-    return _sweep("fig3")
+def fig2(paper_run):
+    return paper_run["fig2"][1:]
 
 
 @pytest.fixture(scope="session")
-def fig4():
-    return _sweep("fig4")
+def fig3(paper_run):
+    return paper_run["fig3"][1:]
 
 
 @pytest.fixture(scope="session")
-def fig5():
-    return _sweep("fig5")
+def fig4(paper_run):
+    return paper_run["fig4"][1:]
 
 
 @pytest.fixture(scope="session")
-def fig6():
-    return _sweep("fig6")
+def fig5(paper_run):
+    return paper_run["fig5"][1:]
 
 
 @pytest.fixture(scope="session")
-def nodes():
-    """One real run of the `nodes` scenario: (its CSV text, the replication
-    summaries of each of its five configs in row order)."""
-    summaries = []
+def fig6(paper_run):
+    return paper_run["fig6"][1:]
 
-    def recording(*args):
-        rows, per_value = run_sweep(*args)
-        summaries.extend(per_value)
-        return rows, per_value
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bcesim.experiments, "run_sweep", recording)
-        csv_text = run_scenario("nodes")
-    assert len(summaries) == 5
+@pytest.fixture(scope="session")
+def nodes(paper_run):
+    """The `nodes` scenario: (its CSV text, the replication summaries of
+    each of its five rows in row order)."""
+    csv_text, _, summaries = paper_run["nodes"]
     return csv_text, summaries
 
 
@@ -256,11 +255,13 @@ def test_criterion_09_mvcc_ledger_exactness():
 
 
 def test_criterion_10_determinism_byte_identical(nodes):
+    # the paper run's rows, simulated with every other scenario's, against a
+    # lone run of the scenario
     first, _ = nodes
     second = run_scenario("nodes")
     check(
         10,
-        "byte-identical scenario rerun",
+        "byte-identical scenario rerun, joint and lone",
         first == second,
         f"{len(first)} bytes",
     )

@@ -227,3 +227,15 @@ def test_overloaded_configs_are_warned_before_any_run(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err.splitlines() == [
         "simulate: warning: transmit_time=0.1: transmitter load >= 1; no steady state, so "
         "its averages grow with the horizon"]
+    # Node counts and the timeout enter no load bound, so at B = 1 every row
+    # of `nodes` is loaded to 1.65, and each gets its own line.
+    warned.clear()
+    runs["run_back"].clear()
+    cfg.write_text("horizon = 30\nwarmup = 0\nreplications = 1\nblock_size = 1\n")
+    assert main(["--config", str(cfg), "--scenario", "nodes"]) == 0
+    captured = capsys.readouterr()
+    assert warned == [[]]
+    assert [line.split(": ")[2] for line in captured.err.splitlines()] == [
+        "n_endorsers=1", "n_endorsers=2", "n_endorsers=3", "n_kafka=4", "n_kafka=5"]
+    assert captured.err.count("validator load >= 1.65;") == 5
+    assert captured.out == run_scenario("nodes", base=parse_config(cfg.read_text()))

@@ -12,13 +12,17 @@ from bcesim.core import ConfigError
 from bcesim.dists import Delay
 from bcesim.experiments import (
     CSV_HEADER,
+    SCENARIOS,
     aggregate_row,
+    rows_csv,
     run_plain,
     run_plain_traced,
     run_replication,
     run_replications,
+    run_rows,
     run_scenario,
     run_sweep,
+    sweep_runs,
     trace_csv,
 )
 from conftest import count_runs, parse_csv
@@ -114,6 +118,26 @@ def test_nodes_scenario_layout(quick_cfg):
         ("n_kafka", 4),
         ("n_kafka", 5),
     ]
+
+
+def test_nodes_scenario_simulates_its_repeated_row_once(quick_cfg, monkeypatch):
+    # n_endorsers 1, 2, 3 at four Kafka nodes, then n_kafka 4, 5 at three
+    # endorsers: three fronts and four backs per replication, since three
+    # endorsers at four Kafka nodes is in both sweeps
+    calls = count_runs(monkeypatch)
+    run_scenario("nodes", base=quick_cfg)
+    seeds = [quick_cfg.master_seed + k for k in range(quick_cfg.replications)]
+    assert calls == {"run_front": [s for s in seeds for _ in range(3)],
+                     "run_back": [s for s in seeds for _ in range(4)]}
+
+
+def test_scenarios_run_jointly_equal_their_lone_runs(quick_cfg):
+    scenarios = {name: sweep_runs(quick_cfg, sweeps) for name, sweeps in SCENARIOS.items()}
+    rows, summaries = run_rows([run for runs in scenarios.values() for run in runs])
+    assert len(rows) == len(summaries) == sum(map(len, scenarios.values()))
+    for name, runs in scenarios.items():
+        assert rows_csv(rows[:len(runs)]) == run_scenario(name, base=quick_cfg), name
+        del rows[:len(runs)]
 
 
 def test_all_losses_reported_as_missing(quick_cfg):

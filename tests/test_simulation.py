@@ -449,6 +449,23 @@ def test_front_and_back_match_the_one_loop_with_a_transmitter_over_a_long_run(na
     _assert_lean_summary_exact(cfg, 3, cfg)
 
 
+def test_an_lcfs_front_at_an_exact_tie_reads_each_endorsements_proposal():
+    # Periodic proposals at twice the transmitter's capacity, on dyadic
+    # delays: LCFS sends the newest waiting proposal first, so the proposals
+    # come out of generation order, and with no loss the front's proposal
+    # column is the slot pass's own list.  A transmit-complete falls due with
+    # a generation at every step, so the back's ties ask which slot dispatch
+    # delivered an endorsement (`_Dispatches.slot`), through that column.
+    cfg = paper_default().replace(
+        horizon=300.0, total_rate=8.0, transmit_time=0.25, endorse_time=Delay("fixed", 0.25),
+        n_channels=2, discipline="lcfs",
+    )
+    front = run_front(cfg, 3, record=True)
+    assert sorted(front.proposal) != list(front.proposal)
+    assert _record(run_back(cfg, 3, front)) == _record(run_oracle(cfg, 3, None))
+    _assert_lean_summary_exact(cfg, 3, cfg)
+
+
 def _zero_endorse_uniform(monkeypatch, draw):
     """Make every endorse stream of the front return 0.0 as its `draw`-th
     uniform, before its own draws; return the list that gets one entry per
