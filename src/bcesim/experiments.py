@@ -10,9 +10,11 @@ what configs share: configs that differ in back fields (`config.BACK_FIELDS`)
 and measurement fields (`config.MEASUREMENT_FIELDS`) alone share each
 replication's front, and those that differ in measurement fields alone also
 share its back, whose result is summarized under each of them.  The fronts of
-one replication share every pass that reads none of the fields they differ in
-(`frontback.Fronts`).  Only a run that writes a trace keeps its
-per-transaction record; every other run keeps what the CSV needs.
+one replication share every pass that reads none of the fields they differ
+in, and the replications of one call share every pass that no draw feeds,
+such as a periodic generation (`frontback.Fronts`); nothing shared outlives
+the call.  Only a run that writes a trace keeps its per-transaction record;
+every other run keeps what the CSV needs.
 """
 
 import gc
@@ -106,10 +108,12 @@ def _replicate(measures, trace=None):
 
     The configs are grouped by their front fields, and each front group by
     its back fields.  The loop runs over the seeds, and at each seed over the
-    front groups with a replication there: one front each, all built by one
-    `frontback.Fronts`, so they compute each pass they share once, then one
+    front groups with a replication there: one front each, then one
     `run_back` per back group, whose result is summarized under every config
-    of that group.  If `trace` is a text stream, `measures` holds one config
+    of that group.  Every front of the call is built by one
+    `frontback.Fronts`, so each pass they share is computed once: at one
+    seed, or once for every seed where no draw feeds it, and dropped after
+    its last use.  If `trace` is a text stream, `measures` holds one config
     (a full-record front serves one back), whose runs keep their record and
     write it there; otherwise every run is lean.  The cyclic collector stays
     paused over the loop, and each front is dropped after its last back and
@@ -131,14 +135,13 @@ def _replicate(measures, trace=None):
         for k in range(cfg.replications):
             runs.setdefault(cfg.master_seed + k, []).append((k, groups))
     per_measure = [[] for _ in measures]
+    shared = Fronts((measures[groups[0][0]], seed) for seed in runs for _, groups in runs[seed])
     collecting = gc.isenabled()
     gc.disable()
     try:
         for seed in sorted(runs):  # so that each config's replications come in order
-            configs = [measures[groups[0][0]] for _, groups in runs[seed]]
-            shared = Fronts(seed, configs)
-            for cfg, (k, groups) in zip(configs, runs[seed]):
-                front = shared.front(cfg, record=trace is not None)
+            for k, groups in runs[seed]:
+                front = shared.front(measures[groups[0][0]], seed, record=trace is not None)
                 for group in groups:
                     result = run_back(measures[group[0]], seed, front)
                     if group is groups[-1]:
@@ -148,7 +151,6 @@ def _replicate(measures, trace=None):
                     if trace is not None:
                         _write_trace(trace, k, result)
                     del result
-            del shared  # the passes it kept are this replication's only
     finally:
         if collecting:
             gc.enable()

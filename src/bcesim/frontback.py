@@ -14,10 +14,10 @@ every event in (time, seq) order, with seq taken when the event is
 scheduled.
 
 The front has no event loop.  It is a chain of passes over whole-run lists.
-Each pass is a function of the seed, of the fields it reads and of the
-passes before it, and each random stream is drawn by one pass, in an order
-of its own (generation order or delivery order), as the event-heap model
-draws it:
+Each pass is a function of the fields it reads, of the passes before it and,
+if it draws, of the seed, and each random stream is drawn by one pass, in an
+order of its own (generation order or delivery order), as the event-heap
+model draws it:
 
 - generation (`generation_mode`, `total_rate`, `horizon`): the generation
   times, the running sum of the gaps up to the horizon;
@@ -48,12 +48,16 @@ j-th generation, and the j-th comm and endorse draw to the j-th passed
 delivery, for every `stp`.  So two configs that agree in the fields a pass
 reads, and in those of the passes before it, have the same output of that
 pass, and those that differ in `stp` alone share one draw prefix of comm and
-endorse draws.
-`experiments._replicate` builds the fronts of one replication through one
-`Fronts`: each distinct pass is computed once and kept until its last use,
-and each draw prefix until the replication ends, never longer.  A
-`target_ratio` sweep pays the labels and the numbering per value, and an
-`stp` sweep the loss, comm and endorsement passes.
+endorse draws.  A pass that no draw feeds (a periodic generation, and each
+pass after it up to the first that draws) has the same output at every seed.
+`experiments._replicate` builds every front of its call through one
+`Fronts`: each distinct pass is computed once and kept until its last use in
+the call, so a pass that no draw feeds is computed once for all the call's
+seeds.  A stream that two passes at one seed draw is drawn once, into a
+prefix kept until the last of them reads it; a stream that one pass draws
+goes straight into that pass.  Nothing outlives the call.  A `target_ratio`
+sweep pays the labels and the numbering per value, and an `stp` sweep the
+loss, comm and endorsement passes.
 
 The deliveries: slot dispatches (generations and transmit-completes) are
 numbered 0, 1, ... in dispatch order.  With no transmit time they are the
@@ -247,38 +251,46 @@ class Front:
 
 
 class Fronts:
-    """The fronts of one replication, at one seed, sharing their passes.
+    """The fronts of one `experiments._replicate` call, sharing their passes
+    and their draws.
 
-    `front(cfg)` is `run_front(cfg, seed)`.  Each pass that the fronts of
-    `configs` share is computed at its first use and kept until its last, and
-    each draw prefix as long as this object; a pass that no two of them share
-    is not kept at all, nor is any prefix then.  A front of a config outside
-    `configs` is built the same way, and is the same.
+    `front(cfg, seed)` is `run_front(cfg, seed)`.  Each pass that the fronts
+    of `runs`, (config, seed) pairs, share is computed at its first use and
+    kept until its last.  A pass key names the seed only where a draw feeds
+    the pass (`_pass_keys`), so a pass that no draw feeds, such as a
+    periodic generation, is shared by every seed of the call.  A stream that
+    two passes draw is drawn through a `_Prefix`, kept until the last of
+    them reads it; one that a single pass draws goes straight into that
+    pass.  A front of a config outside `runs` is built the same way, and is
+    the same.
     """
 
-    __slots__ = ("seed", "uses", "kept", "prefixes")
+    __slots__ = ("uses", "kept", "readers", "prefixes")
 
-    def __init__(self, seed, configs=()):
-        self.seed = seed
-        uses = Counter(key for cfg in configs for key in _pass_keys(cfg))
-        self.uses = uses if max(uses.values(), default=0) > 1 else {}  # pass key -> fronts to read it
+    def __init__(self, runs=()):
+        # pass key -> fronts to read it
+        self.uses = Counter(key for cfg, seed in runs for key in _pass_keys(cfg, seed))
+        # stream key -> passes to draw it through `draws`; a generation pass
+        # draws its own stream
+        self.readers = Counter(key[-1] for key in self.uses
+                               if key[-1] is not None and key[0] != "generation")
         self.kept = {}  # pass key -> its output
         self.prefixes = {}  # stream key -> its _Prefix
 
-    def front(self, cfg, record=False):
-        """Generation through endorsement of one run at this seed (see `run_front`)."""
+    def front(self, cfg, seed, record=False):
+        """Generation through endorsement of one run (see `run_front`)."""
         cfg.validate()
-        generation, labels, deliveries, loss, comm, endorsement = _pass_keys(cfg)
-        gen_times = self.get(generation, _generation, self.seed, *generation[1:])
-        is_target, channel = self.get(labels, _labels, self, gen_times,
+        generation, labels, deliveries, loss, comm, endorsement = _pass_keys(cfg, seed)
+        gen_times = self.get(generation, _generation, seed, cfg.generation_mode, cfg.total_rate,
+                             cfg.horizon)
+        is_target, channel = self.get(labels, _labels, self, labels[-1], gen_times,
                                       cfg.target_ratio, cfg.n_channels)
         delivers, times, slots = self.get(deliveries, _deliveries, gen_times,
                                           cfg.transmit_time, cfg.discipline)
-        served, at, passed = self.get(loss, _loss, self, delivers, times, cfg.stp)
-        at = self.get(comm, _comm, self, at, cfg.comm_latency)
-        done, order, ordered, proposal = self.get(endorsement, _endorsement, self, served, at,
-                                                  cfg.comm_latency, cfg.endorse_time,
-                                                  cfg.n_endorsers)
+        served, at, passed = self.get(loss, _loss, self, loss[-1], delivers, times, cfg.stp)
+        at = self.get(comm, _comm, self, comm[-1], at, cfg.comm_latency)
+        done, order, ordered, proposal = self.get(endorsement, _endorsement, self, endorsement[-1],
+                                                  served, at, cfg.comm_latency, cfg.endorse_time)
 
         # The endorsements the front keeps, numbered in delivery order, and a
         # column of each of their times.  A background key is its proposal's
@@ -329,14 +341,17 @@ class Fronts:
             kept[key] = value
         return value
 
-    def prefix(self, key, more, *args):
-        """The draw prefix of stream `key`, made by more(*args) at its first use."""
-        prefix = self.prefixes.get(key)
-        if prefix is None:
-            prefix = _Prefix(more(*args))
-            if self.uses:
-                self.prefixes[key] = prefix
-        return prefix
+    def draws(self, stream, n, more, *args):
+        """The first n draws of `stream`, from more(stream, *args): through
+        its prefix while another pass is to draw it, else straight from it."""
+        prefix = self.prefixes.pop(stream, None)
+        left = self.readers.pop(stream, 1) - 1
+        if left > 0:
+            self.readers[stream] = left
+            if prefix is None:
+                prefix = _Prefix(more(stream, *args))
+            self.prefixes[stream] = prefix
+        return more(stream, *args)(0, n) if prefix is None else prefix.first(n)
 
 
 class _Prefix:
@@ -352,19 +367,26 @@ class _Prefix:
         """The first n values."""
         values = self.values
         if len(values) < n:
-            values.fromlist(self.more(len(values), n))
+            values.extend(self.more(len(values), n))
         return values if len(values) == n else values[:n]
 
 
-def _pass_keys(cfg):
-    """The key of each pass of a config's front: the pass, the fields it
-    reads and the key of the pass it reads."""
-    generation = ("generation", cfg.generation_mode, cfg.total_rate, cfg.horizon)
-    labels = ("labels", generation, cfg.target_ratio, cfg.n_channels)
-    deliveries = ("deliveries", generation, cfg.transmit_time, cfg.discipline)
-    loss = ("loss", deliveries, cfg.stp)
-    comm = ("comm", loss, cfg.comm_latency)
-    endorsement = ("endorsement", comm, cfg.endorse_time, cfg.n_endorsers)
+def _pass_keys(cfg, seed):
+    """The key of each pass of a config's front at `seed`: the pass, the key
+    of the pass it reads or the fields it reads, and last the key of the
+    stream that it draws, (stream id, seed, what each draw depends on), or
+    None if it draws none.  So a key names the seed only where a draw feeds
+    its pass."""
+    comm, endorse = cfg.comm_latency, cfg.endorse_time
+    generation = ("generation", cfg.generation_mode, cfg.total_rate, cfg.horizon,
+                  ("generation", seed) if cfg.generation_mode == "exponential" else None)
+    labels = ("labels", generation, cfg.target_ratio, cfg.n_channels,
+              ("key-assign", seed) if cfg.target_ratio != 1.0 else None)
+    deliveries = ("deliveries", generation, cfg.transmit_time, cfg.discipline, None)
+    loss = ("loss", deliveries, cfg.stp, ("channel-loss", seed) if cfg.stp < 1.0 else None)
+    comm = ("comm", loss, comm, ("comm-latency", seed, comm) if comm.kind == "exp" else None)
+    endorsement = ("endorsement", comm, endorse, cfg.n_endorsers,
+                   ("endorse", seed, endorse, cfg.n_endorsers) if endorse.kind == "exp" else None)
     return generation, labels, deliveries, loss, comm, endorsement
 
 
@@ -379,7 +401,7 @@ def run_front(cfg, seed, record=False):
     other draw follows from it.  With `record` false it keeps the target-key
     endorsements only.
     """
-    return Fronts(seed).front(cfg, record)
+    return Fronts().front(cfg, seed, record)
 
 
 def _generation(seed, mode, rate, horizon):
@@ -403,22 +425,23 @@ def _generation(seed, mode, rate, horizon):
     return gen_times
 
 
-def _draws(seed, stream_id, draw):
-    """The draws draw(rng) of one stream, for a _Prefix."""
-    rng = make_stream(seed, stream_id)
-    return lambda start, stop: [draw(rng) for _ in itertools.repeat(None, stop - start)]
+def _draws(stream, draw):
+    """The draws draw(rng) of a stream, (its id, the seed, ...), for
+    `Fronts.draws`: an iterator of those numbered start .. stop - 1."""
+    rng = make_stream(stream[1], stream[0])
+    return lambda start, stop: map(draw, itertools.repeat(rng, stop - start))
 
 
-def _labels(fronts, gen_times, target_ratio, n_channels):
+def _labels(fronts, stream, gen_times, target_ratio, n_channels):
     """Whether each proposal is on the target key, and its channel, in
     generation order: the target key stays on channel 0."""
-    if target_ratio == 1.0:  # u < 1 for every key uniform, so none is drawn
+    if stream is None:  # target_ratio 1: u < 1 for every key uniform, so none is drawn
         return [True] * len(gen_times), array("i", [0]) * len(gen_times)
-    keys = fronts.prefix("key-assign", _draws, fronts.seed, "key-assign", Random.random)
-    is_target = [u < target_ratio for u in keys.first(len(gen_times))]
+    keys = fronts.draws(stream, len(gen_times), _draws, Random.random)
+    is_target = [u < target_ratio for u in keys]
     if n_channels == 1:
         return is_target, array("i", [0]) * len(gen_times)
-    randrange = make_stream(fronts.seed, "channel-split").randrange
+    randrange = make_stream(stream[1], "channel-split").randrange
     return is_target, array("i", [0 if target else randrange(n_channels) for target in is_target])
 
 
@@ -445,27 +468,23 @@ def _deliveries(gen_times, transmit_time, discipline):
     return served, at, slots
 
 
-def _loss(fronts, served, at, stp):
+def _loss(fronts, stream, served, at, stp):
     """The deliveries that pass, in delivery order, and whether each
     delivery passed (None if all do)."""
-    if stp >= 1.0:
+    if stream is None:  # stp 1
         return served, at, None
-    uniforms = fronts.prefix("channel-loss", _draws, fronts.seed, "channel-loss", Random.random)
-    passed = [u < stp for u in uniforms.first(len(served))]
+    passed = [u < stp for u in fronts.draws(stream, len(served), _draws, Random.random)]
     return list(itertools.compress(served, passed)), list(itertools.compress(at, passed)), passed
 
 
-def _comm(fronts, at, comm):
+def _comm(fronts, stream, at, comm):
     """The arrival times: each passed delivery's time plus its comm latency."""
-    if comm.value == 0.0:
-        return at
-    if comm.kind == "fixed":
-        return [t + comm.value for t in at]
-    draws = fronts.prefix(("comm-latency", comm), _draws, fronts.seed, "comm-latency", comm.sample)
-    return [t + c for t, c in zip(at, draws.first(len(at)))]
+    if stream is None:  # a fixed latency
+        return at if comm.value == 0.0 else [t + comm.value for t in at]
+    return [t + c for t, c in zip(at, fronts.draws(stream, len(at), _draws, comm.sample))]
 
 
-def _endorsement(fronts, served, at, comm, endorse, n_endorsers):
+def _endorsement(fronts, stream, served, at, comm, endorse):
     """(done, order, ordered, proposal): the endorse-done times in delivery
     order, the endorse-done order of the deliveries (None if it is theirs),
     the times in that order (`done` itself then), and each one's proposal in
@@ -479,9 +498,8 @@ def _endorsement(fronts, served, at, comm, endorse, n_endorsers):
         done = (at if endorse.value == 0.0 and at.__class__ is array
                 else array("d", [a + endorse.value for a in at]))
     else:
-        delays = fronts.prefix(("endorse", endorse, n_endorsers), _endorse_delays,
-                               fronts.seed, endorse, n_endorsers)
-        done = array("d", [a + x for a, x in zip(at, delays.first(len(at)))])
+        # summed straight into the column: no list of the sums besides the delays
+        done = array("d", map(operator.add, at, fronts.draws(stream, len(at), _endorse_delays)))
     if (endorse.kind == comm.kind == "fixed"
             or all(map(operator.le, done, itertools.islice(done, 1, None)))):
         return done, None, done, served
@@ -493,18 +511,23 @@ def _endorsement(fronts, served, at, comm, endorse, n_endorsers):
     return done, order, array("d", [times[i] for i in order]), array("i", proposal)
 
 
-def _endorse_delays(seed, endorse, n_endorsers):
-    """The endorsement delays over n endorsers, for a _Prefix: each is
-    `Delay.sample_max` of the endorse stream, inline."""
+def _endorse_delays(stream):
+    """The endorsement delays of stream ("endorse", seed, the delay, n), over
+    n endorsers, for `Fronts.draws`: a list of those numbered start ..
+    stop - 1, each `Delay.sample_max` of the endorse stream, inline."""
+    _, seed, endorse, n_endorsers = stream
     random, log, expm1 = make_stream(seed, "endorse").random, math.log, math.expm1
-    mean = endorse.value
+    scale = -endorse.value  # `sample_max`'s -mean * x is (-mean) * x
     rng = None  # after a zero uniform, the stream drawn again through `sample_max`
 
     def more(start, stop):
         nonlocal rng
         if rng is None:
             try:
-                return [-mean * log(-expm1(log(random()) / n_endorsers))
+                if n_endorsers == 1:  # x / 1 is x for every float
+                    return [scale * log(-expm1(log(random())))
+                            for _ in itertools.repeat(None, stop - start)]
+                return [scale * log(-expm1(log(random()) / n_endorsers))
                         for _ in itertools.repeat(None, stop - start)]
             except ValueError:
                 # a zero uniform (log raises), which `sample_max` redraws:

@@ -41,9 +41,9 @@ def count_runs(monkeypatch):
     calls = {"run_front": [], "run_back": []}
     real_front, real_back = bcesim.frontback.Fronts.front, bcesim.frontback.run_back
 
-    def front(self, *args, **kwargs):
-        calls["run_front"].append(self.seed)
-        return real_front(self, *args, **kwargs)
+    def front(self, cfg, seed, *args, **kwargs):
+        calls["run_front"].append(seed)
+        return real_front(self, cfg, seed, *args, **kwargs)
 
     def back(cfg, seed, *args, **kwargs):
         calls["run_back"].append(seed)

@@ -186,9 +186,9 @@ def test_a_traced_run_writes_each_replication_before_the_next_runs(monkeypatch, 
     written = []  # (seed, trace lines in `out`) as each replication's front is built
     real_front = bcesim.frontback.Fronts.front
 
-    def front(self, *args, **kwargs):
-        written.append((self.seed, out.getvalue().count("\n")))
-        return real_front(self, *args, **kwargs)
+    def front(self, cfg, seed, *args, **kwargs):
+        written.append((seed, out.getvalue().count("\n")))
+        return real_front(self, cfg, seed, *args, **kwargs)
 
     monkeypatch.setattr(bcesim.frontback.Fronts, "front", front)
     plain = run_plain_traced(cfg, out)
@@ -396,20 +396,31 @@ def test_a_front_sweep_draws_the_generation_stream_once_per_replication(
     quick_cfg, monkeypatch, param, values
 ):
     cfg = quick_cfg.replace(generation_mode="exponential", replications=3)
-    seeds = []
+    seeds, passes = [], []  # the seed of each generation stream drawn, each pass's mode
 
     def make_stream(seed, stream_id):
         if stream_id == "generation":
             seeds.append(seed)
         return bcesim.core.make_stream(seed, stream_id)
 
+    def generation(seed, mode, *args, _real=bcesim.frontback._generation):
+        passes.append(mode)
+        return _real(seed, mode, *args)
+
     monkeypatch.setattr(bcesim.frontback, "make_stream", make_stream)
+    monkeypatch.setattr(bcesim.frontback, "_generation", generation)
     once = [cfg.master_seed + k for k in range(3)]
     run_sweep(cfg, param, values)
-    assert seeds == once
+    assert seeds == once and passes == ["exponential"] * 3
     # the passes shared in one call are gone after it
     run_sweep(cfg, param, values)
-    assert seeds == once * 2
+    assert seeds == once * 2 and passes == ["exponential"] * 6
+    # A periodic generation draws nothing, so the three seeds of one call
+    # share it, and the next call computes it again.
+    periodic = cfg.replace(generation_mode="periodic")
+    run_sweep(periodic, param, values)
+    run_sweep(periodic, param, values)
+    assert seeds == once * 2 and passes == ["exponential"] * 6 + ["periodic"] * 2
 
 
 def _collections_during_replications(monkeypatch, call):

@@ -503,6 +503,19 @@ def test_a_zero_endorse_uniform_is_redrawn_in_both_engines(monkeypatch, n_endors
     assert _record(run_once(cfg, 2, record=False)) == plain_lean and len(zeros) == 4
 
 
+def test_a_zero_endorse_uniform_is_redrawn_in_a_shared_prefix(monkeypatch):
+    # An stp sweep's endorsement passes share one endorse prefix: the zero
+    # meets it once, makes it draw the stream again through
+    # `Delay.sample_max`, and changes nothing, as in each lone run.
+    cfg = paper_default().replace(horizon=60.0, warmup=0.0, replications=1)
+    values = [0.5, 0.8, 1.0]
+    plain = run_sweep(cfg, "stp", values)
+    zeros = _zero_endorse_uniform(monkeypatch, 100)
+    assert run_sweep(cfg, "stp", values) == plain and len(zeros) == 2  # one prefix
+    assert [run_sweep(cfg, "stp", [v])[1][0] for v in values] == plain[1]
+    assert len(zeros) == 2 + 2 * len(values)  # each lone run draws its own
+
+
 def _uniforms_drawn(rng, seed, stream_id):
     """How many uniforms `rng`, the stream `stream_id` at `seed`, has drawn."""
     fresh = bcesim.core.make_stream(seed, stream_id)
@@ -599,6 +612,51 @@ def _front_fields(front):
         value if value is None or isinstance(value, int) else list(value)
         for value in (getattr(front, field.name) for field in dataclasses.fields(front))
     ]
+
+
+# For each stream that a pass draws: fields of a config that draws it, and
+# fields of another whose own pass draws it too, so that a `Fronts` serving
+# both draws it once, through a prefix.
+_DRAWN_STREAMS = {
+    "key-assign": ({"target_ratio": 0.3}, {"target_ratio": 0.6}),
+    "channel-loss": ({"stp": 0.7}, {"stp": 0.4}),
+    "comm-latency": ({"comm_latency": Delay("exp", 0.05)},
+                     {"comm_latency": Delay("exp", 0.05), "stp": 0.5}),
+    "endorse at 1": ({"n_endorsers": 1}, {"comm_latency": Delay("fixed", 0.1)}),
+    "endorse at 3": ({"n_endorsers": 3}, {"n_endorsers": 3, "comm_latency": Delay("fixed", 0.1)}),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(_DRAWN_STREAMS))
+def test_a_front_draws_a_shared_stream_as_it_draws_one_alone(monkeypatch, stream):
+    # A stream that one pass draws goes straight into that pass; one that
+    # two passes draw goes through a prefix that both read, whichever of
+    # them is built first.  The front is the same, column for column.
+    fields, other_fields = _DRAWN_STREAMS[stream]
+    cfg = paper_default().replace(horizon=60.0, warmup=0.0, **fields)
+    other = paper_default().replace(horizon=60.0, warmup=0.0, **other_fields)
+    if stream == "key-assign":
+        # the key uniform nearest 0.3 as the ratio, so that one key uniform
+        # equals it: that proposal is a background one (u < target_ratio)
+        rng = bcesim.core.make_stream(4, "key-assign")
+        cfg = cfg.replace(target_ratio=min((rng.random() for _ in range(100)),
+                                           key=lambda u: abs(u - 0.3)))
+    opened = []
+
+    def make_stream(seed, stream_id):
+        opened.append(stream_id)
+        return bcesim.core.make_stream(seed, stream_id)
+
+    monkeypatch.setattr(bcesim.frontback, "make_stream", make_stream)
+    stream_id = stream.split()[0]
+    alone = _front_fields(run_front(cfg, 4, record=True))
+    assert opened.count(stream_id) == 1
+    for first, second in ((cfg, other), (other, cfg)):
+        opened.clear()
+        fronts = bcesim.frontback.Fronts([(first, 4), (second, 4)])
+        built = {id(c): _front_fields(fronts.front(c, 4, record=True)) for c in (first, second)}
+        assert opened.count(stream_id) == 1  # once for both fronts
+        assert built[id(cfg)] == alone and built[id(other)] != alone
 
 
 # A value other than quick_cfg's for each back-only key.
