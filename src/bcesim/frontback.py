@@ -80,17 +80,17 @@ rate thins to `total_rate * stp`.
 
 The back has no event heap either.  It is two parts:
 
-- A timeline per channel, which reads no label.  A cut pass (`_cuts`) over
-  the channel's part of the stream gives each block's stop: a block is a
-  contiguous run of the part, cut when it reaches `block_size` or at its
-  deadline t0 + timeout (t0 its first endorsement) if that passes before the
-  channel's next endorsement.  A block is ready at its cut plus the
-  ordering delay, and the validator is a FIFO single server with
-  deterministic service, so block k completes at end_k = max(ready_k,
-  end_{k-1}) + validation time (Lindley's recursion, with the float
-  operations of the event-heap model), and commits then.  The channels
-  share one VSCC stream, which draws once per member, markers included, in
-  the blocks' commit order.
+- A timeline per channel, which reads no label: one loop over the channel's
+  blocks (`_timeline`) gives each block's stop, ready time and completion.
+  A block is a contiguous run of the channel's part of the stream, cut when
+  it reaches `block_size` or at its deadline t0 + timeout (t0 its first
+  endorsement) if that passes before the channel's next endorsement.  It is
+  ready at its cut plus the ordering delay, and the validator is a FIFO
+  single server with deterministic service, so block k completes at end_k =
+  max(ready_k, end_{k-1}) + validation time (Lindley's recursion, with the
+  float operations of the event-heap model), and commits then.  The
+  channels share one VSCC stream, which draws once per member, markers
+  included, in the blocks' commit order.
 - One pass over the target key's reads, all on channel 0, in stream order:
   over the reads alone, never over a marker.  A read sees the blocks that
   committed before it, and MVCC first-wins reduces to one test: it is valid
@@ -205,9 +205,9 @@ class Front:
     generation.  A full front adds the `id`, `key` and `channel` columns and
     `lost`, as in RunResult; a lean front keeps them None, since each
     endorsement it keeps is on the target key and channel 0.  `slots` is the
-    slot timeline, or a function that builds it (see `timeline`).  `views`
-    holds what its backs read of the stream alone, by channel count (see
-    `view`).
+    slot timeline, or a function that builds it (see `timeline`).  `view`
+    is the `_ReadView` of its backs (None before the first): `n_channels` is
+    a front field, so every back over one front reads the same one.
     """
 
     stream: list | range
@@ -223,7 +223,7 @@ class Front:
     lost: list | None
     n_generated: int
     n_lost: int
-    views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    view: "_ReadView | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def record(self):
@@ -239,15 +239,6 @@ class Front:
         if callable(self.slots):
             self.slots = self.slots()
         return self.slots
-
-    def view(self, n_channels):
-        """The `_ReadView` of a back over this front at `n_channels`
-        channels: built at the first back's use, and kept, so the backs of
-        a back-field sweep share it."""
-        view = self.views.get(n_channels)
-        if view is None:
-            view = self.views[n_channels] = _ReadView(self, n_channels)
-        return view
 
 
 class Fronts:
@@ -479,8 +470,8 @@ def _loss(fronts, stream, served, at, stp):
 
 def _comm(fronts, stream, at, comm):
     """The arrival times: each passed delivery's time plus its comm latency."""
-    if stream is None:  # a fixed latency
-        return at if comm.value == 0.0 else [t + comm.value for t in at]
+    if stream is None:  # a fixed latency: a column of 8 bytes per time
+        return at if comm.value == 0.0 else array("d", [t + comm.value for t in at])
     return [t + c for t, c in zip(at, fronts.draws(stream, len(at), _draws, comm.sample))]
 
 
@@ -587,41 +578,59 @@ def _slot_pass(gen_times, transmit_time, discipline, numbered):
     return served, at, (slot_time, slot_sched, by) if numbered else None
 
 
-def _cuts(done, block_size, timeout, joins):
-    """The stop of each block over one channel's endorse-done times `done`:
-    block k is done[stops[k - 1]:stops[k]], from 0 to len(done).
+def _timeline(part, block_size, timeout, order_time, overhead, per_tx, joins):
+    """(stops, readys, ends): the blocks of one channel's endorse-done times
+    `part`, block k being part[stops[k - 1]:stops[k]], from 0 to len(part),
+    with each block's ready time and completion.  It reads no label.
 
     A block holds `block_size` endorsements, or fewer when its deadline (its
     first endorsement's time plus `timeout`) passes before the next one or
     the stream ends; one due at the very deadline goes first iff joins(it,
-    the block's first).  It reads no label.  A block whose last endorsement
-    is due before its deadline is cut at its size in one step; only a block
-    that its deadline may cut is stepped through.
+    the block's first).  A block whose last endorsement is due before its
+    deadline is cut at its size in one step; only a block that its deadline
+    may cut is stepped through.  It is ready at its cut plus `order_time`,
+    and completes by Lindley's recursion (see the module docstring).
     """
-    n, s, step = len(done), 0, block_size
-    if step == 1:  # every endorsement is a block
-        return range(1, n + 1)
+    n, prev, full = len(part), -math.inf, overhead + per_tx * block_size
+    readys, ends = [], []
+    add_ready, add_end = readys.append, ends.append
+    if block_size == 1:  # every endorsement is a block, cut at its size
+        for t in part:
+            ready = t + order_time
+            prev = (ready if ready >= prev else prev) + full
+            add_ready(ready)
+            add_end(prev)
+        return range(1, n + 1), readys, ends
     stops = array("q")
-    add = stops.append
+    add_stop = stops.append
+    s, step = 0, block_size - 1
     while s < n:
-        d = done[s] + timeout
-        last = s + step - 1
-        if last < n and done[last] < d:
+        deadline = part[s] + timeout
+        last = s + step
+        t = part[last] if last < n else math.inf
+        if t < deadline:  # cut at its size
+            ready, validation = t + order_time, full
             s = last + 1
-            add(s)
-            continue
-        stop = last + 1 if last < n else n
-        j = s + 1
-        while j < stop and (done[j] < d or done[j] == d and joins(j, s)):
-            j += 1
-        add(j)
-        s = j
-    return stops
+        else:
+            stop = last + 1 if last < n else n
+            j = s + 1
+            while j < stop and (part[j] < deadline or part[j] == deadline and joins(j, s)):
+                j += 1
+            if j - s == block_size:
+                ready, validation = part[j - 1] + order_time, full
+            else:
+                ready, validation = deadline + order_time, overhead + per_tx * (j - s)
+            s = j
+        prev = (ready if ready >= prev else prev) + validation
+        add_stop(s)
+        add_ready(ready)
+        add_end(prev)
+    return stops, readys, ends
 
 
 class _ReadView:
-    """What every back over one front reads of its stream alone, at one
-    channel count (`Front.view`).
+    """What every back over one front reads of its stream alone
+    (`Front.view`).
 
     `positions[c]` is channel c's stream positions (None at one channel:
     every one), and `parts[c]` their endorse-done times.  `nums_of[c]` is
@@ -684,35 +693,18 @@ def run_back(cfg, seed, front):
     if (block_size == 1 and n_channels == 1 and not record and stream.__class__ is range
             and front.endorse_done is done):
         return _one_loop_back(cfg, seed, front)
-    view = front.view(n_channels)
+    view = front.view
+    if view is None:
+        view = front.view = _ReadView(front, n_channels)
     ties = _Dispatches(front, block_size, timeout, order_time)
     parts, joins, precedes = ties.parts, ties.joins, ties.precedes
 
-    # The timeline of each channel's part of the stream, which reads no
-    # label: its blocks' stops, then each block's ready time (its cut plus
-    # the ordering delay) and completion (Lindley's recursion).
+    # The timeline of each channel's part of the stream, which reads no label.
     readys_of = []
     for pos, part in zip(view.positions, view.parts):
-        stops = _cuts(part, block_size, timeout,
-                      joins if pos is None else lambda j, s, pos=pos: joins(pos[j], pos[s]))
-        ends, readys, prev = [], [], -math.inf
-        add_end, add_ready = ends.append, readys.append
-        if len(stops) * block_size == len(part):  # size cuts only, each validated alike
-            validation = overhead + per_tx * block_size
-            for last in memoryview(part)[block_size - 1::block_size]:
-                ready = last + order_time
-                prev = (ready if ready >= prev else prev) + validation
-                add_ready(ready)
-                add_end(prev)
-        else:
-            start = 0
-            for stop in stops:
-                size = stop - start
-                ready = (part[stop - 1] if size == block_size else part[start] + timeout) + order_time
-                prev = (ready if ready >= prev else prev) + (overhead + per_tx * size)
-                add_ready(ready)
-                add_end(prev)
-                start = stop
+        stops, readys, ends = _timeline(
+            part, block_size, timeout, order_time, overhead, per_tx,
+            joins if pos is None else lambda j, s, pos=pos: joins(pos[j], pos[s]))
         parts.append((pos, part, stops, ends))
         readys_of.append(readys)
 

@@ -1,13 +1,15 @@
 """Average AoI against closed forms.
 
-With every proposal on the tracked key, blocks of one transaction and no
-delay after the transmitter but a fixed communication latency, a proposal
-commits the instant it arrives, so the transmitter queue alone sets the age
-(the M/D/1 and D/D/1 forms from the AoI literature).  With fixed delays
-throughout, the whole block pipeline is deterministic and its age follows
-from the MVCC first-writer-wins rule, whether blocks are cut by size or by
-the timeout.  With Poisson proposals, no delay but a fixed endorsement and
-ordering, and blocks of one, MVCC first-wins makes the tracked key's valid
+With every proposal on the tracked key, blocks of one transaction and no delay
+after the transmitter but a fixed communication latency, a proposal commits
+the instant it arrives, so the transmitter queue alone sets the age (the M/D/1
+and D/D/1 forms from the AoI literature).  With fixed delays throughout, the
+whole block pipeline is deterministic and its age follows from the MVCC
+first-writer-wins rule, whether blocks are cut by size or by the timeout.
+With only some proposals on the tracked key, MVCC first-wins makes its valid
+commits a renewal process over the blocks, checked through a block-size and a
+target-ratio sweep.  With Poisson proposals, no delay but a fixed endorsement
+and ordering, and blocks of one, MVCC first-wins makes the tracked key's valid
 updates an M/D/1/1 blocking queue.  Two of these forms run through the split
 run of a back-only sweep, so its front is checked against an answer from
 outside the simulator.  With Poisson proposals, exponential endorsements and
@@ -15,9 +17,9 @@ nothing else but a fixed communication latency taking time, each update
 commits at its own endorse-done and an overtaken one is obsolete: the M/G/inf
 form, run through front sweeps, checks the endorsement, loss and channel-split
 passes and the endorse-done order they share; its tail checks the AoI
-distribution (`violation_prob`), not only its mean.  With periodic proposals in the
-same setting, the D/G/inf form checks the lean back's numbers and channel
-markers over a stream that endorsement has reordered.
+distribution (`violation_prob`), not only its mean.  With periodic proposals
+in the same setting, the D/G/inf form checks the lean back's numbers and
+channel markers over a stream that endorsement has reordered.
 """
 
 import math
@@ -25,7 +27,7 @@ import statistics
 
 import pytest
 
-from bcesim.config import parse_config
+from bcesim.config import ordering_delay, parse_config
 from bcesim.experiments import run_replications, run_sweep
 from conftest import count_runs
 
@@ -287,6 +289,87 @@ def test_timeout_cut_pipeline_average_aoi_is_exact(model, expected):
     assert summary.avg_aoi == floor + size / (2 * rate) == expected
     assert _sawtooth_tail_is_exact(cfg, floor, size / rate)
     assert summary.mvcc_invalid_frac == pytest.approx((size - 1) / size, abs=1e-3)
+
+
+def block_first_wins(rate, size, target_ratio, delay, lag, x, tail=1e-18):
+    """(average AoI, P(age > x), MVCC-invalid fraction) of the tracked key
+    when periodic proposals at `rate` are each a tracked read with
+    probability `target_ratio`, cut by size into blocks of `size`, and a
+    block commits `lag` (ordering plus validation) after its last member's
+    endorse-done, `delay` (comm, endorsement and `lag`) after its generation.
+
+    With tau = 1/rate, a valid read blocks the rest of its block and the
+    W = floor(lag/tau) reads after it; the next valid read is the first
+    tracked one after them, G ~ Geometric(target_ratio) failures later.  So
+    the commits of valid reads are renewals, with the age just after one
+    A = (size - 1 - (W + G) mod size) tau + delay and the time to the next
+    Y = (1 + floor((W + G) / size)) size tau, from independent copies of G.
+    Per renewal cycle the age rises from A to A + Y (Kaul, Yates & Gruteser,
+    INFOCOM 2012), so the average age is E[A] + E[Y^2] / (2 E[Y]), the time
+    above x is E[min(Y, (A + Y - x)+)] / E[Y], and of target_ratio tracked
+    reads per proposal tau / E[Y] are valid.  The sums over G stop at a
+    `tail` of the geometric law.
+    """
+    tau, window = 1 / rate, math.floor(lag * rate)
+    ages, cycles = {}, {}  # the law of A and of Y: value -> probability
+    g, p = 0, target_ratio
+    while True:
+        age = (size - 1 - (window + g) % size) * tau + delay
+        cycle = (1 + (window + g) // size) * size * tau
+        ages[age] = ages.get(age, 0.0) + p
+        cycles[cycle] = cycles.get(cycle, 0.0) + p
+        g += 1
+        if (1 - target_ratio) ** g < tail:
+            break
+        p *= 1 - target_ratio
+    mean_age = sum(a * p for a, p in ages.items())
+    mean_cycle = sum(y * p for y, p in cycles.items())
+    mean_square = sum(y * y * p for y, p in cycles.items())
+    above = sum(pa * py * min(y, max(0.0, a + y - x))
+                for a, pa in ages.items() for y, py in cycles.items())
+    return (mean_age + mean_square / (2 * mean_cycle), above / mean_cycle,
+            target_ratio - tau / mean_cycle)
+
+
+@pytest.mark.parametrize("param, values, other", [
+    ("block_size", [3, 10, 20], "target_ratio = 0.3\n"),
+    ("target_ratio", [0.05, 0.6, 0.9], "block_size = 10\n"),
+])
+def test_mvcc_first_wins_on_a_block_pipeline_is_a_renewal_process(param, values, other):
+    # Periodic proposals with a fixed comm latency and endorsement, cut by
+    # size into blocks that the validator keeps up with.  A block-size sweep
+    # shares each replication's front; a target-ratio sweep shares its
+    # generation.  At block size 3 a valid read blocks more than a block.
+    x = 1.5
+    cfg = parse_config(
+        "generation_mode = periodic\ncomm_latency = fixed:0.01\nendorse_time = fixed:0.02\n"
+        f"transmit_time = 0\nordering_base = 0.1\ntarget_aoi = {x}\n{other}"
+        "horizon = 1000\nwarmup = 50\nreplications = 16\nmaster_seed = 2012\n"
+    )
+    _, per_value = run_sweep(cfg, param, values)
+    windows = set()
+    for value, summaries in zip(values, per_value):
+        run = cfg.replace(**{param: value})
+        rate, size = run.total_rate, run.block_size
+        lag = ordering_delay(run) + run.validate_block_overhead + run.validate_per_tx * size
+        # Periodic proposals and fixed delays on one channel, with no loss, no
+        # VSCC failure and no transmitter queue; the timeout never cuts a
+        # block, the validator keeps up, and no commit falls on an
+        # endorse-done (lag / tau is not an integer).
+        assert run.generation_mode == "periodic"
+        assert run.comm_latency.kind == run.endorse_time.kind == "fixed"
+        assert (run.n_channels, run.stp, run.vscc_fail_prob, run.transmit_time) == (1, 1, 0, 0)
+        assert (size - 1) / rate < run.timeout
+        assert lag - ordering_delay(run) < size / rate
+        assert 0.1 < lag * rate - math.floor(lag * rate) < 0.9
+        windows.add(math.floor(lag * rate) >= size)
+        delay = run.comm_latency.value + run.endorse_time.value + lag
+        aoi, violation, invalid = block_first_wins(rate, size, run.target_ratio, delay, lag, x)
+        assert violation >= 1e-3
+        assert abs(_z([s.avg_aoi for s in summaries], aoi)) <= 4, value
+        assert abs(_z([s.violation_prob for s in summaries], violation)) <= 4, value
+        assert abs(_z([s.mvcc_invalid_frac for s in summaries], invalid)) <= 4, value
+    assert windows == ({True, False} if param == "block_size" else {False})
 
 
 def mg_infinity_tail(rate, mean, n_endorsers, x):
