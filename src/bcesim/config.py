@@ -27,11 +27,14 @@ BACK_FIELDS = frozenset({
 })
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Every config key, with its type and its paper-default value.
 
     A key's type decides how its value is parsed; `_BOUNDS` holds its range.
+    A config is checked when it is made, by `SimConfig(...)`, `replace` or
+    `dataclasses.replace`, and never changes after, so every config a run
+    sees is valid.
     """
 
     # workload / channel
@@ -62,6 +65,9 @@ class SimConfig:
     master_seed: int = 12345
     replications: int = 30
     target_aoi: float | None = None
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         def fail(key, msg):
@@ -107,11 +113,8 @@ class SimConfig:
             )
         if not self.horizon > self.warmup:
             fail("horizon", f"must exceed warmup {self.warmup}, got {self.horizon}")
-        return self
 
-    def replace(self, **overrides):
-        cfg = dataclasses.replace(self, **overrides)
-        return cfg.validate()
+    replace = dataclasses.replace
 
 
 def ordering_delay(cfg):
@@ -213,9 +216,9 @@ def parse_config(text):
             overrides[key] = _PARSERS[key](raw_value.strip())
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: key '{key}': {exc}") from None
-    return SimConfig(**overrides).validate()
+    return SimConfig(**overrides)
 
 
 def paper_default():
     """The calibrated default preset all scenarios start from."""
-    return SimConfig().validate()
+    return SimConfig()

@@ -1,7 +1,7 @@
 """Shared error types, the seeded RNG streams and the text of a number.
 
-A run is `bcesim.simulation.run_once`: the front and the back of
-`bcesim.frontback`, neither of which keeps an event heap.
+A run is `bcesim.frontback.run_once`: a front and a back, neither of which
+keeps an event heap.
 """
 
 import random

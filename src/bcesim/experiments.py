@@ -92,7 +92,6 @@ def run_replication(cfg, k):
 
 def run_replications(cfg):
     """All replications of one config, in replication order."""
-    cfg.validate()
     [summaries] = _replicate([cfg])
     return summaries
 
@@ -323,7 +322,7 @@ def run_plain_traced(cfg, out):
     more than one replication's trace is held in memory."""
     # imported here, as `_replicate` imports the engine, so that importing
     # bcesim compiles none of it
-    from .simulation import RECORD_FIELDS
+    from .frontback import RECORD_FIELDS
 
     out.write("rep," + ",".join(RECORD_FIELDS) + "\n")
     [summaries] = _replicate([cfg], out)

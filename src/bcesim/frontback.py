@@ -1,13 +1,22 @@
-"""The engine: every run is a front and a back, so that runs differing only
-in back fields share one front, and the fronts of one replication share
-every pass that they read alike.
+"""The engine: one run of a config and seed (`run_once`) and the record it
+returns (`RunResult`).  Every run is a front and a back, so that runs
+differing only in back fields share one front, and the fronts of one
+replication share every pass that they read alike.
+
+Generation stops at the horizon; the rest of the pipeline then drains, so
+every proposal resolves to exactly one outcome (valid, mvcc_invalid,
+vscc_invalid or lost) and the outcome counts partition the generated count.
+Age resets and block commit times are recorded up to the horizon.  A run
+reads no measurement field (`warmup`, `target_aoi`): its record is the same
+for every value of them, and `experiments.summarize` alone applies them to
+it.
 
 Generation, key assignment, channel split, transmission, loss, comm latency
 and endorsement (the front) never depend on block cutting, ordering,
 validation or VSCC (the back): the back only consumes endorse-done events.
-So a run is `run_front`, which returns its endorsements in endorse-done
-dispatch order, and `run_back`, which runs the rest of the pipeline over that
-stream (`simulation.run_once`), and runs that differ only in back fields
+So a run (`run_once`) is `run_front`, which returns its endorsements in
+endorse-done dispatch order, and `run_back`, which runs the rest of the
+pipeline over that stream, and runs that differ only in back fields
 (`config.BACK_FIELDS`) share one front.  Together they reproduce the
 event-heap model of the pipeline (`tests/des_oracle.py`), which dispatches
 every event in (time, seq) order, with seq taken when the event is
@@ -159,11 +168,19 @@ paper defaults (at block size 1 too), and about half (FCFS) to three fifths
 (LCFS) on the M/D/1 configs of the benchmark's md1_channel workload (medians
 over 6 seeds of the fastest of 7; Python 3.11, 2 vCPUs).
 
-`simulation.run_once` and `experiments._replicate` import this module at
-their first run, so that importing bcesim compiles none of it.
+A run builds no reference cycles, so reference counting frees all of it and
+the cyclic collector would only rescan live objects.  `run_once` pauses the
+collector for the run and restores the caller's setting when the run returns
+or raises; `experiments._replicate` holds the pause from before a
+replication's first run until its results are summarized and dropped.
+`test_simulation.py::test_run_leaves_no_cyclic_garbage` guards the premise.
+
+`experiments` imports this module at its first run, so that importing
+bcesim compiles none of it.
 """
 
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -177,7 +194,6 @@ from random import Random
 from .config import ordering_delay
 from .core import SimulationError, make_stream
 from .metrics import AoISamplePath, LatencyBreakdown
-from .simulation import RunResult
 
 # The tracked ledger key.  A background proposal's key is its own unique id,
 # so an MVCC conflict can only involve the target key.
@@ -187,6 +203,39 @@ TARGET_KEY = 0
 VALID = "valid"
 MVCC_INVALID = "mvcc_invalid"
 VSCC_INVALID = "vscc_invalid"
+
+# The fields of a full record's transactions, in the order of its columns
+# and of the trace's cells after `rep`.
+RECORD_FIELDS = (
+    "id", "key", "channel", "gen_time", "arrive_time", "endorse_done",
+    "captured_version", "order_done", "commit_time", "validity",
+)
+
+
+@dataclass
+class RunResult:
+    path: AoISamplePath  # every reset up to the horizon
+    block_times: list  # ascending commit times of the blocks committed by the horizon
+    blocks_committed: int  # total over the drained run
+    breakdown: LatencyBreakdown  # latency means and every outcome count
+    # `columns` and `lost` are None in a lean run.
+    columns: tuple | None  # one column per name of RECORD_FIELDS, in delivery order
+    lost: list | None  # (id, key, channel, gen_time) of dropped proposals
+
+
+def run_once(cfg, seed, record=True):
+    """Single-threaded, deterministic run of one configuration and seed.
+
+    With `record` false the run is lean: `columns` and `lost` are None, and
+    every other field is as in a full run.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return run_back(cfg, seed, run_front(cfg, seed, record))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass
@@ -270,7 +319,6 @@ class Fronts:
 
     def front(self, cfg, seed, record=False):
         """Generation through endorsement of one run (see `run_front`)."""
-        cfg.validate()
         generation, labels, deliveries, loss, comm, endorsement = _pass_keys(cfg, seed)
         gen_times = self.get(generation, _generation, seed, cfg.generation_mode, cfg.total_rate,
                              cfg.horizon)
@@ -680,7 +728,6 @@ def run_back(cfg, seed, front):
     record's holds the record's ten columns, the front's and the back's own.
     """
     record = front.record
-    cfg.validate()
     horizon, n_channels = cfg.horizon, cfg.n_channels
     block_size, timeout = cfg.block_size, cfg.timeout
     order_time = ordering_delay(cfg)

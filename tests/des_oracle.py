@@ -1,4 +1,4 @@
-"""Reference event-heap engine that `bcesim.simulation.run_once` must match.
+"""Reference event-heap engine that `bcesim.frontback.run_once` must match.
 
 `run_once` is a front and a back (`bcesim.frontback`), passes over whole-run
 lists with no event heap.  This engine is the model they reproduce: every
@@ -29,9 +29,16 @@ from dataclasses import dataclass
 
 from bcesim.config import ordering_delay
 from bcesim.core import SimulationError, make_stream
-from bcesim.frontback import MVCC_INVALID, TARGET_KEY, VALID, VSCC_INVALID, Front
+from bcesim.frontback import (
+    MVCC_INVALID,
+    RECORD_FIELDS,
+    TARGET_KEY,
+    VALID,
+    VSCC_INVALID,
+    Front,
+    RunResult,
+)
 from bcesim.metrics import AoISamplePath, LatencyBreakdown
-from bcesim.simulation import RECORD_FIELDS, RunResult
 
 
 class LedgerState:

@@ -3,9 +3,11 @@
 The scenario sweeps run at their full preset settings (2000 s horizon,
 30 replications), so this module dominates the suite's runtime (about 23 s
 on one core).  Every scenario's rows run once per session, all in one
-`run_rows` call as one paper run, and the criteria share its results.
+`run_rows` call as one paper run, and the criteria share its results.  One
+more test pins that run's bytes.
 """
 
+import hashlib
 import random
 import statistics
 
@@ -14,9 +16,8 @@ import pytest
 from aoi_oracle import grid_average_aoi, grid_violation_probability
 from bcesim.config import paper_default
 from bcesim.experiments import SCENARIOS, rows_csv, run_rows, run_scenario, sweep_runs
-from bcesim.frontback import TARGET_KEY, VALID
+from bcesim.frontback import TARGET_KEY, VALID, run_once
 from bcesim.metrics import average_aoi, violation_probability
-from bcesim.simulation import run_once
 from des_oracle import LedgerState, apply_update, entries, final_ledgers, read_version, transactions
 from test_metrics import aoi_ccdf, random_path
 from test_workload import md1_transmitter, transmitter_replay
@@ -47,6 +48,18 @@ def paper_run():
                          summaries[start:stop])
         start = stop
     return results
+
+
+# SHA-256 of every scenario's CSV text in the paper run, concatenated in
+# `SCENARIOS` order.
+PAPER_RUN_SHA256 = "8b6021e0c85139b436d496b9ca3adff2639d0cfaf369b931705b8e997fc01d6b"
+
+
+def test_the_paper_run_keeps_its_bytes(paper_run):
+    # A change that should leave the output as it is must leave every row's
+    # bytes as they are; this reads the shared run and simulates nothing.
+    text = "".join(paper_run[name][0] for name in SCENARIOS)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAPER_RUN_SHA256
 
 
 @pytest.fixture(scope="session")

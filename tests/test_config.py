@@ -123,6 +123,18 @@ def test_defaults_are_valid():
     SimConfig().validate()
 
 
+def test_a_config_is_valid_by_construction_and_never_changes():
+    # Every way to make a config checks it, so no invalid config reaches a run.
+    with pytest.raises(ConfigError, match="'block_size'"):
+        SimConfig(block_size=0)
+    with pytest.raises(ConfigError, match="'horizon'"):
+        dataclasses.replace(paper_default(), horizon=-1.0)
+    cfg = paper_default()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.block_size = 3
+    assert cfg == paper_default()
+
+
 @pytest.mark.parametrize(
     "line, key",
     [

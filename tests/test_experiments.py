@@ -25,6 +25,7 @@ from bcesim.experiments import (
     sweep_runs,
     trace_csv,
 )
+from bcesim.frontback import RECORD_FIELDS, run_once
 from conftest import count_runs, parse_csv
 from des_oracle import transactions
 
@@ -158,8 +159,6 @@ def test_trace_csv_covers_every_proposal(quick_cfg):
     lines = trace_csv(cfg).strip().split("\n")
     header, data = lines[0], lines[1:]
     assert header.startswith("rep,id,key,channel,gen_time")
-    from bcesim.simulation import run_once
-
     result = run_once(cfg, cfg.master_seed)
     assert len(data) == result.breakdown.n_generated
     outcomes = [line.split(",")[-1] for line in data]
@@ -170,8 +169,6 @@ def test_trace_csv_covers_every_proposal(quick_cfg):
 def test_the_trace_header_is_the_record_declaration(quick_cfg):
     # The trace's cells after `rep` are the record's columns, named once in
     # `RECORD_FIELDS`, and the header's bytes stay as they are.
-    from bcesim.simulation import RECORD_FIELDS
-
     header = trace_csv(quick_cfg.replace(replications=1, horizon=20.0, warmup=0.0)).split("\n")[0]
     assert header == "rep," + ",".join(RECORD_FIELDS)
     assert header == ("rep,id,key,channel,gen_time,arrive_time,endorse_done,captured_version,"
@@ -213,8 +210,6 @@ _TIME_FIELDS = ("gen_time", "arrive_time", "endorse_done", "order_done", "commit
     {"n_channels": 3, "comm_latency": Delay("exp", 0.02), "vscc_fail_prob": 0.1, "stp": 0.5},
 ])
 def test_trace_cells_equal_the_record(quick_cfg, overrides):
-    from bcesim.simulation import run_once
-
     cfg = quick_cfg.replace(horizon=60.0, warmup=0.0, **overrides)
     header, *lines = trace_csv(cfg).rstrip("\n").split("\n")
     columns = header.split(",")

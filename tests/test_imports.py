@@ -83,16 +83,45 @@ def test_package_imports_only_the_standard_library(path):
 
 
 def test_a_run_without_a_back_sweep_never_loads_the_front_back_split():
-    # bcesim.frontback, the engine, and bcesim.simulation, whose RunResult it
-    # builds, are loaded at the first run, so that importing the package and
-    # parsing a config do not pay for them.
+    # bcesim.frontback, the engine, is loaded at the first run, so that
+    # importing the package and parsing a config do not pay for it.
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import bcesim.cli; "
         "from bcesim.config import parse_config; parse_config('replications = 1\\n'); "
-        "print([m for m in ('bcesim.frontback', 'bcesim.simulation') if m in sys.modules])"
+        "print('bcesim.frontback' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "False\n"
+
+
+def validate_calls(source):
+    """The function around each `.validate(...)` call of a module, None at
+    module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "validate"):
+                found.append(where)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_validate_call_check_names_the_caller():
+    source = "cfg.validate()\ndef f(x):\n    g(x.validate())\nclass C:\n    def m(self): pass\n"
+    assert validate_calls(source) == [None, "f"]
+
+
+def test_a_config_is_validated_only_where_it_is_made():
+    # `SimConfig.__post_init__` checks every config as it is made, and a
+    # config never changes after, so a check anywhere else is a second one.
+    calls = {path.name: validate_calls(path.read_text()) for path in PACKAGE}
+    assert {name: where for name, where in calls.items() if where} == {
+        "config.py": ["__post_init__"]}
 
 
 def definitions(source):

@@ -10,8 +10,7 @@ import pytest
 from bcesim.config import paper_default
 from bcesim.core import SimulationError
 from bcesim.dists import Delay
-from bcesim.frontback import MVCC_INVALID, TARGET_KEY, VALID, VSCC_INVALID, run_back
-from bcesim.simulation import run_once
+from bcesim.frontback import MVCC_INVALID, TARGET_KEY, VALID, VSCC_INVALID, run_back, run_once
 from des_oracle import arrivals_front, entries, final_ledgers, read_version, transactions
 
 

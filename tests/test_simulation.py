@@ -9,14 +9,12 @@ from hypothesis import given, reject, settings, strategies as st
 
 import bcesim.core
 import bcesim.frontback
-import bcesim.simulation
 from bcesim.config import BACK_FIELDS, paper_default
 from bcesim.core import ConfigError, SimulationError
 from bcesim.dists import Delay
 from bcesim.experiments import run_sweep, summarize
-from bcesim.frontback import TARGET_KEY, VALID, run_back, run_front
+from bcesim.frontback import TARGET_KEY, VALID, run_back, run_front, run_once
 from bcesim.metrics import AoISamplePath, average_aoi
-from bcesim.simulation import run_once
 from conftest import count_runs
 from des_oracle import (
     LedgerState,
@@ -571,8 +569,7 @@ def test_split_run_holds_no_event_heap():
     # blocks: paper defaults at B = 1 (the validator's queue grows all run), 2
     # and 20 (cut by timeout), and the M/D/1 shape of the benchmark, where
     # ordering and validation take no time.
-    for module in (bcesim.frontback, bcesim.simulation):
-        assert not {"heappush", "heappop", "heapq"} & set(vars(module)), module
+    assert not {"heappush", "heappop", "heapq"} & set(vars(bcesim.frontback))
     cfg = paper_default().replace(horizon=300.0)
     md1 = cfg.replace(**_TRANSMITTER_RUNS["md1 fcfs"])
     front = run_front(cfg, 3)
@@ -897,15 +894,21 @@ def test_injected_arrival_behind_the_clock_raises(quick_cfg):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-def test_run_restores_gc_state(quick_cfg, enabled):
+def test_run_restores_gc_state(quick_cfg, enabled, monkeypatch):
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
         run_once(quick_cfg, 1)
         assert gc.isenabled() == enabled
-        # dataclasses.replace skips validation, so the run's own check raises
-        with pytest.raises(ConfigError, match="horizon"):
-            run_once(dataclasses.replace(quick_cfg, horizon=-1.0), 1)
+
+        # a run that raises restores the caller's setting too
+        def failing_back(cfg, seed, front):
+            assert not gc.isenabled()  # paused inside the run
+            raise SimulationError("back failed")
+
+        monkeypatch.setattr(bcesim.frontback, "run_back", failing_back)
+        with pytest.raises(SimulationError, match="back failed"):
+            run_once(quick_cfg, 1)
         assert gc.isenabled() == enabled
     finally:
         gc.enable() if was_enabled else gc.disable()

@@ -5,8 +5,7 @@ import pytest
 
 from bcesim.config import paper_default
 from bcesim.dists import Delay
-from bcesim.frontback import TARGET_KEY
-from bcesim.simulation import run_once
+from bcesim.frontback import TARGET_KEY, run_once
 from des_oracle import transactions
 
 
